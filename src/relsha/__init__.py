@@ -23,7 +23,6 @@ from .design import (
     UNDERDETERMINED,
     amplitude_squares,
     build_design_matrix,
-    build_k,
     classify_regime,
     pack_solution,
     unpack_state,
@@ -52,8 +51,7 @@ from .regularized import (
     RelshaDiagnostics,
     RelshaResult,
     relsha_fit,
-    relsha_gradient,
-    relsha_objective,
+    relsha_value_and_gradient,
 )
 from .series import (
     HarmonicSolution,
@@ -88,7 +86,6 @@ __all__ = [
     "amplitude_squares",
     "apply_noise",
     "build_design_matrix",
-    "build_k",
     "cha_fit",
     "classify_regime",
     "default_catalog_path",
@@ -105,8 +102,7 @@ __all__ = [
     "make_catalog",
     "pack_solution",
     "relsha_fit",
-    "relsha_gradient",
-    "relsha_objective",
+    "relsha_value_and_gradient",
     "resample",
     "rrmse",
     "run_grid",

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constituents import TWO_PI, ConstituentCatalog
-from .design import build_design_matrix
-from .series import HarmonicSolution, WaterLevelSeries, detrend
+from .design import PreparedRecord, prepare
+from .series import HarmonicSolution, WaterLevelSeries
 
 GRID_STEP = 0.001
 
@@ -80,17 +80,20 @@ def cha_fit(
     together with the series' own mean and trend. When the two gauges are
     identical the weight is unidentifiable and flagged as such.
     """
-    _check_alignment(ref_a, catalog)
-    _check_alignment(ref_b, catalog)
     if len(series) < 2:
         raise ValueError("cha_fit requires at least 2 samples")
+    return cha_solve(prepare(series, catalog), ref_a, ref_b)
 
-    residual, mean, trend = detrend(series)
-    design = build_design_matrix(residual.times, catalog)
+
+def cha_solve(record: PreparedRecord, ref_a: GaugeHarmonics, ref_b: GaugeHarmonics) -> ChaResult:
+    """cha_fit on a prepared record."""
+    catalog = record.catalog
+    _check_alignment(ref_a, catalog)
+    _check_alignment(ref_b, catalog)
     # Gram form keeps the w scan cheap: ||Hx - h||^2 = x'Gx - 2b'x + c.
-    gram = design.T @ design
-    b = design.T @ residual.heights
-    c = float(residual.heights @ residual.heights)
+    gram = record.a.T @ record.a
+    b = record.a.T @ record.b
+    c = float(record.b @ record.b) + record.rest
 
     amp_a = ref_a.solution.amplitudes
     amp_b = ref_b.solution.amplitudes
@@ -126,18 +129,10 @@ def cha_fit(
 
     amp = (1.0 - w_star) * amp_a + w_star * amp_b
     phase = (phase_a + w_star * arc) % TWO_PI
-    solution = HarmonicSolution(
-        mean=mean,
-        trend=trend,
-        amplitudes=amp,
-        phases=phase,
-        catalog=catalog,
-        time_reference=float(series.times.mean()),
-    )
     return ChaResult(
         weight=w_star,
-        solution=solution,
+        solution=record.solution(amp, phase),
         objective=j_star,
         identifiable=identifiable,
-        sample_count=len(series),
+        sample_count=record.sample_count,
     )

@@ -1,9 +1,10 @@
 """Command-line interface: fit, experiment, synth, rrmse, and resample.
 
-Output files are written atomically (temp file then rename) so a failed
-run never leaves a partial file; all numbers are printed with 9
-significant digits so reruns with identical inputs and seeds are
-byte-identical.
+Output files are written atomically (unique temp file then rename) so a
+failed run never leaves a partial file, and fit and experiment check that
+the output directory exists before reading any input. All numbers are
+printed with 9 significant digits so reruns with identical inputs and
+seeds are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 from datetime import timezone
 from pathlib import Path
 
@@ -38,9 +40,25 @@ EXIT_NOT_CONVERGED = 3
 
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # mkstemp creates the file 0600; give it the mode a plain write would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _check_output_dir(path: str | Path) -> None:
+    """Fail before any compute when the output file cannot be created."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ValueError(f"output directory {parent} does not exist")
 
 
 def _catalog_path(flag_value: str | None) -> Path:
@@ -84,6 +102,7 @@ def _bool_text(value: bool) -> str:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    _check_output_dir(args.output)
     config = _load_config_file(args.config)
     catalog = load_catalog(_catalog_path(args.catalog))
     series = ingest.load_water_levels(args.input)
@@ -147,6 +166,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    _check_output_dir(args.output)
     config = _load_config_file(args.config)
     catalog = load_catalog(_catalog_path(args.catalog))
     truth_path = _resolve(args.truth, config, "truth", _bundled("synthetic_truth.csv"))

@@ -6,14 +6,27 @@ matrix H (cosine columns then sine columns) the product H @ x equals
 sum_k A_k f_k cos(w_k t + theta_k) exactly. The sign on the sine block
 follows from the expansion cos(wt + theta) = cos(theta)cos(wt) -
 sin(theta)sin(wt); amplitudes are unaffected by the choice.
+
+Every fit reads the data only through the misfit ||H x - h||^2 of the
+detrended heights h. ``prepare`` computes, once per record, a triple
+(a, b, rest) with ||H x - h||^2 = ||a x - b||^2 + rest for every x. For
+m > 2n + 1 samples it QR-factors the augmented m x (2n+1) matrix [H | h]:
+with [H | h] = Q [[R, c], [0, d], [0, 0]], a = R is 2n x 2n, b = c and
+rest = d^2, so every later solve costs O(n^2) whatever m is. R has the
+singular values of H, so rank decisions and minimum-norm solutions carry
+over. For m <= 2n + 1 the factorization would not shrink anything, and
+a, b are H and h themselves (rest = 0).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
 
 from .constituents import TWO_PI, ConstituentCatalog
-from .series import HarmonicSolution
+from .series import HarmonicSolution, WaterLevelSeries, detrend
 
 OVERDETERMINED = "overdetermined"
 UNDERDETERMINED = "underdetermined"
@@ -27,25 +40,90 @@ def classify_regime(sample_count: int, n_constituents: int) -> str:
 def build_design_matrix(times, catalog: ConstituentCatalog) -> np.ndarray:
     """m x 2n matrix [cos(w_k t_i) | sin(w_k t_i)] at the given sample times."""
     t = np.asarray(times, dtype=float)
-    if t.size == 0:
+    rows = np.empty((2 * catalog.n, t.size))
+    _fill_transposed_design(t, catalog, rows)
+    return np.ascontiguousarray(rows.T)
+
+
+def _fill_transposed_design(times: np.ndarray, catalog: ConstituentCatalog, rows: np.ndarray) -> None:
+    """Write H^T into the C-contiguous 2n x m array rows: row k holds
+    cos(w_k t) and row n+k sin(w_k t). The phase arguments are formed in
+    the cosine rows, so no m x n temporary is allocated."""
+    if times.size == 0:
         raise ValueError("design matrix requires at least one sample time")
-    arg = np.outer(t, catalog.speeds)
-    return np.hstack([np.cos(arg), np.sin(arg)])
+    arg = np.outer(catalog.speeds, times, out=rows[: catalog.n])
+    np.sin(arg, out=rows[catalog.n :])
+    np.cos(arg, out=arg)
 
 
-def build_k(n: int) -> np.ndarray:
-    """Explicit n x 2n pairing matrix: row k has ones at columns k and n+k.
+def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.ndarray, np.ndarray, float]:
+    """(a, b, rest) with ||H x - heights||^2 = ||a x - b||^2 + rest for all x.
 
-    Only used by tests and diagnostics; amplitude_squares applies the same
-    pairing without materializing the matrix.
+    H is build_design_matrix(times, catalog). Up to 2n + 1 samples, a and
+    b are H and heights. Beyond that, [H | heights] is built in Fortran
+    order and factored in place by LAPACK dgeqrf, and a is the 2n x 2n
+    triangle R.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    k = np.zeros((n, 2 * n))
-    idx = np.arange(n)
-    k[idx, idx] = 1.0
-    k[idx, n + idx] = 1.0
-    return k
+    h = np.asarray(heights, dtype=float)
+    two_n = 2 * catalog.n
+    if h.size <= two_n + 1:
+        return build_design_matrix(times, catalog), h, 0.0
+    # Column-major [H | h]: dgeqrf factors it without a copy.
+    augmented = np.empty((h.size, two_n + 1), order="F")
+    _fill_transposed_design(np.asarray(times, dtype=float), catalog, augmented[:, :two_n].T)
+    augmented[:, two_n] = h
+    lwork, _ = dgeqrf_lwork(*augmented.shape)
+    qr, _, _, info = dgeqrf(augmented, lwork=int(lwork), overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
+    return np.triu(qr[:two_n, :two_n]), qr[:two_n, two_n].copy(), float(qr[two_n, two_n] ** 2)
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedRecord:
+    """A detrended record reduced to what HA, CHA and ReLSHA read from it.
+
+    ||H x - h||^2 = ||a x - b||^2 + rest for every state x, h being the
+    detrended heights; sample_count is the m of the original record.
+    """
+
+    catalog: ConstituentCatalog
+    mean: float
+    trend: float
+    time_reference: float
+    sample_count: int
+    a: np.ndarray
+    b: np.ndarray
+    rest: float
+
+    def solution(self, amplitudes, phases) -> HarmonicSolution:
+        """A fitted solution carrying this record's mean and trend."""
+        return HarmonicSolution(
+            mean=self.mean,
+            trend=self.trend,
+            amplitudes=amplitudes,
+            phases=phases,
+            catalog=self.catalog,
+            time_reference=self.time_reference,
+        )
+
+
+def prepare(series: WaterLevelSeries, catalog: ConstituentCatalog) -> PreparedRecord:
+    """Detrend the series and compress its design once for every fit."""
+    residual, mean, trend = detrend(series)
+    a, b, rest = compress_design(residual.times, residual.heights, catalog)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return PreparedRecord(
+        catalog=catalog,
+        mean=mean,
+        trend=trend,
+        time_reference=float(series.times.mean()),
+        sample_count=len(series),
+        a=a,
+        b=b,
+        rest=rest,
+    )
 
 
 def amplitude_squares(x: np.ndarray) -> np.ndarray:

@@ -14,11 +14,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cha import GaugeHarmonics, cha_fit
+from .cha import GaugeHarmonics, cha_solve
 from .constituents import ConstituentCatalog
-from .design import classify_regime
-from .ha import ha_fit
-from .regularized import RelshaConfig, relsha_fit
+from .design import PreparedRecord, classify_regime, prepare
+from .ha import ha_solve
+from .ingest import format_number
+from .regularized import RelshaConfig, relsha_solve
 from .series import SamplingPlan, WaterLevelSeries, resample
 
 METHOD_HA = "ha"
@@ -99,18 +100,17 @@ def cell_seed(base_seed: int, interval_index: int, length_index: int) -> int:
 
 def _fit_method(
     method: str,
-    sampled: WaterLevelSeries,
-    catalog: ConstituentCatalog,
+    record: PreparedRecord,
     relsha_reference,
     relsha_config: RelshaConfig,
     cha_ref_a,
     cha_ref_b,
 ) -> np.ndarray:
     if method == METHOD_HA:
-        return ha_fit(sampled, catalog).solution.amplitudes
+        return ha_solve(record).solution.amplitudes
     if method == METHOD_CHA:
-        return cha_fit(sampled, cha_ref_a, cha_ref_b, catalog).solution.amplitudes
-    return relsha_fit(sampled, relsha_reference, catalog, relsha_config).solution.amplitudes
+        return cha_solve(record, cha_ref_a, cha_ref_b).solution.amplitudes
+    return relsha_solve(record, relsha_reference, relsha_config).solution.amplitudes
 
 
 def run_grid(
@@ -129,10 +129,11 @@ def run_grid(
 ) -> ErrorGrid:
     """Evaluate each method on every (interval, length) cell.
 
-    Each cell resamples the base series once with its derived seed and
-    runs all requested methods on the same record. Per-cell solver errors
-    are recorded as missing cells (rrmse None plus the error message),
-    never fabricated. Output is identical for any thread count.
+    Each cell resamples the base series once with its derived seed,
+    prepares (detrends and factors) that record once, and runs all
+    requested methods on it. Per-cell solver errors are recorded as
+    missing cells (rrmse None plus the error message), never fabricated.
+    Output is identical for any thread count.
     """
     truth = np.asarray(truth_amplitudes, dtype=float)
     methods = tuple(methods)
@@ -167,11 +168,15 @@ def run_grid(
             sample_count=len(sampled),
             regime=classify_regime(len(sampled), catalog.n),
         )
+        try:
+            record = prepare(sampled, catalog)
+        except Exception as exc:
+            return [replace(base, method=m, error=str(exc)) for m in methods]
         out = []
         for method in methods:
             try:
                 amplitudes = _fit_method(
-                    method, sampled, catalog, relsha_reference, relsha_config, cha_ref_a, cha_ref_b
+                    method, record, relsha_reference, relsha_config, cha_ref_a, cha_ref_b
                 )
                 out.append(replace(base, method=method, rrmse_percent=rrmse(amplitudes, truth)))
             except Exception as exc:
@@ -204,14 +209,10 @@ def interval_slice(grid: ErrorGrid, interval: float) -> dict[str, list[GridCell]
     }
 
 
-def _format_number(value: float) -> str:
-    return format(float(value), ".9g")
-
-
 def _cell_row(cell: GridCell) -> str:
-    rrmse_text = "" if cell.rrmse_percent is None else _format_number(cell.rrmse_percent)
+    rrmse_text = "" if cell.rrmse_percent is None else format_number(cell.rrmse_percent)
     return (
-        f"{_format_number(cell.interval)},{_format_number(cell.length)},"
+        f"{format_number(cell.interval)},{format_number(cell.length)},"
         f"{cell.method},{cell.sample_count},{cell.regime},{rrmse_text}"
     )
 

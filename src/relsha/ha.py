@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constituents import ConstituentCatalog
-from .design import build_design_matrix, classify_regime, unpack_state
-from .series import HarmonicSolution, WaterLevelSeries, detrend
+from .design import PreparedRecord, classify_regime, prepare, unpack_state
+from .series import HarmonicSolution, WaterLevelSeries
 
 # Singular values below RANK_RCOND * (largest singular value) are treated
 # as zero; near-resonant sampling (~12 h, ~24 h intervals) genuinely
@@ -34,21 +34,20 @@ def ha_fit(series: WaterLevelSeries, catalog: ConstituentCatalog) -> HaResult:
     """
     if len(series) < 2:
         raise ValueError("harmonic analysis requires at least 2 samples")
-    residual, mean, trend = detrend(series)
-    h_matrix = build_design_matrix(residual.times, catalog)
-    x, _, rank, _ = np.linalg.lstsq(h_matrix, residual.heights, rcond=RANK_RCOND)
-    amplitudes, phases = unpack_state(x, catalog)
-    solution = HarmonicSolution(
-        mean=mean,
-        trend=trend,
-        amplitudes=amplitudes,
-        phases=phases,
-        catalog=catalog,
-        time_reference=float(series.times.mean()),
-    )
+    return ha_solve(prepare(series, catalog))
+
+
+def ha_solve(record: PreparedRecord) -> HaResult:
+    """ha_fit on a prepared record.
+
+    The SVD runs on the compressed (a, b), whose singular values are those
+    of H, so the rank cut and the minimum-norm solution are H's own.
+    """
+    x, _, rank, _ = np.linalg.lstsq(record.a, record.b, rcond=RANK_RCOND)
+    catalog = record.catalog
     return HaResult(
-        solution=solution,
-        regime=classify_regime(len(series), catalog.n),
-        sample_count=len(series),
+        solution=record.solution(*unpack_state(x, catalog)),
+        regime=classify_regime(record.sample_count, catalog.n),
+        sample_count=record.sample_count,
         rank=int(rank),
     )

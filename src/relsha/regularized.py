@@ -12,6 +12,12 @@ per-constituent squared magnitudes. The analytic gradient
 
 drives a quasi-Newton (BFGS) minimization; expand() duplicates the
 n-vector onto both members of each pair.
+
+The data term is evaluated on the record's compressed form from
+design.prepare: ||H x - h||^2 = ||a x - b||^2 + rest, with a the 2n x 2n
+triangle R of a QR factorization of [H | h] when the record has more
+than 2n + 1 samples. A BFGS evaluation then costs O(n^2) whatever the
+record length m; normalize_terms still divides by m.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .constituents import ConstituentCatalog
-from .design import amplitude_squares, build_design_matrix, classify_regime, unpack_state
+from .design import PreparedRecord, amplitude_squares, classify_regime, prepare, unpack_state
 from .ha import RANK_RCOND
-from .series import HarmonicSolution, WaterLevelSeries, detrend
+from .series import HarmonicSolution, WaterLevelSeries
 
 INIT_MIN_NORM_LS_RESCALED = "min_norm_ls_rescaled"
 INIT_REFERENCE_ZERO_PHASE = "reference_zero_phase"
@@ -74,73 +80,47 @@ def _term_weights(lam: float, m: int, n: int, normalize: bool) -> tuple[float, f
     return 1.0 - lam, lam
 
 
-def relsha_objective(
+def relsha_value_and_gradient(
     x: np.ndarray,
-    design: np.ndarray,
-    heights: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
     ref_squares: np.ndarray,
     lam: float,
     normalize: bool = False,
-) -> float:
-    """Value of the regularized objective at state x."""
+    rest: float = 0.0,
+    sample_count: int | None = None,
+) -> tuple[float, np.ndarray]:
+    """Value and analytic gradient of the regularized objective at state x.
+
+    The data term is ||a x - b||^2 + rest: a raw design H with heights h
+    is the case a = H, b = h, rest = 0, and a prepared record supplies its
+    compressed (a, b, rest). With normalize, the data term is divided by
+    sample_count (the record's m; default the rows of a) and the penalty
+    by n.
+    """
     x = np.asarray(x, dtype=float)
-    design = np.asarray(design, dtype=float)
-    heights = np.asarray(heights, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     ref_squares = np.asarray(ref_squares, dtype=float)
-    m, two_n = design.shape
-    if x.shape != (two_n,) or heights.shape != (m,) or ref_squares.shape != (two_n // 2,):
+    rows, two_n = a.shape
+    if x.shape != (two_n,) or b.shape != (rows,) or ref_squares.shape != (two_n // 2,):
         raise ValueError(
-            f"inconsistent dimensions: design {design.shape}, x {x.shape}, "
-            f"heights {heights.shape}, ref_squares {ref_squares.shape}"
+            f"inconsistent dimensions: design {a.shape}, x {x.shape}, "
+            f"heights {b.shape}, ref_squares {ref_squares.shape}"
         )
+    m = rows if sample_count is None else sample_count
     w_data, w_reg = _term_weights(lam, m, two_n // 2, normalize)
-    r = design @ x - heights
+    r = a @ x - b
     s = amplitude_squares(x) - ref_squares
-    return float(w_data * (r @ r) + w_reg * (s @ s))
-
-
-def relsha_gradient(
-    x: np.ndarray,
-    design: np.ndarray,
-    heights: np.ndarray,
-    ref_squares: np.ndarray,
-    lam: float,
-    normalize: bool = False,
-) -> np.ndarray:
-    """Analytic gradient of relsha_objective with respect to x."""
-    x = np.asarray(x, dtype=float)
-    design = np.asarray(design, dtype=float)
-    heights = np.asarray(heights, dtype=float)
-    ref_squares = np.asarray(ref_squares, dtype=float)
-    m, two_n = design.shape
-    if x.shape != (two_n,) or heights.shape != (m,) or ref_squares.shape != (two_n // 2,):
-        raise ValueError(
-            f"inconsistent dimensions: design {design.shape}, x {x.shape}, "
-            f"heights {heights.shape}, ref_squares {ref_squares.shape}"
-        )
-    w_data, w_reg = _term_weights(lam, m, two_n // 2, normalize)
-    r = design @ x - heights
-    s = amplitude_squares(x) - ref_squares
-    return 2.0 * w_data * (design.T @ r) + 4.0 * w_reg * x * np.concatenate([s, s])
-
-
-def _value_and_gradient(design, heights, ref_squares, lam, normalize):
-    w_data, w_reg = _term_weights(lam, design.shape[0], design.shape[1] // 2, normalize)
-
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        r = design @ x - heights
-        s = amplitude_squares(x) - ref_squares
-        value = w_data * (r @ r) + w_reg * (s @ s)
-        grad = 2.0 * w_data * (design.T @ r) + 4.0 * w_reg * x * np.concatenate([s, s])
-        return float(value), grad
-
-    return fg
+    value = w_data * (r @ r + rest) + w_reg * (s @ s)
+    grad = 2.0 * w_data * (a.T @ r) + 4.0 * w_reg * x * np.concatenate([s, s])
+    return float(value), grad
 
 
 def _initial_state(
     strategy: str,
-    design: np.ndarray,
-    heights: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
     target_magnitude: np.ndarray,
 ) -> np.ndarray:
     """Starting state with pair magnitudes set to the reference amplitudes.
@@ -149,10 +129,10 @@ def _initial_state(
     solution (data-driven) and rescales each (cos, sin) pair to the prior
     magnitude A_0k f_k; reference_zero_phase starts all phases at zero.
     """
-    n = design.shape[1] // 2
+    n = a.shape[1] // 2
     if strategy == INIT_REFERENCE_ZERO_PHASE:
         return np.concatenate([target_magnitude, np.zeros(n)])
-    x0, _, _, _ = np.linalg.lstsq(design, heights, rcond=RANK_RCOND)
+    x0, _, _, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
     magnitude = np.hypot(x0[:n], x0[n:])
     nonzero = magnitude > 0
     scale = np.where(nonzero, target_magnitude / np.where(nonzero, magnitude, 1.0), 0.0)
@@ -196,6 +176,13 @@ def relsha_fit(
     the gradient tolerance within the iteration budget is reported through
     diagnostics.converged, never silently.
     """
+    _check_reference(reference, catalog)
+    if len(series) < 2:
+        raise ValueError("relsha_fit requires at least 2 samples")
+    return relsha_solve(prepare(series, catalog), reference, config, callback)
+
+
+def _check_reference(reference, catalog: ConstituentCatalog) -> np.ndarray:
     reference = np.asarray(reference, dtype=float)
     if reference.size == 0:
         raise ValueError("reference amplitudes are required (missing prior)")
@@ -205,16 +192,28 @@ def relsha_fit(
         )
     if not np.all(np.isfinite(reference)) or np.any(reference < 0):
         raise ValueError("reference amplitudes must be finite and non-negative")
-    if len(series) < 2:
-        raise ValueError("relsha_fit requires at least 2 samples")
+    return reference
 
-    residual, mean, trend = detrend(series)
-    design = build_design_matrix(residual.times, catalog)
+
+def relsha_solve(
+    record: PreparedRecord,
+    reference: np.ndarray,
+    config: RelshaConfig = RelshaConfig(),
+    callback: Callable[[np.ndarray], None] | None = None,
+) -> RelshaResult:
+    """relsha_fit on a prepared record."""
+    catalog = record.catalog
+    reference = _check_reference(reference, catalog)
     ref_squares = reference**2
-    fg = _value_and_gradient(design, residual.heights, ref_squares, config.lam, config.normalize_terms)
+
+    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        return relsha_value_and_gradient(
+            x, record.a, record.b, ref_squares, config.lam,
+            config.normalize_terms, record.rest, record.sample_count,
+        )
 
     target = reference * catalog.nodal_factors
-    x = _initial_state(config.init_strategy, design, residual.heights, target)
+    x = _initial_state(config.init_strategy, record.a, record.b, target)
 
     j0, g0 = fg(x)
     tolerance = config.gradient_tolerance * (1.0 + abs(j0))
@@ -241,15 +240,6 @@ def relsha_fit(
 
     final_objective, final_gradient = fg(x)
     gradient_norm = float(np.abs(final_gradient).max())
-    amplitudes, phases = unpack_state(x, catalog)
-    solution = HarmonicSolution(
-        mean=mean,
-        trend=trend,
-        amplitudes=amplitudes,
-        phases=phases,
-        catalog=catalog,
-        time_reference=float(series.times.mean()),
-    )
     diagnostics = RelshaDiagnostics(
         objective=final_objective,
         initial_objective=j0,
@@ -258,7 +248,7 @@ def relsha_fit(
         iterations=iterations,
         restarts=max(restarts - 1, 0),
         converged=gradient_norm <= tolerance,
-        regime=classify_regime(len(series), catalog.n),
-        sample_count=len(series),
+        regime=classify_regime(record.sample_count, catalog.n),
+        sample_count=record.sample_count,
     )
-    return RelshaResult(solution=solution, diagnostics=diagnostics)
+    return RelshaResult(solution=record.solution(*unpack_state(x, catalog)), diagnostics=diagnostics)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import relsha
+from relsha import cli
 from relsha.cli import main
 from relsha.ingest import load_water_levels
 
@@ -93,6 +94,14 @@ class TestFit:
         assert code == 1
         assert not out.exists()
 
+    def test_missing_output_dir_fails_before_reading_input(self, tmp_path, caplog):
+        # the input does not exist either: the output check must come first
+        code = run("fit", "--method", "ha", "--input", tmp_path / "missing.csv",
+                   "--output", tmp_path / "no_such_dir" / "solution.csv")
+        assert code == 1
+        assert "output directory" in caplog.text
+        assert "missing.csv" not in caplog.text
+
     def test_strict_flags_non_convergence(self, tmp_path, tiny_catalog, tiny_truth, base_series, truth):
         # deeply undersampled record, one iteration: cannot converge
         from relsha.ingest import write_water_levels
@@ -130,6 +139,25 @@ class TestFit:
                    "--catalog", tiny_catalog, "--reference", tiny_truth,
                    "--config", config, "--lambda", 0.25, "--output", out) == 0
         assert "# lambda = 0.25" in out.read_text()
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temp_file_and_keeps_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write(target, "lone surrogate \ud800")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text(encoding="utf-8") == "old\n"
+
+    def test_replaces_target_without_touching_an_old_style_temp(self, tmp_path):
+        target = tmp_path / "out.csv"
+        stray = tmp_path / "out.csv.tmp"
+        stray.write_text("someone else's file\n", encoding="utf-8")
+        cli._atomic_write(target, "new\n")
+        assert target.read_text(encoding="utf-8") == "new\n"
+        assert stray.read_text(encoding="utf-8") == "someone else's file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
 
 
 class TestSynth:
@@ -234,3 +262,14 @@ class TestExperiment:
         fields = lines[1].split(",")
         assert fields[4] == "overdetermined"
         assert float(fields[5]) < 0.1
+
+    def test_missing_output_dir_fails_before_the_grid(self, tmp_path, monkeypatch, caplog):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_grid", no_grid)
+        code = run("experiment", "--intervals", "237.6", "--lengths", "2000",
+                   "--threads", 1, "--output", tmp_path / "missing" / "grid.csv")
+        assert code == 1
+        assert "output directory" in caplog.text
+        assert "before the output path" not in caplog.text

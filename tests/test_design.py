@@ -10,12 +10,13 @@ from relsha.design import (
     UNDERDETERMINED,
     amplitude_squares,
     build_design_matrix,
-    build_k,
     classify_regime,
+    compress_design,
     pack_solution,
+    prepare,
     unpack_state,
 )
-from relsha.series import HarmonicSolution, synthesize
+from relsha.series import HarmonicSolution, WaterLevelSeries, detrend, synthesize
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,25 +51,17 @@ class TestDesignMatrix:
 
 
 class TestPairingMatrix:
-    def test_n_one(self):
-        assert np.array_equal(build_k(1), [[1.0, 1.0]])
-
     def test_pairs_squares(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])  # (a, b, c, d)
-        assert np.allclose(build_k(2) @ (x * x), [1.0 + 9.0, 4.0 + 16.0])
-
-    def test_row_sums_are_two(self):
-        assert np.allclose(build_k(7).sum(axis=1), 2.0)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            build_k(0)
+        assert np.allclose(amplitude_squares(x), [1.0 + 9.0, 4.0 + 16.0])
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=20).filter(lambda v: len(v) % 2 == 0))
     def test_amplitude_squares_matches_explicit_k(self, values):
         x = np.array(values)
         n = x.size // 2
-        assert np.allclose(amplitude_squares(x), build_k(n) @ (x * x), atol=1e-12)
+        # K is n x 2n with ones at columns k and n+k of row k
+        k = np.hstack([np.eye(n), np.eye(n)])
+        assert np.allclose(amplitude_squares(x), k @ (x * x), atol=1e-12)
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=20).filter(lambda v: len(v) % 2 == 0))
     def test_one_norm_identity(self, values):
@@ -148,3 +141,35 @@ class TestRegime:
         assert classify_regime(74, 37) == OVERDETERMINED
         assert classify_regime(73, 37) == UNDERDETERMINED
         assert classify_regime(0, 1) == UNDERDETERMINED
+
+
+class TestPreparedRecord:
+    @pytest.mark.parametrize("offset", [-73, -1, 0, 1, 2, 5000 - 74])
+    def test_compressed_misfit_equals_raw_misfit(self, catalog, offset):
+        m = 2 * catalog.n + offset  # 1, 2n-1, 2n, 2n+1, 2n+2, 5000
+        rng = np.random.default_rng(m)
+        times = np.sort(rng.uniform(0.0, 8766.0, m))
+        heights = rng.normal(size=m)
+        design = build_design_matrix(times, catalog)
+        a, b, rest = compress_design(times, heights, catalog)
+        if m <= 2 * catalog.n + 1:
+            assert np.array_equal(a, design) and np.array_equal(b, heights) and rest == 0.0
+        else:
+            assert a.shape == (2 * catalog.n, 2 * catalog.n) and np.array_equal(a, np.triu(a))
+        for _ in range(5):
+            x = rng.normal(size=2 * catalog.n)
+            raw = design @ x - heights
+            compressed = a @ x - b
+            assert compressed @ compressed + rest == pytest.approx(raw @ raw, rel=1e-10)
+
+    def test_prepare_keeps_detrend_and_sample_count(self, hourly_year, catalog):
+        record = prepare(hourly_year, catalog)
+        _, mean, trend = detrend(hourly_year)
+        assert (record.mean, record.trend) == (mean, trend)
+        assert record.sample_count == len(hourly_year)
+        assert record.time_reference == float(hourly_year.times.mean())
+        assert record.a.shape == (2 * catalog.n, 2 * catalog.n)
+
+    def test_prepare_rejects_a_single_sample(self, catalog):
+        with pytest.raises(ValueError, match="at least 2"):
+            prepare(WaterLevelSeries([0.0], [1.0]), catalog)

@@ -6,7 +6,7 @@ import pytest
 from relsha.constituents import make_catalog
 from relsha.design import UNDERDETERMINED, build_design_matrix, pack_solution
 from relsha.evaluation import rrmse
-from relsha.ha import ha_fit
+from relsha.ha import RANK_RCOND, ha_fit
 from relsha.series import (
     HarmonicSolution,
     SamplingPlan,
@@ -81,6 +81,18 @@ def test_near_resonant_sampling_does_not_crash(base_series, catalog):
     result = ha_fit(sampled, catalog)
     assert result.rank < 2 * catalog.n
     assert np.all(np.isfinite(result.solution.amplitudes))
+
+
+def test_rank_collapsed_solution_matches_full_design_lstsq(base_series, catalog):
+    # the SVD runs on the compressed design; rank and minimum-norm
+    # solution must be those of the full m x 2n design
+    sampled = resample(base_series, SamplingPlan(12.0, 8766.0, seed=2))
+    residual, _, _ = detrend(sampled)
+    h_matrix = build_design_matrix(residual.times, catalog)
+    x, _, rank, _ = np.linalg.lstsq(h_matrix, residual.heights, rcond=RANK_RCOND)
+    result = ha_fit(sampled, catalog)
+    assert result.rank == rank < 2 * catalog.n
+    assert np.abs(pack_solution(result.solution) - x).max() < 1e-8
 
 
 def test_insufficient_data():

@@ -4,19 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relsha.design import build_design_matrix
+from relsha.design import build_design_matrix, pack_solution, prepare
 from relsha.evaluation import rrmse
 from relsha.ha import ha_fit
 from relsha.regularized import (
     INIT_REFERENCE_ZERO_PHASE,
     RelshaConfig,
     relsha_fit,
-    relsha_gradient,
-    relsha_objective,
+    relsha_value_and_gradient,
 )
 from relsha.series import SamplingPlan, WaterLevelSeries, resample
 
 TWO_PI = 2.0 * math.pi
+
+
+def objective(*args, **kwargs):
+    return relsha_value_and_gradient(*args, **kwargs)[0]
+
+
+def gradient(*args, **kwargs):
+    return relsha_value_and_gradient(*args, **kwargs)[1]
 
 
 def finite_difference_gradient(x, design, heights, ref_squares, lam, normalize=False):
@@ -28,8 +35,8 @@ def finite_difference_gradient(x, design, heights, ref_squares, lam, normalize=F
         forward[j] += step
         backward[j] -= step
         grad[j] = (
-            relsha_objective(forward, design, heights, ref_squares, lam, normalize)
-            - relsha_objective(backward, design, heights, ref_squares, lam, normalize)
+            objective(forward, design, heights, ref_squares, lam, normalize)
+            - objective(backward, design, heights, ref_squares, lam, normalize)
         ) / (2.0 * step)
     return grad
 
@@ -46,17 +53,17 @@ def random_instance(seed, m=5, n=3):
 class TestObjective:
     def test_pure_data_term(self):
         design = np.array([[1.0, 0.0]])
-        value = relsha_objective(np.array([1.0, 0.0]), design, np.array([2.0]), np.array([0.0]), 0.0)
+        value = objective(np.array([1.0, 0.0]), design, np.array([2.0]), np.array([0.0]), 0.0)
         assert value == pytest.approx(1.0)
 
     def test_pure_penalty_term(self):
         design = np.array([[1.0, 0.0]])
-        value = relsha_objective(np.zeros(2), design, np.array([0.0]), np.array([4.0]), 1.0)
+        value = objective(np.zeros(2), design, np.array([0.0]), np.array([4.0]), 1.0)
         assert value == pytest.approx(16.0)
 
     def test_balanced_hand_value(self):
         design = np.array([[1.0, 0.0]])
-        value = relsha_objective(
+        value = objective(
             np.array([1.0, 1.0]), design, np.array([0.0]), np.array([1.0]), 0.5
         )
         # data term 1^2 = 1; pair magnitude squared 2, penalty (2-1)^2 = 1
@@ -65,20 +72,20 @@ class TestObjective:
     def test_dimension_mismatch(self):
         design = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError, match="dimensions"):
-            relsha_objective(np.zeros(4), design, np.array([0.0]), np.array([1.0]), 0.5)
+            objective(np.zeros(4), design, np.array([0.0]), np.array([1.0]), 0.5)
 
     def test_normalized_variant(self):
         design, heights, ref_squares, x = random_instance(3, m=8, n=2)
-        raw_data = relsha_objective(x, design, heights, ref_squares, 0.0)
-        raw_reg = relsha_objective(x, design, heights, ref_squares, 1.0)
-        mixed = relsha_objective(x, design, heights, ref_squares, 0.4, normalize=True)
+        raw_data = objective(x, design, heights, ref_squares, 0.0)
+        raw_reg = objective(x, design, heights, ref_squares, 1.0)
+        mixed = objective(x, design, heights, ref_squares, 0.4, normalize=True)
         assert mixed == pytest.approx(0.6 * raw_data / 8 + 0.4 * raw_reg / 2)
 
 
 class TestGradient:
     def test_reduces_to_least_squares_at_lam_zero(self):
         design, heights, ref_squares, x = random_instance(0)
-        grad = relsha_gradient(x, design, heights, ref_squares, 0.0)
+        grad = gradient(x, design, heights, ref_squares, 0.0)
         assert np.allclose(grad, 2.0 * design.T @ (design @ x - heights), atol=1e-12)
 
     def test_zero_at_joint_solution(self):
@@ -88,12 +95,12 @@ class TestGradient:
         heights = design @ x
         ref_squares = np.array([3.0**2 + 4.0**2, 0.0**2 + 1.0**2])
         for lam in (0.0, 0.3, 1.0):
-            grad = relsha_gradient(x, design, heights, ref_squares, lam)
+            grad = gradient(x, design, heights, ref_squares, lam)
             assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
         design, heights, ref_squares, x = random_instance(7, m=5, n=3)
-        analytic = relsha_gradient(x, design, heights, ref_squares, 0.3)
+        analytic = gradient(x, design, heights, ref_squares, 0.3)
         numeric = finite_difference_gradient(x, design, heights, ref_squares, 0.3)
         relative = np.abs(analytic - numeric) / (1.0 + np.abs(numeric))
         assert relative.max() < 1e-6
@@ -111,10 +118,10 @@ class TestGradient:
         direction /= np.linalg.norm(direction)
         eps = 1e-6
         slope = (
-            relsha_objective(x + eps * direction, design, heights, ref_squares, lam, normalize)
-            - relsha_objective(x - eps * direction, design, heights, ref_squares, lam, normalize)
+            objective(x + eps * direction, design, heights, ref_squares, lam, normalize)
+            - objective(x - eps * direction, design, heights, ref_squares, lam, normalize)
         ) / (2.0 * eps)
-        analytic = relsha_gradient(x, design, heights, ref_squares, lam, normalize) @ direction
+        analytic = gradient(x, design, heights, ref_squares, lam, normalize) @ direction
         assert abs(analytic - slope) / (1.0 + abs(slope)) < 1e-6
 
 
@@ -161,7 +168,7 @@ class TestFit:
         ref_squares = truth.amplitudes**2
 
         def record(x):
-            values.append(relsha_objective(x, design, residual.heights, ref_squares, 0.5))
+            values.append(objective(x, design, residual.heights, ref_squares, 0.5))
 
         relsha_fit(sampled, truth.amplitudes, catalog, callback=record)
         values = np.array(values)
@@ -203,6 +210,39 @@ class TestFit:
         bad[0] = -0.1
         with pytest.raises(ValueError, match="non-negative"):
             relsha_fit(hourly_year, bad, catalog)
+
+
+class TestNormalizedTerms:
+    def test_compressed_and_raw_paths_agree(self, hourly_year, truth, catalog):
+        from relsha.series import detrend
+
+        record = prepare(hourly_year, catalog)
+        residual, _, _ = detrend(hourly_year)
+        design = build_design_matrix(residual.times, catalog)
+        ref_squares = (0.9 * truth.amplitudes) ** 2
+        rng = np.random.default_rng(12)
+        for lam in (0.0, 0.4, 1.0):
+            x = pack_solution(truth) + rng.normal(scale=0.01, size=2 * catalog.n)
+            raw = relsha_value_and_gradient(x, design, residual.heights, ref_squares, lam, True)
+            compressed = relsha_value_and_gradient(
+                x, record.a, record.b, ref_squares, lam, True, record.rest, record.sample_count
+            )
+            assert compressed[0] == pytest.approx(raw[0], rel=1e-10)
+            assert np.allclose(compressed[1], raw[1], rtol=1e-8, atol=1e-12)
+
+    def test_fit_objective_divides_by_the_sample_count(self, hourly_year, truth, catalog):
+        from relsha.series import detrend
+
+        reference = 1.05 * truth.amplitudes
+        config = RelshaConfig(lam=0.5, normalize_terms=True)
+        result = relsha_fit(hourly_year, reference, catalog, config)
+        assert result.diagnostics.converged
+        residual, _, _ = detrend(hourly_year)
+        design = build_design_matrix(residual.times, catalog)
+        raw, _ = relsha_value_and_gradient(
+            pack_solution(result.solution), design, residual.heights, reference**2, 0.5, True
+        )
+        assert result.diagnostics.objective == pytest.approx(raw, rel=1e-8)
 
 
 class TestConfig:
