@@ -4,16 +4,17 @@
 Compares HA, CHA, and ReLSHA on the bundled synthetic truth across the
 default lattice (12 minutes to 11 days; 30 to 366 days) and writes the
 grid CSV plus the slice files at the 6-min, 9.9-day, and 11-day marks.
-The full lattice is ~2.6k cells and takes tens of minutes single-threaded;
-pass --intervals/--lengths to trim, or raise --threads.
+The full lattice is 840 records x 3 methods and took about two minutes
+single-threaded on a 2-vCPU machine; pass --intervals/--lengths to trim.
+--threads defaults to 1: the BFGS loop holds the interpreter lock, and
+--threads 2 measured slower than serial.
 
-    python scripts/run_error_grid.py --output results/grid.csv --threads 8
+    python scripts/run_error_grid.py --output results/grid.csv
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -27,7 +28,7 @@ def parse_args():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="results/grid.csv")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--noise", type=float, default=0.0,
                         help="Gaussian noise sigma (m) added to the base record")
     parser.add_argument("--lambda", dest="lam", type=float, default=0.5)

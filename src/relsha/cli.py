@@ -148,6 +148,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         diagnostics.update(
             **{"lambda": fmt(fit_config.lam)},
             iterations=d.iterations,
+            restarts=d.restarts,
+            initial_objective=fmt(d.initial_objective),
             final_objective=fmt(d.objective),
             gradient_norm=fmt(d.gradient_norm),
             gradient_tolerance=fmt(d.gradient_tolerance),
@@ -187,7 +189,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     lam = float(_resolve(args.lam, config, "lambda", 0.5))
     normalize = bool(_resolve(args.normalize_terms or None, config, "normalize_terms", False))
     base_interval = float(_resolve(args.base_interval, config, "base_interval", 0.1))
-    threads = int(_resolve(args.threads, config, "threads", os.cpu_count() or 1))
+    threads = int(_resolve(args.threads, config, "threads", 1))
 
     truth, _ = ingest.load_harmonics(truth_path, catalog)
     reference, _ = ingest.load_harmonics(reference_path, catalog)
@@ -302,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--base-interval", type=float, help="base series spacing in hours")
     experiment.add_argument("--noise", type=float, help="Gaussian noise sigma for the base series")
     experiment.add_argument("--seed", type=int)
-    experiment.add_argument("--threads", type=int, help="parallel grid cells (results identical)")
+    experiment.add_argument("--threads", type=int,
+                            help="parallel grid cells (default 1; results identical)")
     experiment.add_argument("--lambda", dest="lam", type=float)
     experiment.add_argument("--normalize-terms", action="store_true")
     experiment.add_argument("--catalog")

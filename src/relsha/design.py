@@ -131,6 +131,11 @@ def amplitude_squares(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size % 2 != 0:
         raise ValueError(f"state vector must be one-dimensional of even length, got shape {x.shape}")
+    return _pair_squares(x)
+
+
+def _pair_squares(x: np.ndarray) -> np.ndarray:
+    """amplitude_squares without the checks, for a float vector of even length."""
     n = x.size // 2
     return x[:n] ** 2 + x[n:] ** 2
 

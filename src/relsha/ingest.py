@@ -5,14 +5,20 @@ starting with ``#`` are comments. Timestamps are ISO-8601 (UTC assumed
 when no offset is given) and are converted to hours since the first
 valid sample. Bad rows are dropped with a logged warning, never
 interpolated.
+
+A file is read with one ``read_text`` and each row is parsed once into
+an aware datetime and a float; sorting, duplicate detection and the
+conversion to hours then run on one int64 array of microseconds.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +30,19 @@ log = logging.getLogger(__name__)
 
 FLAG_GOOD = 0
 
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
 
 def parse_timestamp(text: str) -> datetime:
+    """An aware datetime from ISO-8601 text; no offset means UTC."""
     text = text.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
-    stamp = datetime.fromisoformat(text)
+    try:
+        stamp = datetime.fromisoformat(text)
+    except ValueError:
+        # Python 3.10's fromisoformat rejects the 'Z' suffix.
+        if not text.endswith("Z"):
+            raise
+        stamp = datetime.fromisoformat(text[:-1] + "+00:00")
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp
@@ -46,14 +59,36 @@ def format_number(value: float) -> str:
 
 
 def _data_lines(path: Path) -> list[tuple[int, str]]:
-    lines = []
-    with path.open("r", encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            lines.append((number, stripped))
-    return lines
+    """(line number, stripped text) of every non-blank, non-comment line.
+
+    read_text turns CRLF and CR line ends into LF, so splitting on LF
+    numbers the lines as iterating the file would; str.splitlines would
+    also split on form feeds and other separators.
+    """
+    text = path.read_text(encoding="utf-8")
+    return [
+        (number, line)
+        for number, raw in enumerate(text.split("\n"), start=1)
+        if (line := raw.strip()) and line[0] != "#"
+    ]
+
+
+def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray, datetime]:
+    """Stable time order of aware stamps, their hours since the earliest
+    in that order, and the earliest (the epoch, keeping its tzinfo).
+
+    The hours are (us - us0) / 1e6 / 3600 on int64 microseconds, the same
+    IEEE operations as timedelta.total_seconds() / 3600.
+    """
+    deltas = [stamp - _UNIX_EPOCH for stamp in stamps]
+
+    def field(name: str) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), deltas), dtype=np.int64, count=len(deltas))
+
+    micros = (field("days") * 86_400 + field("seconds")) * 1_000_000 + field("microseconds")
+    order = np.argsort(micros, kind="stable")
+    micros = micros[order]
+    return order, (micros - micros[0]) / 1e6 / 3600.0, stamps[order[0]]
 
 
 def load_water_levels(path: str | Path) -> WaterLevelSeries:
@@ -70,11 +105,12 @@ def load_water_levels(path: str | Path) -> WaterLevelSeries:
     stamps: list[datetime] = []
     heights: list[float] = []
     for number, line in lines[1:]:
-        parts = [p.strip() for p in line.split(",")]
+        stamp_text, _, rest = line.partition(",")
+        height_text = rest.partition(",")[0].strip()
         try:
-            stamp = parse_timestamp(parts[0])
-            value = float(parts[1]) if len(parts) > 1 and parts[1] else math.nan
-        except (ValueError, IndexError):
+            stamp = parse_timestamp(stamp_text)
+            value = float(height_text) if height_text else math.nan
+        except ValueError:
             log.warning("%s:%d: unparseable row %r dropped", path, number, line)
             continue
         if not math.isfinite(value):
@@ -85,19 +121,11 @@ def load_water_levels(path: str | Path) -> WaterLevelSeries:
     if not stamps:
         raise ValueError(f"{path}: no valid rows")
 
-    order = np.argsort(np.array([s.timestamp() for s in stamps]), kind="stable")
-    epoch = stamps[order[0]]
-    times, kept_heights = [], []
-    last = None
-    for i in order:
-        hours = (stamps[i] - epoch).total_seconds() / 3600.0
-        if last is not None and hours == last:
-            log.warning("%s: duplicate timestamp %s dropped", path, stamps[i].isoformat())
-            continue
-        times.append(hours)
-        kept_heights.append(heights[i])
-        last = hours
-    return WaterLevelSeries(np.array(times), np.array(kept_heights), epoch)
+    order, times, epoch = _time_order(stamps)
+    keep = np.concatenate(([True], times[1:] != times[:-1]))
+    for i in order[~keep]:
+        log.warning("%s: duplicate timestamp %s dropped", path, stamps[i].isoformat())
+    return WaterLevelSeries(times[keep], np.array(heights)[order[keep]], epoch)
 
 
 def water_levels_to_text(series: WaterLevelSeries) -> str:
@@ -168,14 +196,14 @@ def load_altimetry(path: str | Path, pass_id: str | None = None) -> AltimetrySer
         rows.append((cycle, stamp, value, flag))
     if not rows:
         raise ValueError(f"{path}: no valid rows")
-    rows.sort(key=lambda r: r[1])
-    epoch = rows[0][1]
+    cycles, stamps, heights, flags = zip(*rows)
+    order, times, epoch = _time_order(stamps)
     return AltimetrySeries(
         pass_id=pass_id if pass_id is not None else path.stem,
-        cycles=np.array([r[0] for r in rows]),
-        times=np.array([(r[1] - epoch).total_seconds() / 3600.0 for r in rows]),
-        heights=np.array([r[2] for r in rows]),
-        flags=np.array([r[3] for r in rows]),
+        cycles=np.array(cycles)[order],
+        times=times,
+        heights=np.array(heights)[order],
+        flags=np.array(flags)[order],
         epoch=epoch,
     )
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .constituents import ConstituentCatalog
-from .design import PreparedRecord, amplitude_squares, classify_regime, prepare, unpack_state
+from .design import PreparedRecord, _pair_squares, classify_regime, prepare, unpack_state
 from .ha import RANK_RCOND
 from .series import HarmonicSolution, WaterLevelSeries
 
@@ -102,16 +102,35 @@ def relsha_value_and_gradient(
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ref_squares = np.asarray(ref_squares, dtype=float)
+    _check_dimensions(x, a, b, ref_squares)
+    rows, two_n = a.shape
+    m = rows if sample_count is None else sample_count
+    w_data, w_reg = _term_weights(lam, m, two_n // 2, normalize)
+    return _value_and_gradient(x, a, b, ref_squares, w_data, w_reg, rest)
+
+
+def _check_dimensions(x: np.ndarray, a: np.ndarray, b: np.ndarray, ref_squares: np.ndarray) -> None:
     rows, two_n = a.shape
     if x.shape != (two_n,) or b.shape != (rows,) or ref_squares.shape != (two_n // 2,):
         raise ValueError(
             f"inconsistent dimensions: design {a.shape}, x {x.shape}, "
             f"heights {b.shape}, ref_squares {ref_squares.shape}"
         )
-    m = rows if sample_count is None else sample_count
-    w_data, w_reg = _term_weights(lam, m, two_n // 2, normalize)
+
+
+def _value_and_gradient(
+    x: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    ref_squares: np.ndarray,
+    w_data: float,
+    w_reg: float,
+    rest: float,
+) -> tuple[float, np.ndarray]:
+    """The objective's one formula, on float arrays already checked by
+    _check_dimensions; BFGS calls it on every evaluation."""
     r = a @ x - b
-    s = amplitude_squares(x) - ref_squares
+    s = _pair_squares(x) - ref_squares
     value = w_data * (r @ r + rest) + w_reg * (s @ s)
     grad = 2.0 * w_data * (a.T @ r) + 4.0 * w_reg * x * np.concatenate([s, s])
     return float(value), grad
@@ -205,15 +224,15 @@ def relsha_solve(
     catalog = record.catalog
     reference = _check_reference(reference, catalog)
     ref_squares = reference**2
+    a, b, rest = record.a, record.b, record.rest
+    w_data, w_reg = _term_weights(config.lam, record.sample_count, catalog.n, config.normalize_terms)
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return relsha_value_and_gradient(
-            x, record.a, record.b, ref_squares, config.lam,
-            config.normalize_terms, record.rest, record.sample_count,
-        )
+        return _value_and_gradient(x, a, b, ref_squares, w_data, w_reg, rest)
 
     target = reference * catalog.nodal_factors
-    x = _initial_state(config.init_strategy, record.a, record.b, target)
+    x = _initial_state(config.init_strategy, a, b, target)
+    _check_dimensions(x, a, b, ref_squares)
 
     j0, g0 = fg(x)
     tolerance = config.gradient_tolerance * (1.0 + abs(j0))

@@ -4,7 +4,9 @@ import pytest
 import relsha
 from relsha import cli
 from relsha.cli import main
-from relsha.ingest import load_water_levels
+from relsha.constituents import load_catalog
+from relsha.ingest import format_number, load_harmonics, load_water_levels
+from relsha.regularized import RelshaConfig, relsha_fit
 
 TINY_CATALOG = "M2, 28.9841042\nS2, 30.0\nK1, 15.0410686\n"
 
@@ -60,6 +62,46 @@ class TestFit:
         for key in ("# lambda = 0.5", "# iterations =", "# final_objective =",
                     "# converged = true", "# regime ="):
             assert key in text
+
+    def test_relsha_header_reports_restarts_and_initial_objective(
+        self, tmp_path, tiny_gauge, tiny_catalog, tiny_truth
+    ):
+        out = tmp_path / "solution.csv"
+        assert run("fit", "--method", "relsha", "--reference", tiny_truth,
+                   "--catalog", tiny_catalog, "--input", tiny_gauge, "--output", out) == 0
+        catalog = load_catalog(tiny_catalog)
+        reference = load_harmonics(tiny_truth, catalog)[0].amplitudes
+        d = relsha_fit(load_water_levels(tiny_gauge), reference, catalog).diagnostics
+        _, metadata = load_harmonics(out, catalog)
+        assert metadata["restarts"] == str(d.restarts)
+        assert metadata["initial_objective"] == format_number(d.initial_objective)
+
+    def test_normalize_terms_flag(self, tmp_path, tiny_gauge, tiny_catalog, tiny_truth):
+        # a reference unlike the gauge, so the two weightings pull apart
+        reference_path = tmp_path / "reference.csv"
+        reference_path.write_text(
+            "constituent_name,amplitude_m,phase_deg\nM2,0.4,0\nS2,0.2,0\nK1,0.05,0\n",
+            encoding="utf-8",
+        )
+        catalog = load_catalog(tiny_catalog)
+        reference = load_harmonics(reference_path, catalog)[0].amplitudes
+        written = {}
+        for flags in ((), ("--normalize-terms",)):
+            out = tmp_path / f"solution{len(flags)}.csv"
+            assert run("fit", "--method", "relsha", "--reference", reference_path,
+                       "--catalog", tiny_catalog, "--input", tiny_gauge, *flags,
+                       "--output", out) == 0
+            written[bool(flags)] = load_harmonics(out, catalog)
+        expected = relsha_fit(load_water_levels(tiny_gauge), reference, catalog,
+                              RelshaConfig(normalize_terms=True))
+        solution, metadata = written[True]
+        assert metadata["final_objective"] == format_number(expected.diagnostics.objective)
+        assert [format_number(a) for a in solution.amplitudes] == [
+            format_number(a) for a in expected.solution.amplitudes
+        ]
+        plain, plain_metadata = written[False]
+        assert plain_metadata["final_objective"] != metadata["final_objective"]
+        assert not np.allclose(plain.amplitudes, solution.amplitudes, rtol=1e-3)
 
     def test_cha_requires_both_references(self, tmp_path, tiny_gauge, tiny_truth):
         out = tmp_path / "solution.csv"

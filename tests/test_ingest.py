@@ -1,6 +1,6 @@
 import logging
 import math
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 import relsha
 from relsha.ingest import (
+    FLAG_GOOD,
     AltimetrySeries,
+    format_number,
     load_altimetry,
     load_harmonics,
     load_water_levels,
@@ -21,6 +23,8 @@ from relsha.ingest import (
     write_water_levels,
 )
 from relsha.series import HarmonicSolution
+
+IST = timezone(timedelta(hours=5, minutes=30))
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -97,6 +101,266 @@ class TestWaterLevels:
         for text in ("2021-01-01T00:00:00Z", "2021-01-01T00:00:00+00:00", "2021-01-01 00:00:00"):
             stamp = parse_timestamp(text)
             assert stamp.timestamp() == datetime(2021, 1, 1, tzinfo=timezone.utc).timestamp()
+
+
+    def test_offset_is_honoured_and_epoch_keeps_its_tzinfo(self, tmp_path):
+        path = write(tmp_path, "timestamp,height_m\n"
+                               "2021-01-01T00:06:00Z,1.2\n"
+                               "2021-01-01T05:30:00+05:30,1.0\n")
+        series = load_water_levels(path)
+        assert series.times.tolist() == [0.0, 0.1]
+        assert series.heights.tolist() == [1.0, 1.2]
+        assert series.epoch == datetime(2021, 1, 1, 5, 30, tzinfo=IST)
+        assert series.epoch.utcoffset() == timedelta(hours=5, minutes=30)
+
+    def test_naive_and_fractional_second_stamps(self, tmp_path):
+        path = write(tmp_path, "timestamp,height_m\n"
+                               "2021-01-01 00:00:00,1.0\n"
+                               "2021-01-01T00:00:00.5,1.1\n"
+                               "2021-01-01T00:00:01.000001+00:00,1.2\n")
+        series = load_water_levels(path)
+        assert series.epoch == datetime(2021, 1, 1, tzinfo=timezone.utc)
+        assert series.epoch.tzinfo == timezone.utc
+        assert series.times.tolist() == [0.0, 0.5 / 3600.0, 1.000001 / 3600.0]
+        assert series.heights.tolist() == [1.0, 1.1, 1.2]
+
+    def test_crlf_line_endings_keep_line_numbers(self, tmp_path, caplog):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"timestamp,height_m\r\n"
+                         b"2021-01-01T00:00:00Z,1.0\r\n"
+                         b"2021-01-01T00:06:00Z,oops\r\n"
+                         b"2021-01-01T00:12:00Z,1.4\r\n")
+        with caplog.at_level(logging.WARNING):
+            series = load_water_levels(path)
+        assert series.heights.tolist() == [1.0, 1.4]
+        assert series.times.tolist() == [0.0, 0.2]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:3: unparseable row '2021-01-01T00:06:00Z,oops' dropped"
+        ]
+
+    def test_comments_and_blank_lines_inside_data(self, tmp_path, caplog):
+        path = write(tmp_path, "# station 42\n"
+                               "\n"
+                               "timestamp,height_m\n"
+                               "2021-01-01T00:00:00Z,1.0\n"
+                               "# sensor swapped\n"
+                               "   \n"
+                               "  2021-01-01T00:06:00Z , 1.2  \n"
+                               "2021-01-01T00:12:00Z,\n"
+                               "\n"
+                               "bad-stamp,1.3\n")
+        with caplog.at_level(logging.WARNING):
+            series = load_water_levels(path)
+        assert series.heights.tolist() == [1.0, 1.2]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:8: missing/non-finite height dropped",
+            f"{path}:10: unparseable row 'bad-stamp,1.3' dropped",
+        ]
+
+    def test_nan_and_inf_heights_dropped(self, tmp_path, caplog):
+        path = write(tmp_path, "timestamp,height_m\n"
+                               "2021-01-01T00:00:00Z,nan\n"
+                               "2021-01-01T00:06:00Z,1.0\n"
+                               "2021-01-01T00:12:00Z,inf\n"
+                               "2021-01-01T00:18:00Z,-Infinity\n"
+                               "2021-01-01T00:24:00Z,2.0\n")
+        with caplog.at_level(logging.WARNING):
+            series = load_water_levels(path)
+        assert series.heights.tolist() == [1.0, 2.0]
+        # the epoch is the first valid sample, not the first row
+        assert series.epoch == datetime(2021, 1, 1, 0, 6, tzinfo=timezone.utc)
+        assert series.times.tolist() == [0.0, 1080.0 / 3600.0]
+        lines = [r.getMessage().split(":")[-2] for r in caplog.records]
+        assert lines == ["2", "4", "5"]
+
+    def test_extra_columns_ignored(self, tmp_path):
+        path = write(tmp_path, "timestamp,height_m,quality,note\n"
+                               "2021-01-01T00:00:00Z,1.0,good,a\n"
+                               "2021-01-01T00:06:00Z,1.2,,\n")
+        series = load_water_levels(path)
+        assert series.heights.tolist() == [1.0, 1.2]
+
+    def test_duplicate_sorting_before_its_first_occurrence(self, tmp_path, caplog):
+        # 00:00 UTC appears three times after a later row; the first of them
+        # in file order (the +05:30 one) wins and becomes the epoch
+        path = write(tmp_path, "timestamp,height_m\n"
+                               "2021-01-01T01:00:00Z,1.0\n"
+                               "2021-01-01T05:30:00+05:30,2.0\n"
+                               "2021-01-01T00:00:00Z,3.0\n"
+                               "2021-01-01 00:00:00,4.0\n")
+        with caplog.at_level(logging.WARNING):
+            series = load_water_levels(path)
+        assert series.times.tolist() == [0.0, 1.0]
+        assert series.heights.tolist() == [2.0, 1.0]
+        assert series.epoch.utcoffset() == timedelta(hours=5, minutes=30)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: duplicate timestamp 2021-01-01T00:00:00+00:00 dropped",
+            f"{path}: duplicate timestamp 2021-01-01T00:00:00+00:00 dropped",
+        ]
+
+
+    def test_z_suffix_where_fromisoformat_rejects_it(self, tmp_path, monkeypatch):
+        # Python 3.10's fromisoformat rejects 'Z'; the loader must not need it
+        class NoZulu(datetime):
+            @classmethod
+            def fromisoformat(cls, text):
+                if text.endswith("Z"):
+                    raise ValueError(f"Invalid isoformat string: {text!r}")
+                return datetime.fromisoformat(text)
+
+        path = write(tmp_path, "timestamp,height_m\n"
+                               "2021-01-01T00:06:00Z,1.2\n"
+                               "2021-01-01T00:00:00+00:00,1.0\n")
+        expected = load_water_levels(path)
+        monkeypatch.setattr(relsha.ingest, "datetime", NoZulu)
+        series = load_water_levels(path)
+        assert series.times.tolist() == expected.times.tolist() == [0.0, 0.1]
+        assert series.epoch == expected.epoch
+        assert parse_timestamp("2021-01-01T00:00:00Z") == datetime(2021, 1, 1, tzinfo=timezone.utc)
+
+
+def _reference_load_water_levels(path):
+    """The row-by-row loader the vectorized one replaced, kept as its oracle."""
+    lines = _reference_data_lines(path)
+    stamps, heights = [], []
+    for number, line in lines[1:]:
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            stamp = parse_timestamp(parts[0])
+            value = float(parts[1]) if len(parts) > 1 and parts[1] else math.nan
+        except (ValueError, IndexError):
+            logging.getLogger("relsha.ingest").warning(
+                "%s:%d: unparseable row %r dropped", path, number, line)
+            continue
+        if not math.isfinite(value):
+            logging.getLogger("relsha.ingest").warning(
+                "%s:%d: missing/non-finite height dropped", path, number)
+            continue
+        stamps.append(stamp)
+        heights.append(value)
+    order = np.argsort(np.array([s.timestamp() for s in stamps]), kind="stable")
+    epoch = stamps[order[0]]
+    times, kept_heights = [], []
+    last = None
+    for i in order:
+        hours = (stamps[i] - epoch).total_seconds() / 3600.0
+        if last is not None and hours == last:
+            logging.getLogger("relsha.ingest").warning(
+                "%s: duplicate timestamp %s dropped", path, stamps[i].isoformat())
+            continue
+        times.append(hours)
+        kept_heights.append(heights[i])
+        last = hours
+    return np.array(times), np.array(kept_heights), epoch
+
+
+def _reference_data_lines(path):
+    lines = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, raw in enumerate(fh, start=1):
+            stripped = raw.strip()
+            if stripped and not stripped.startswith("#"):
+                lines.append((number, stripped))
+    return lines
+
+
+def _six_minute_year(rng, start="2021-01-03T02:06"):
+    """One year of 6-min stamps, as ``relsha synth`` writes them."""
+    count = 87_841
+    steps = np.arange(count) * np.timedelta64(6, "m")
+    stamps = np.datetime_as_string(np.datetime64(start) + steps, unit="s")
+    return [f"{s}Z" for s in stamps], rng.normal(0.0, 0.6, count)
+
+
+def _spoil(rows):
+    """Every kind of row the loaders drop, reorder or must read exactly."""
+    rows[10] = "not-a-date,1.0"
+    rows[20] = rows[20].split(",")[0] + ","
+    rows[30] = rows[30].split(",")[0] + ",nan"
+    rows[40] = rows[40].split(",")[0] + ",-inf"
+    rows[50] = rows[49].split(",")[0] + ",9.5"                         # duplicate
+    rows[60] = "2021-01-03T13:06:00+05:30,0.25"                          # = rows[49] in UTC
+    rows[70] = "2021-01-03 09:06:00.000250,0.5"                          # naive, fractional
+    rows[80], rows[81] = rows[81], rows[80]                              # out of order
+    rows[90] = " 2021-01-03T11:06:00.5Z , 0.75 ,extra"
+    rows.insert(100, "# gauge serviced")
+    rows.insert(101, "")
+    rows.append(rows[5].split(",")[0] + ",7.0")                          # sorts far back
+    rows.append("2021-01-01T00:00:00-03:00,1.5")                         # new earliest
+    return rows
+
+
+class TestWaterLevelGolden:
+    def test_matches_row_by_row_loader_bit_for_bit(self, tmp_path, caplog):
+        stamps, heights = _six_minute_year(np.random.default_rng(5))
+        rows = _spoil([f"{s},{format_number(h)}" for s, h in zip(stamps, heights)])
+        path = write(tmp_path, "timestamp,height_m\n" + "\n".join(rows) + "\n")
+        with caplog.at_level(logging.WARNING):
+            times, kept, epoch = _reference_load_water_levels(path)
+        expected_log = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            series = load_water_levels(path)
+        assert series.times.tobytes() == times.tobytes()
+        assert series.heights.tobytes() == kept.tobytes()
+        assert series.epoch == epoch
+        assert series.epoch.tzinfo == epoch.tzinfo
+        assert series.epoch.utcoffset() == timedelta(hours=-3)
+        assert [r.getMessage() for r in caplog.records] == expected_log
+        assert len(expected_log) == 7
+
+
+def _reference_load_altimetry(path):
+    """The row-by-row altimetry loader, kept as the oracle of the new one."""
+    lines = _reference_data_lines(path)
+    rows = []
+    for number, line in lines[1:]:
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            cycle = int(parts[0])
+            stamp = parse_timestamp(parts[1])
+            value = float(parts[2]) if parts[2] else math.nan
+            flag = int(parts[3]) if len(parts) > 3 and parts[3] else FLAG_GOOD
+        except (ValueError, IndexError):
+            continue
+        if not math.isfinite(value):
+            continue
+        rows.append((cycle, stamp, value, flag))
+    rows.sort(key=lambda r: r[1])
+    epoch = rows[0][1]
+    return (
+        np.array([r[0] for r in rows]),
+        np.array([(r[1] - epoch).total_seconds() / 3600.0 for r in rows]),
+        np.array([r[2] for r in rows]),
+        np.array([r[3] for r in rows]),
+        epoch,
+    )
+
+
+class TestAltimetryGolden:
+    def test_matches_row_by_row_loader_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(6)
+        stamps, heights = _six_minute_year(rng)
+        flags = rng.integers(0, 3, len(stamps))
+        rows = [f"{i // 240},{s},{format_number(h)},{f}"
+                for i, (s, h, f) in enumerate(zip(stamps, heights, flags))]
+        rows[15] = "x,2021-01-03T03:36:00Z,1.0,0"                            # bad cycle
+        rows[25] = "0,2021-01-03T04:36:00Z,0.5,"                             # flag defaults to good
+        rows[35] = "0,2021-01-03T05:36:00Z"                                  # no height
+        rows[45] = "0,2021-01-03T11:36:00+05:30,0.5"                         # no flag column
+        rows[55] = rows[54].rsplit(",", 2)[0] + ",3.0,1"                     # duplicate stamp kept
+        rows.insert(60, "# pass 288")
+        rows.append("9,2021-01-02T00:00:00,2.5,0")                            # naive, earliest
+        path = write(tmp_path, "cycle,timestamp,ssh_m,flag\n" + "\n".join(rows) + "\n")
+        cycles, times, kept, flags, epoch = _reference_load_altimetry(path)
+        altimetry = load_altimetry(path)
+        assert altimetry.cycles.tobytes() == cycles.astype(int).tobytes()
+        assert altimetry.times.tobytes() == times.tobytes()
+        assert altimetry.heights.tobytes() == kept.tobytes()
+        assert altimetry.flags.tobytes() == flags.astype(int).tobytes()
+        assert altimetry.epoch == epoch
+        assert altimetry.epoch.tzinfo == epoch.tzinfo == timezone.utc
+        assert len(altimetry) == len(stamps) - 2 + 1
 
 
 ALTIMETRY_TEXT = (
