@@ -78,7 +78,8 @@ def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray, dat
     in that order, and the earliest (the epoch, keeping its tzinfo).
 
     The hours are (us - us0) / 1e6 / 3600 on int64 microseconds, the same
-    IEEE operations as timedelta.total_seconds() / 3600.
+    IEEE operations as timedelta.total_seconds() / 3600 while us - us0
+    stays below 2**53 (about 285 years), where int64 to float is exact.
     """
     deltas = [stamp - _UNIX_EPOCH for stamp in stamps]
 
