@@ -4,7 +4,10 @@ The grid runner mirrors the synthetic-data protocol: a densely sampled
 base series is resampled per (interval, length) cell with a per-cell
 seed, each requested method is fitted to the same resampled record, and
 amplitude RRMSE against the known truth is recorded together with the
-over/underdetermined regime of the cell.
+over/underdetermined regime of the cell. ReLSHA cells also record whether
+BFGS reached its gradient tolerance and how many iterations it ran, so a
+stalled fit is flagged in the grid and slice files rather than passed off
+as converged.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ KNOWN_METHODS = (METHOD_HA, METHOD_CHA, METHOD_RELSHA)
 # and the revisit intervals of the two altimetry missions of interest.
 MARK_INTERVALS = ((0.1, "6min"), (237.6, "9.9day"), (264.0, "11day"))
 
-GRID_COLUMNS = "interval_hours,length_hours,method,sample_count,regime,rrmse_percent"
+# converged and iterations are ReLSHA's solver state, empty for HA and CHA.
+GRID_COLUMNS = "interval_hours,length_hours,method,sample_count,regime,rrmse_percent,converged,iterations"
 
 
 def rrmse(estimated, truth) -> float:
@@ -59,6 +63,8 @@ class GridCell:
     regime: str
     rrmse_percent: float | None
     error: str | None = None
+    converged: bool | None = None
+    iterations: int | None = None
 
 
 @dataclass(frozen=True)
@@ -105,12 +111,12 @@ def _fit_method(
     relsha_config: RelshaConfig,
     cha_ref_a,
     cha_ref_b,
-) -> np.ndarray:
+):
     if method == METHOD_HA:
-        return ha_solve(record).solution.amplitudes
+        return ha_solve(record)
     if method == METHOD_CHA:
-        return cha_solve(record, cha_ref_a, cha_ref_b).solution.amplitudes
-    return relsha_solve(record, relsha_reference, relsha_config).solution.amplitudes
+        return cha_solve(record, cha_ref_a, cha_ref_b)
+    return relsha_solve(record, relsha_reference, relsha_config)
 
 
 def run_grid(
@@ -175,10 +181,14 @@ def run_grid(
         out = []
         for method in methods:
             try:
-                amplitudes = _fit_method(
+                result = _fit_method(
                     method, record, relsha_reference, relsha_config, cha_ref_a, cha_ref_b
                 )
-                out.append(replace(base, method=method, rrmse_percent=rrmse(amplitudes, truth)))
+                cell = replace(base, method=method, rrmse_percent=rrmse(result.solution.amplitudes, truth))
+                if method == METHOD_RELSHA:
+                    d = result.diagnostics
+                    cell = replace(cell, converged=d.converged, iterations=d.iterations)
+                out.append(cell)
             except Exception as exc:
                 out.append(replace(base, method=method, error=str(exc)))
         return out
@@ -211,9 +221,12 @@ def interval_slice(grid: ErrorGrid, interval: float) -> dict[str, list[GridCell]
 
 def _cell_row(cell: GridCell) -> str:
     rrmse_text = "" if cell.rrmse_percent is None else format_number(cell.rrmse_percent)
+    converged_text = "" if cell.converged is None else str(cell.converged).lower()
+    iterations_text = "" if cell.iterations is None else str(cell.iterations)
     return (
         f"{format_number(cell.interval)},{format_number(cell.length)},"
-        f"{cell.method},{cell.sample_count},{cell.regime},{rrmse_text}"
+        f"{cell.method},{cell.sample_count},{cell.regime},{rrmse_text},"
+        f"{converged_text},{iterations_text}"
     )
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
 
@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 FLAG_GOOD = 0
 
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_STAMP_BLOCK = 8192
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -48,10 +49,30 @@ def parse_timestamp(text: str) -> datetime:
     return stamp
 
 
-def format_timestamp(epoch: datetime, hours: float) -> str:
-    stamp = epoch + timedelta(hours=float(hours))
-    stamp = (stamp + timedelta(microseconds=500_000)).replace(microsecond=0)
-    return stamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _utc_stamps(epoch: datetime, hours: np.ndarray) -> Iterator[str]:
+    """ISO-8601 UTC stamps, to the nearest second, of hours after epoch,
+    without the 'Z' suffix.
+
+    Each offset gets the microseconds CPython gives timedelta(hours=h):
+    the whole hours exactly, the fraction's whole microseconds by modf,
+    and the leftover part of a microsecond rounded half to even on the
+    total. Adding the epoch's microseconds since the Unix epoch and half a
+    second, then flooring to seconds, gives the stamps of
+    (epoch + timedelta(hours=h)) rounded to the second and shown in UTC,
+    for an epoch whose UTC offset is fixed and a whole number of seconds.
+    Blocks of _STAMP_BLOCK rows keep the temporary arrays small.
+    """
+    start = epoch.astimezone(timezone.utc) - _UNIX_EPOCH
+    start_micros = (start.days * 86_400 + start.seconds) * 1_000_000 + start.microseconds
+    for i in range(0, len(hours), _STAMP_BLOCK):
+        fraction, whole = np.modf(hours[i : i + _STAMP_BLOCK])
+        leftover, micros = np.modf(fraction * 3.6e9)
+        micros = whole.astype(np.int64) * 3_600_000_000 + micros.astype(np.int64)
+        rounded = np.rint(leftover).astype(np.int64)
+        halfway = np.abs(leftover) == 0.5
+        rounded[halfway] = (micros[halfway] & 1) * np.sign(leftover[halfway]).astype(np.int64)
+        seconds = (micros + rounded + (start_micros + 500_000)) // 1_000_000
+        yield from np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s").tolist()
 
 
 def format_number(value: float) -> str:
@@ -130,9 +151,9 @@ def load_water_levels(path: str | Path) -> WaterLevelSeries:
 
 
 def water_levels_to_text(series: WaterLevelSeries) -> str:
+    stamps = _utc_stamps(series.epoch, series.times)
     lines = ["timestamp,height_m"]
-    for t, h in zip(series.times, series.heights):
-        lines.append(f"{format_timestamp(series.epoch, t)},{format_number(h)}")
+    lines.extend(f"{stamp}Z,{format_number(h)}" for stamp, h in zip(stamps, series.heights))
     return "\n".join(lines) + "\n"
 
 
@@ -246,11 +267,10 @@ def to_series(altimetry: AltimetrySeries, reducer: str = "median") -> WaterLevel
 
 
 def write_altimetry(altimetry: AltimetrySeries, path: str | Path) -> None:
+    stamps = _utc_stamps(altimetry.epoch, altimetry.times)
     lines = ["cycle,timestamp,ssh_m,flag"]
-    for cycle, t, h, flag in zip(altimetry.cycles, altimetry.times, altimetry.heights, altimetry.flags):
-        lines.append(
-            f"{cycle},{format_timestamp(altimetry.epoch, t)},{format_number(h)},{flag}"
-        )
+    for cycle, stamp, h, flag in zip(altimetry.cycles, stamps, altimetry.heights, altimetry.flags):
+        lines.append(f"{cycle},{stamp}Z,{format_number(h)},{flag}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -18,15 +18,26 @@ design.prepare: ||H x - h||^2 = ||a x - b||^2 + rest, with a the 2n x 2n
 triangle R of a QR factorization of [H | h] when the record has more
 than 2n + 1 samples. A BFGS evaluation then costs O(n^2) whatever the
 record length m; normalize_terms still divides by m.
+
+The minimization is _bfgs, scipy's BFGS algorithm in one private loop:
+the search direction -H g, scipy's line search (scalar_search_wolfe1,
+falling back to scalar_search_wolfe2, imported from the private
+scipy.optimize._linesearch), scipy's initial step guess and stop tests.
+It differs from scipy.optimize.minimize in three ways: the inverse
+Hessian takes the algebraically equal rank-2 update, O(n^2) in place
+instead of two dense products; each trial step evaluates the objective
+once, its gradient cached for the slope; and a run that stops on a
+line-search failure restarts from a fresh Hessian inside the loop.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._linesearch import LineSearchWarning, scalar_search_wolfe1, scalar_search_wolfe2
 
 from .constituents import ConstituentCatalog
 from .design import PreparedRecord, _pair_squares, classify_regime, prepare, unpack_state
@@ -40,6 +51,9 @@ _INIT_STRATEGIES = (INIT_MIN_NORM_LS_RESCALED, INIT_REFERENCE_ZERO_PHASE)
 # The BFGS tail can stall on the quartic term's flat directions; a fresh
 # Hessian restart within the iteration budget reliably breaks the stall.
 _MAX_RESTARTS = 8
+
+# scipy's BFGS line-search constants.
+_C1, _C2, _AMIN, _AMAX = 1e-4, 0.9, 1e-100, 1e100
 
 
 @dataclass(frozen=True)
@@ -236,28 +250,9 @@ def relsha_solve(
 
     j0, g0 = fg(x)
     tolerance = config.gradient_tolerance * (1.0 + abs(j0))
-    gradient_norm = float(np.abs(g0).max())
-    iterations = 0
-    restarts = 0
-    while gradient_norm > tolerance and iterations < config.max_iterations:
-        if restarts > _MAX_RESTARTS:
-            break
-        result = minimize(
-            fg,
-            x,
-            jac=True,
-            method="BFGS",
-            callback=callback,
-            options={"maxiter": config.max_iterations - iterations, "gtol": tolerance},
-        )
-        x = result.x
-        iterations += int(result.nit)
-        gradient_norm = float(np.abs(fg(x)[1]).max())
-        if result.nit == 0:
-            break
-        restarts += 1
-
-    final_objective, final_gradient = fg(x)
+    x, final_objective, final_gradient, iterations, restarts = _bfgs(
+        fg, x, j0, g0, tolerance, config.max_iterations, callback
+    )
     gradient_norm = float(np.abs(final_gradient).max())
     diagnostics = RelshaDiagnostics(
         objective=final_objective,
@@ -265,9 +260,86 @@ def relsha_solve(
         gradient_norm=gradient_norm,
         gradient_tolerance=tolerance,
         iterations=iterations,
-        restarts=max(restarts - 1, 0),
+        restarts=restarts,
         converged=gradient_norm <= tolerance,
         regime=classify_regime(record.sample_count, catalog.n),
         sample_count=record.sample_count,
     )
     return RelshaResult(solution=record.solution(*unpack_state(x, catalog)), diagnostics=diagnostics)
+
+
+def _line_search(fg, x, p, f, g, old_f):
+    """scipy's BFGS line search along p from (x, f, g).
+
+    Each trial step evaluates fg once; the slope at that step reuses the
+    cached gradient. Both scalar searches end on an evaluation at the
+    step they return, so the cache then holds (step, value, gradient);
+    None when neither search finds a step.
+    """
+    latest = [None, None, None]
+
+    def phi(alpha):
+        if alpha != latest[0]:
+            latest[0] = alpha
+            latest[1], latest[2] = fg(x + alpha * p)
+        return latest[1]
+
+    def derphi(alpha):
+        phi(alpha)
+        return np.dot(latest[2], p)
+
+    slope = np.dot(g, p)
+    alpha = scalar_search_wolfe1(phi, derphi, f, old_f, slope, c1=_C1, c2=_C2, amax=_AMAX, amin=_AMIN)[0]
+    if alpha is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LineSearchWarning)
+            alpha = scalar_search_wolfe2(phi, derphi, f, old_f, slope, c1=_C1, c2=_C2, amax=_AMAX)[0]
+        if alpha is None:
+            return None
+    phi(alpha)
+    return alpha, latest[1], latest[2]
+
+
+def _bfgs(fg, x, f, g, tolerance, max_iterations, callback):
+    """BFGS from x, with f, g = fg(x), until the gradient infinity norm is
+    at most tolerance or max_iterations iterations have run.
+
+    A run that ends on a line-search failure, a zero step or a non-finite
+    objective restarts from a fresh Hessian, up to _MAX_RESTARTS times;
+    a fresh run that takes no step ends the loop. callback(x) runs once
+    per iteration. Returns x, f, g, the iterations and the restarts
+    (runs that took a step, minus one).
+    """
+    iterations = restarts = run_start = 0
+    h = np.eye(x.size)
+    old_f = f + np.linalg.norm(g) / 2
+    while np.abs(g).max() > tolerance and iterations < max_iterations:
+        p = -(h @ g)
+        step = _line_search(fg, x, p, f, g, old_f)
+        if step is not None:
+            alpha, f_new, g_new = step
+            s = alpha * p
+            x = x + s
+            y = g_new - g
+            old_f, f, g = f, f_new, g_new
+            iterations += 1
+            if callback is not None:
+                callback(x)
+            if np.abs(g).max() <= tolerance:
+                break
+            if s.any() and np.isfinite(f):
+                # (I - rho s y')H(I - rho y s') + rho s s', with v = H y.
+                sy = y @ s
+                rho = 1.0 / sy if sy != 0 else 1000.0
+                v = h @ y
+                h += np.outer(s, (rho * rho * (y @ v) + rho) * s - rho * v)
+                h -= np.outer(rho * v, s)
+                continue
+        if iterations == run_start or restarts == _MAX_RESTARTS:
+            break
+        restarts += 1
+        run_start = iterations
+        h = np.eye(x.size)
+        old_f = f + np.linalg.norm(g) / 2
+    stepped_runs = restarts + (iterations > run_start)
+    return x, f, g, iterations, max(stepped_runs - 1, 0)

@@ -14,6 +14,7 @@ from relsha.evaluation import (
     run_grid,
     slice_to_text,
 )
+from relsha.regularized import RelshaConfig
 
 YEAR = 8766.0
 
@@ -171,12 +172,33 @@ class TestExport:
                         intervals=[50.0], lengths=[720.0], methods=("ha",))
         text = grid_to_text(grid)
         lines = text.strip().split("\n")
-        assert lines[0] == "interval_hours,length_hours,method,sample_count,regime,rrmse_percent"
+        assert lines[0] == (
+            "interval_hours,length_hours,method,sample_count,regime,rrmse_percent,"
+            "converged,iterations"
+        )
         assert len(lines) == 2
         fields = lines[1].split(",")
         assert fields[2] == "ha"
         assert fields[4] in ("overdetermined", "underdetermined")
         float(fields[5])  # parses
+        assert fields[6:] == ["", ""]  # solver state is ReLSHA's only
+
+    def test_relsha_solver_state_in_grid_and_slice(self, base_series, truth, catalog):
+        def grid_rows(config):
+            grid = run_grid(base_series, truth.amplitudes, catalog, intervals=[264.0],
+                            lengths=[8784.0], methods=("ha", "relsha"),
+                            relsha_reference=truth.amplitudes, relsha_config=config)
+            rows = [line.split(",") for line in grid_to_text(grid).strip().split("\n")[1:]]
+            assert slice_to_text(interval_slice(grid, 264.0)) == grid_to_text(grid)
+            return {row[2]: row for row in rows}
+
+        stopped = grid_rows(RelshaConfig(max_iterations=1))
+        assert stopped["relsha"][6:] == ["false", "1"]
+        assert stopped["ha"][6:] == ["", ""]
+        assert stopped["relsha"][5]  # a stalled fit is flagged, not dropped
+        converged = grid_rows(RelshaConfig())
+        assert converged["relsha"][6] == "true"
+        assert int(converged["relsha"][7]) > 1
 
     def test_missing_cell_rendered_empty(self, base_series, truth, catalog):
         grid = run_grid(base_series, truth.amplitudes, catalog,

@@ -22,7 +22,7 @@ from relsha.ingest import (
     write_solution,
     write_water_levels,
 )
-from relsha.series import HarmonicSolution
+from relsha.series import DEFAULT_EPOCH, HarmonicSolution
 
 IST = timezone(timedelta(hours=5, minutes=30))
 
@@ -361,6 +361,68 @@ class TestAltimetryGolden:
         assert altimetry.epoch == epoch
         assert altimetry.epoch.tzinfo == epoch.tzinfo == timezone.utc
         assert len(altimetry) == len(stamps) - 2 + 1
+
+
+def _reference_stamp(epoch, hours):
+    """The row-by-row stamp of the writers, kept as the oracle of the
+    vectorized one: timedelta arithmetic, rounding and strftime per row."""
+    stamp = epoch + timedelta(hours=float(hours))
+    stamp = (stamp + timedelta(microseconds=500_000)).replace(microsecond=0)
+    return stamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _reference_water_levels_to_text(series):
+    lines = ["timestamp,height_m"]
+    for t, h in zip(series.times, series.heights):
+        lines.append(f"{_reference_stamp(series.epoch, t)},{format_number(h)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestWriterGolden:
+    @pytest.mark.parametrize(
+        "times, epoch",
+        [
+            # a 6-min leap year from the default epoch
+            (np.arange(0.0, 8784.0, 0.1), DEFAULT_EPOCH),
+            # irregular times from an IST epoch with microseconds
+            (np.cumsum(np.random.default_rng(7).uniform(1e-3, 3.0, 2000)),
+             datetime(2020, 2, 29, 23, 59, 59, 123457, tzinfo=IST)),
+            # whole hours from an epoch on a half second: every stamp rounds up
+            (np.arange(0.0, 500.0), datetime(2021, 1, 1, 0, 0, 0, 500_000, tzinfo=timezone.utc)),
+            # quarter hours from one microsecond before midnight, New Year
+            (np.arange(0.0, 100.0, 0.25), datetime(2021, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone.utc)),
+            # k / 2048 h is exactly k * 1757812.5 us, so odd k round half to
+            # even; 3 / 2048 h rounds up to 5273438 us, which from this epoch
+            # lands on a half second and so decides the stamp's second
+            (np.arange(1, 4000) / 2048.0, datetime(2021, 1, 1, 0, 0, 0, 226_562, tzinfo=timezone.utc)),
+            # negative hours from a UTC-7 epoch
+            (np.sort(np.random.default_rng(8).uniform(-5000.0, 5000.0, 2000)),
+             datetime(1999, 6, 1, 12, 0, 0, 250_000, tzinfo=timezone(timedelta(hours=-7)))),
+        ],
+        ids=["6min-year", "ist-microseconds", "half-second", "before-midnight", "half-microsecond", "negative-hours"],
+    )
+    def test_water_levels_match_row_by_row_writer(self, times, epoch):
+        heights = np.random.default_rng(9).normal(size=times.size)
+        series = relsha.WaterLevelSeries(times, heights, epoch)
+        assert water_levels_to_text(series) == _reference_water_levels_to_text(series)
+
+    @given(st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=30, unique=True),
+           st.integers(0, 999_999))
+    def test_any_hours_match_row_by_row_writer(self, hours, microsecond):
+        epoch = datetime(2021, 6, 30, 23, 59, 59, microsecond, tzinfo=IST)
+        series = relsha.WaterLevelSeries(sorted(hours), np.zeros(len(hours)), epoch)
+        assert water_levels_to_text(series) == _reference_water_levels_to_text(series)
+
+    def test_altimetry_matches_row_by_row_writer(self, tmp_path):
+        path = write(tmp_path, ALTIMETRY_TEXT.replace("00:00:01Z", "00:00:01.5+05:30"))
+        altimetry = load_altimetry(path)
+        out = tmp_path / "alt.csv"
+        write_altimetry(altimetry, out)
+        expected = ["cycle,timestamp,ssh_m,flag"] + [
+            f"{c},{_reference_stamp(altimetry.epoch, t)},{format_number(h)},{f}"
+            for c, t, h, f in zip(altimetry.cycles, altimetry.times, altimetry.heights, altimetry.flags)
+        ]
+        assert out.read_text() == "\n".join(expected) + "\n"
 
 
 ALTIMETRY_TEXT = (
