@@ -6,8 +6,8 @@ default lattice (12 minutes to 11 days; 30 to 366 days) and writes the
 grid CSV plus the slice files at the 6-min, 9.9-day, and 11-day marks.
 The full lattice is 840 records x 3 methods and took about two minutes
 single-threaded on a 2-vCPU machine; pass --intervals/--lengths to trim.
---threads defaults to 1: the BFGS loop holds the interpreter lock, and
---threads 2 measured slower than serial.
+--threads defaults to 1: ReLSHA's solver loop holds the interpreter
+lock, and --threads 2 measured slower than serial.
 
     python scripts/run_error_grid.py --output results/grid.csv
 """

@@ -18,15 +18,7 @@ from .constituents import (
     make_catalog,
     write_catalog,
 )
-from .design import (
-    OVERDETERMINED,
-    UNDERDETERMINED,
-    amplitude_squares,
-    build_design_matrix,
-    classify_regime,
-    pack_solution,
-    unpack_state,
-)
+from .design import OVERDETERMINED, UNDERDETERMINED
 from .evaluation import (
     ErrorGrid,
     GridCell,
@@ -46,13 +38,7 @@ from .ingest import (
     write_solution,
     write_water_levels,
 )
-from .regularized import (
-    RelshaConfig,
-    RelshaDiagnostics,
-    RelshaResult,
-    relsha_fit,
-    relsha_value_and_gradient,
-)
+from .regularized import RelshaConfig, RelshaDiagnostics, RelshaResult, relsha_fit
 from .series import (
     HarmonicSolution,
     SamplingPlan,
@@ -83,11 +69,8 @@ __all__ = [
     "SamplingPlan",
     "UNDERDETERMINED",
     "WaterLevelSeries",
-    "amplitude_squares",
     "apply_noise",
-    "build_design_matrix",
     "cha_fit",
-    "classify_regime",
     "default_catalog_path",
     "default_intervals",
     "default_lengths",
@@ -100,16 +83,13 @@ __all__ = [
     "load_harmonics",
     "load_water_levels",
     "make_catalog",
-    "pack_solution",
     "relsha_fit",
-    "relsha_value_and_gradient",
     "resample",
     "rrmse",
     "run_grid",
     "synthesize",
     "synthesize_series",
     "to_series",
-    "unpack_state",
     "write_catalog",
     "write_solution",
     "write_water_levels",

@@ -5,9 +5,9 @@ base series is resampled per (interval, length) cell with a per-cell
 seed, each requested method is fitted to the same resampled record, and
 amplitude RRMSE against the known truth is recorded together with the
 over/underdetermined regime of the cell. ReLSHA cells also record whether
-BFGS reached its gradient tolerance and how many iterations it ran, so a
-stalled fit is flagged in the grid and slice files rather than passed off
-as converged.
+the solver reached its gradient tolerance and how many iterations it ran,
+so a stalled fit is flagged in the grid and slice files rather than
+passed off as converged.
 """
 
 from __future__ import annotations

@@ -6,38 +6,37 @@ Fits the 2n-dimensional state vector by minimizing
 
 where h is the detrended water level, q holds the squared reference
 amplitudes, and K(x . x) pairs the squared cosine/sine components into
-per-constituent squared magnitudes. The analytic gradient
+per-constituent squared magnitudes. With s = K(x . x) - q, the analytic
+gradient and Hessian are
 
-    dJ/dx = 2 (1 - lam) H^T (H x - h) + 4 lam x * expand(K(x . x) - q)
+    dJ/dx   = 2 (1 - lam) H^T (H x - h) + 4 lam x * expand(s)
+    d2J/dx2 = 2 (1 - lam) H^T H + 4 lam diag(expand(s)) + 8 lam P(x x^T)
 
-drives a quasi-Newton (BFGS) minimization; expand() duplicates the
-n-vector onto both members of each pair.
+where expand() duplicates the n-vector onto both members of each pair
+and P keeps the entries of x x^T whose row and column share a pair.
 
 The data term is evaluated on the record's compressed form from
 design.prepare: ||H x - h||^2 = ||a x - b||^2 + rest, with a the 2n x 2n
 triangle R of a QR factorization of [H | h] when the record has more
-than 2n + 1 samples. A BFGS evaluation then costs O(n^2) whatever the
+than 2n + 1 samples. An evaluation then costs O(n^2) whatever the
 record length m; normalize_terms still divides by m.
 
-The minimization is _bfgs, scipy's BFGS algorithm in one private loop:
-the search direction -H g, scipy's line search (scalar_search_wolfe1,
-falling back to scalar_search_wolfe2, imported from the private
-scipy.optimize._linesearch), scipy's initial step guess and stop tests.
-It differs from scipy.optimize.minimize in three ways: the inverse
-Hessian takes the algebraically equal rank-2 update, O(n^2) in place
-instead of two dense products; each trial step evaluates the objective
-once, its gradient cached for the slope; and a run that stops on a
-line-search failure restarts from a fresh Hessian inside the loop.
+The minimization is _newton, a trust-region Newton method on the exact
+Hessian B (Nocedal & Wright, Numerical Optimization, ch. 4). Each step
+is p = -(B + mu I)^-1 g, factored by Cholesky, with mu >= 0 found by
+Newton's method on the secular equation ||p(mu)|| = radius (More &
+Sorensen 1983). Where the quartic penalty makes B indefinite, mu
+shifts the model to a positive-definite one inside the radius, so
+negative curvature bends the step instead of stalling the solver.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize._linesearch import LineSearchWarning, scalar_search_wolfe1, scalar_search_wolfe2
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .constituents import ConstituentCatalog
 from .design import PreparedRecord, _pair_squares, classify_regime, prepare, unpack_state
@@ -48,12 +47,12 @@ INIT_MIN_NORM_LS_RESCALED = "min_norm_ls_rescaled"
 INIT_REFERENCE_ZERO_PHASE = "reference_zero_phase"
 _INIT_STRATEGIES = (INIT_MIN_NORM_LS_RESCALED, INIT_REFERENCE_ZERO_PHASE)
 
-# The BFGS tail can stall on the quartic term's flat directions; a fresh
-# Hessian restart within the iteration budget reliably breaks the stall.
-_MAX_RESTARTS = 8
-
-# scipy's BFGS line-search constants.
-_C1, _C2, _AMIN, _AMAX = 1e-4, 0.9, 1e-100, 1e100
+# A step is taken when J falls by more than _ACCEPT of the model's
+# predicted fall; the radius shrinks below _SHRINK and grows above _GROW
+# (Nocedal & Wright, Algorithm 4.1).
+_ACCEPT, _SHRINK, _GROW = 0.15, 0.25, 0.75
+# Cholesky factorizations one trust-region step may try.
+_MAX_FACTORIZATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,9 @@ class RelshaConfig:
     lam is the regularization weight in [0, 1] balancing data misfit
     against the amplitude prior. The optimizer stops when the gradient
     infinity norm falls below gradient_tolerance * (1 + |J0|), J0 being
-    the objective at the starting point, or after max_iterations total
-    quasi-Newton iterations. normalize_terms divides the data term by the
-    sample count and the penalty by the constituent count, making lam
+    the objective at the starting point, or after max_iterations
+    trust-region Newton steps. normalize_terms divides the data term by
+    the sample count and the penalty by the constituent count, making lam
     transferable across sampling plans; the default keeps the raw sums.
     """
 
@@ -142,12 +141,26 @@ def _value_and_gradient(
     rest: float,
 ) -> tuple[float, np.ndarray]:
     """The objective's one formula, on float arrays already checked by
-    _check_dimensions; BFGS calls it on every evaluation."""
+    _check_dimensions; the solver calls it on every trial step."""
     r = a @ x - b
     s = _pair_squares(x) - ref_squares
     value = w_data * (r @ r + rest) + w_reg * (s @ s)
     grad = 2.0 * w_data * (a.T @ r) + 4.0 * w_reg * x * np.concatenate([s, s])
     return float(value), grad
+
+
+def _hessian(
+    x: np.ndarray,
+    gram: np.ndarray,
+    ref_squares: np.ndarray,
+    w_data: float,
+    w_reg: float,
+) -> np.ndarray:
+    """The objective's Hessian at x, with gram = a^T a formed once per solve."""
+    s = _pair_squares(x) - ref_squares
+    pairs = np.tile(np.eye(s.size), (2, 2))
+    curvature = np.diag(4.0 * w_reg * np.concatenate([s, s]))
+    return 2.0 * w_data * gram + curvature + 8.0 * w_reg * np.outer(x, x) * pairs
 
 
 def _initial_state(
@@ -158,9 +171,11 @@ def _initial_state(
 ) -> np.ndarray:
     """Starting state with pair magnitudes set to the reference amplitudes.
 
-    min_norm_ls_rescaled keeps the phase of the minimum-norm least-squares
-    solution (data-driven) and rescales each (cos, sin) pair to the prior
-    magnitude A_0k f_k; reference_zero_phase starts all phases at zero.
+    The penalty pulls each pair magnitude A_k f_k to the reference A_0k,
+    so the start puts it there. min_norm_ls_rescaled keeps the phase of
+    the minimum-norm least-squares solution (data-driven) and rescales
+    each (cos, sin) pair to magnitude A_0k; reference_zero_phase starts
+    all phases at zero.
     """
     n = a.shape[1] // 2
     if strategy == INIT_REFERENCE_ZERO_PHASE:
@@ -181,7 +196,7 @@ class RelshaDiagnostics:
     gradient_norm: float
     gradient_tolerance: float
     iterations: int
-    restarts: int
+    restarts: int  # always 0: the trust-region loop never restarts; kept for its readers
     converged: bool
     regime: str
     sample_count: int
@@ -203,11 +218,11 @@ def relsha_fit(
     """Recover constituent amplitudes from an (under)sampled series using
     reference amplitudes as a prior.
 
-    The series is detrended, the quasi-Newton minimization is run from the
-    configured starting point, and the final state is unpacked into
-    amplitudes and phases. A result is always returned; failure to reach
-    the gradient tolerance within the iteration budget is reported through
-    diagnostics.converged, never silently.
+    The series is detrended, the trust-region Newton minimization is run
+    from the configured starting point, and the final state is unpacked
+    into amplitudes and phases. A result is always returned; failure to
+    reach the gradient tolerance within the iteration budget is reported
+    through diagnostics.converged, never silently.
     """
     _check_reference(reference, catalog)
     if len(series) < 2:
@@ -241,17 +256,21 @@ def relsha_solve(
     a, b, rest = record.a, record.b, record.rest
     w_data, w_reg = _term_weights(config.lam, record.sample_count, catalog.n, config.normalize_terms)
 
+    gram = a.T @ a
+
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
         return _value_and_gradient(x, a, b, ref_squares, w_data, w_reg, rest)
 
-    target = reference * catalog.nodal_factors
-    x = _initial_state(config.init_strategy, a, b, target)
+    def hessian(x: np.ndarray) -> np.ndarray:
+        return _hessian(x, gram, ref_squares, w_data, w_reg)
+
+    x = _initial_state(config.init_strategy, a, b, reference)
     _check_dimensions(x, a, b, ref_squares)
 
     j0, g0 = fg(x)
     tolerance = config.gradient_tolerance * (1.0 + abs(j0))
-    x, final_objective, final_gradient, iterations, restarts = _bfgs(
-        fg, x, j0, g0, tolerance, config.max_iterations, callback
+    x, final_objective, final_gradient, iterations = _newton(
+        fg, hessian, x, j0, g0, tolerance, config.max_iterations, callback
     )
     gradient_norm = float(np.abs(final_gradient).max())
     diagnostics = RelshaDiagnostics(
@@ -260,7 +279,7 @@ def relsha_solve(
         gradient_norm=gradient_norm,
         gradient_tolerance=tolerance,
         iterations=iterations,
-        restarts=restarts,
+        restarts=0,
         converged=gradient_norm <= tolerance,
         regime=classify_regime(record.sample_count, catalog.n),
         sample_count=record.sample_count,
@@ -268,78 +287,75 @@ def relsha_solve(
     return RelshaResult(solution=record.solution(*unpack_state(x, catalog)), diagnostics=diagnostics)
 
 
-def _line_search(fg, x, p, f, g, old_f):
-    """scipy's BFGS line search along p from (x, f, g).
+def _step(hess, g, radius):
+    """A trust-region step p = -(hess + mu I)^-1 g with mu >= 0, or None.
 
-    Each trial step evaluates fg once; the slope at that step reuses the
-    cached gradient. Both scalar searches end on an evaluation at the
-    step they return, so the cache then holds (step, value, gradient);
-    None when neither search finds a step.
+    mu = 0 when that is positive definite with p inside the radius.
+    Otherwise mu stays in More and Sorensen's bracket, which each
+    factorization narrows: Newton's method on 1/||p(mu)|| = 1/radius
+    proposes the next mu, a failed factorization raises the lower end,
+    and a proposal outside the bracket is replaced by its safeguard. A
+    p within 10% of the radius is returned at once; when the
+    factorizations run out, the last p found, cut back to the radius.
     """
-    latest = [None, None, None]
+    identity = np.eye(g.size)
+    scale = np.linalg.norm(g) / radius
+    bound = np.abs(hess).sum(axis=0).max()
+    mu, low, high = 0.0, max(0.0, -np.diag(hess).min(), scale - bound), scale + bound
+    best = None
+    for _ in range(_MAX_FACTORIZATIONS):
+        u, info = dpotrf(hess + mu * identity, overwrite_a=1)
+        if info == 0:
+            p = dpotrs(u, -g)[0]
+            norm = np.linalg.norm(p)
+            if (mu == 0.0 and norm <= radius) or abs(norm - radius) <= 0.1 * radius:
+                return p
+            best = p * min(1.0, radius / norm)
+            if norm < radius:
+                high = min(high, mu)
+            else:
+                low = max(low, mu)
+            q = dtrtrs(u, p, trans=1)[0]
+            mu += (norm / np.linalg.norm(q)) ** 2 * (norm - radius) / radius
+        else:
+            low = max(low, mu)
+        if not low < mu < high:
+            mu = max(np.sqrt(low * high), 1e-3 * high)
+    return best
 
-    def phi(alpha):
-        if alpha != latest[0]:
-            latest[0] = alpha
-            latest[1], latest[2] = fg(x + alpha * p)
-        return latest[1]
 
-    def derphi(alpha):
-        phi(alpha)
-        return np.dot(latest[2], p)
+def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback):
+    """Trust-region Newton from x, with f, g = fg(x), until the gradient
+    infinity norm is at most tolerance or max_iterations steps are taken.
 
-    slope = np.dot(g, p)
-    alpha = scalar_search_wolfe1(phi, derphi, f, old_f, slope, c1=_C1, c2=_C2, amax=_AMAX, amin=_AMIN)[0]
-    if alpha is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LineSearchWarning)
-            alpha = scalar_search_wolfe2(phi, derphi, f, old_f, slope, c1=_C1, c2=_C2, amax=_AMAX)[0]
-        if alpha is None:
-            return None
-    phi(alpha)
-    return alpha, latest[1], latest[2]
-
-
-def _bfgs(fg, x, f, g, tolerance, max_iterations, callback):
-    """BFGS from x, with f, g = fg(x), until the gradient infinity norm is
-    at most tolerance or max_iterations iterations have run.
-
-    A run that ends on a line-search failure, a zero step or a non-finite
-    objective restarts from a fresh Hessian, up to _MAX_RESTARTS times;
-    a fresh run that takes no step ends the loop. callback(x) runs once
-    per iteration. Returns x, f, g, the iterations and the restarts
-    (runs that took a step, minus one).
+    callback(x) runs once per step taken. A trial point with a non-finite
+    J is rejected. The loop also ends when no step is found or the step
+    falls to the float resolution of x, as rejected steps near a zero of
+    J make it. Returns x, f, g and the steps taken.
     """
-    iterations = restarts = run_start = 0
-    h = np.eye(x.size)
-    old_f = f + np.linalg.norm(g) / 2
+    iterations = 0
+    # Short first steps keep the fit near its start; from a radius of the
+    # start's full size, more sparse records ended at a higher J.
+    radius = 0.1 * max(np.linalg.norm(x), 1.0)
+    b = hessian(x)
     while np.abs(g).max() > tolerance and iterations < max_iterations:
-        p = -(h @ g)
-        step = _line_search(fg, x, p, f, g, old_f)
-        if step is not None:
-            alpha, f_new, g_new = step
-            s = alpha * p
-            x = x + s
-            y = g_new - g
-            old_f, f, g = f, f_new, g_new
+        p = _step(b, g, radius)
+        if p is None:
+            break
+        length = np.linalg.norm(p)
+        if length <= np.finfo(float).eps * np.linalg.norm(x):
+            break
+        predicted = -(g @ p + 0.5 * (p @ b @ p))
+        f_new, g_new = fg(x + p)
+        ratio = (f - f_new) / predicted if predicted > 0 and np.isfinite(f_new) else 0.0
+        if ratio < _SHRINK:
+            radius = _SHRINK * length
+        elif ratio > _GROW and length >= 0.9 * radius:
+            radius = 2.0 * radius
+        if ratio > _ACCEPT:
+            x, f, g = x + p, f_new, g_new
+            b = hessian(x)
             iterations += 1
             if callback is not None:
                 callback(x)
-            if np.abs(g).max() <= tolerance:
-                break
-            if s.any() and np.isfinite(f):
-                # (I - rho s y')H(I - rho y s') + rho s s', with v = H y.
-                sy = y @ s
-                rho = 1.0 / sy if sy != 0 else 1000.0
-                v = h @ y
-                h += np.outer(s, (rho * rho * (y @ v) + rho) * s - rho * v)
-                h -= np.outer(rho * v, s)
-                continue
-        if iterations == run_start or restarts == _MAX_RESTARTS:
-            break
-        restarts += 1
-        run_start = iterations
-        h = np.eye(x.size)
-        old_f = f + np.linalg.norm(g) / 2
-    stepped_runs = restarts + (iterations > run_start)
-    return x, f, g, iterations, max(stepped_runs - 1, 0)
+    return x, f, g, iterations
