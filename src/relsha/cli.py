@@ -26,7 +26,7 @@ from .constituents import default_catalog_path, load_catalog
 from .evaluation import MARK_INTERVALS, grid_to_text, interval_slice, run_grid, slice_to_text
 from .ha import ha_fit
 from .ingest import format_number as fmt
-from .regularized import INIT_MIN_NORM_LS_RESCALED, RelshaConfig, relsha_fit
+from .regularized import RelshaConfig, relsha_fit
 from .series import SamplingPlan, apply_noise, resample, synthesize_series
 
 log = logging.getLogger("relsha")
@@ -36,6 +36,17 @@ CATALOG_ENV = "RELSHA_CATALOG"
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 3
+
+# The keys a subcommand's --config file may set, each the name of an
+# option with "_" for "-"; "lambda" sets --lambda, whose dest is lam.
+CONFIG_KEYS = {
+    "fit": ("lambda", "normalize_terms", "max_iterations"),
+    "experiment": (
+        "truth", "reference", "reference_a", "reference_b", "methods", "intervals", "lengths",
+        "base_interval", "noise", "seed", "threads", "lambda", "normalize_terms",
+    ),
+}
+_CONFIG_DESTS = {"lambda": "lam"}
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -61,40 +72,43 @@ def _check_output_dir(path: str | Path) -> None:
         raise ValueError(f"output directory {parent} does not exist")
 
 
-def _catalog_path(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(CATALOG_ENV)
-    if env:
-        return Path(env)
-    return default_catalog_path()
-
-
-def _bundled(name: str) -> str:
-    return str(default_catalog_path().with_name(name))
-
-
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
+def _load_config_defaults(
+    parser: argparse.ArgumentParser, keys: tuple[str, ...], path: str
+) -> None:
+    """Make a JSON config file's values the subcommand's option defaults,
+    so that flags still win. A JSON list is joined with commas, so an
+    option's type parses a list and a comma string alike."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
+        config = json.load(fh)
+    if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    return data
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"{path}: unknown config key(s) {', '.join(unknown)}; "
+            f"expected some of {', '.join(keys)}"
+        )
+    defaults = {}
+    for key, value in config.items():
+        dest = _CONFIG_DESTS.get(key, key)
+        # an on/off flag takes true or false, and nothing else does
+        if isinstance(value, bool) != isinstance(parser.get_default(dest), bool):
+            raise ValueError(f"{path}: {key} = {json.dumps(value)} has the wrong type")
+        defaults[dest] = ",".join(map(str, value)) if isinstance(value, list) else value
+    parser.set_defaults(**defaults)
 
 
-def _resolve(flag_value, config: dict, key: str, default):
-    """Precedence: command-line flag, then config file, then default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _name_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _gauge(path: str | Path, catalog) -> GaugeHarmonics:
+    """A reference gauge's harmonics, named after its file."""
+    return GaugeHarmonics(Path(path).stem, ingest.load_harmonics(path, catalog)[0])
 
 
 def _bool_text(value: bool) -> str:
@@ -103,13 +117,8 @@ def _bool_text(value: bool) -> str:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     _check_output_dir(args.output)
-    config = _load_config_file(args.config)
-    catalog = load_catalog(_catalog_path(args.catalog))
+    catalog = load_catalog(args.catalog)
     series = ingest.load_water_levels(args.input)
-    lam = _resolve(args.lam, config, "lambda", 0.5)
-    normalize = _resolve(args.normalize_terms or None, config, "normalize_terms", False)
-    max_iterations = _resolve(args.max_iterations, config, "max_iterations", 2000)
-    init = _resolve(args.init, config, "init", INIT_MIN_NORM_LS_RESCALED)
 
     diagnostics: dict[str, object] = {"method": args.method}
     exit_code = EXIT_OK
@@ -122,8 +131,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     elif args.method == "cha":
         if not args.reference_a or not args.reference_b:
             raise ValueError("fit --method cha requires --reference-a and --reference-b")
-        ref_a = GaugeHarmonics(Path(args.reference_a).stem, ingest.load_harmonics(args.reference_a, catalog)[0])
-        ref_b = GaugeHarmonics(Path(args.reference_b).stem, ingest.load_harmonics(args.reference_b, catalog)[0])
+        ref_a, ref_b = _gauge(args.reference_a, catalog), _gauge(args.reference_b, catalog)
         result = cha_fit(series, ref_a, ref_b, catalog)
         solution = result.solution
         diagnostics.update(
@@ -137,10 +145,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             raise ValueError("fit --method relsha requires --reference")
         reference, _ = ingest.load_harmonics(args.reference, catalog)
         fit_config = RelshaConfig(
-            lam=float(lam),
-            max_iterations=int(max_iterations),
-            normalize_terms=bool(normalize),
-            init_strategy=str(init),
+            lam=args.lam, max_iterations=args.max_iterations, normalize_terms=args.normalize_terms
         )
         result = relsha_fit(series, reference.amplitudes, catalog, fit_config)
         solution = result.solution
@@ -169,54 +174,34 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     _check_output_dir(args.output)
-    config = _load_config_file(args.config)
-    catalog = load_catalog(_catalog_path(args.catalog))
-    truth_path = _resolve(args.truth, config, "truth", _bundled("synthetic_truth.csv"))
-    reference_path = _resolve(args.reference, config, "reference", _bundled("reference_nearby.csv"))
-    ref_a_path = _resolve(args.reference_a, config, "reference_a", _bundled("reference_nearby.csv"))
-    ref_b_path = _resolve(args.reference_b, config, "reference_b", _bundled("reference_offshore.csv"))
-    methods = tuple(_resolve(args.methods, config, "methods", "ha,cha,relsha").split(","))
-    intervals = _resolve(
-        _float_list(args.intervals) if args.intervals else None, config, "intervals",
-        evaluation.default_intervals().tolist(),
-    )
-    lengths = _resolve(
-        _float_list(args.lengths) if args.lengths else None, config, "lengths",
-        evaluation.default_lengths().tolist(),
-    )
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    noise = float(_resolve(args.noise, config, "noise", 0.0))
-    lam = float(_resolve(args.lam, config, "lambda", 0.5))
-    normalize = bool(_resolve(args.normalize_terms or None, config, "normalize_terms", False))
-    base_interval = float(_resolve(args.base_interval, config, "base_interval", 0.1))
-    threads = int(_resolve(args.threads, config, "threads", 1))
-
-    truth, _ = ingest.load_harmonics(truth_path, catalog)
-    reference, _ = ingest.load_harmonics(reference_path, catalog)
-    ref_a = GaugeHarmonics(Path(ref_a_path).stem, ingest.load_harmonics(ref_a_path, catalog)[0])
-    ref_b = GaugeHarmonics(Path(ref_b_path).stem, ingest.load_harmonics(ref_b_path, catalog)[0])
+    relsha_config = RelshaConfig(lam=args.lam, normalize_terms=args.normalize_terms)
+    catalog = load_catalog(args.catalog)
+    truth, _ = ingest.load_harmonics(args.truth, catalog)
+    reference, _ = ingest.load_harmonics(args.reference, catalog)
+    ref_a = _gauge(args.reference_a, catalog)
+    ref_b = _gauge(args.reference_b, catalog)
 
     # Dense base record, 5% longer than the longest cut so the random
     # start offset has room to vary.
-    span = 1.05 * max(lengths)
-    times = np.arange(0.0, span + base_interval / 2, base_interval)
+    span = 1.05 * max(args.lengths)
+    times = np.arange(0.0, span + args.base_interval / 2, args.base_interval)
     base = synthesize_series(truth, times)
-    if noise > 0:
-        base = apply_noise(base, noise, seed=evaluation.cell_seed(seed, 999_983, 0))
+    if args.noise > 0:
+        base = apply_noise(base, args.noise, seed=evaluation.cell_seed(args.seed, 999_983, 0))
 
     grid = run_grid(
         base,
         truth.amplitudes,
         catalog,
-        intervals=intervals,
-        lengths=lengths,
-        methods=methods,
-        base_seed=seed,
+        intervals=args.intervals,
+        lengths=args.lengths,
+        methods=args.methods,
+        base_seed=args.seed,
         relsha_reference=reference.amplitudes,
-        relsha_config=RelshaConfig(lam=lam, normalize_terms=normalize),
+        relsha_config=relsha_config,
         cha_ref_a=ref_a,
         cha_ref_b=ref_b,
-        threads=threads,
+        threads=args.threads,
     )
     _atomic_write(args.output, grid_to_text(grid))
 
@@ -236,7 +221,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    catalog = load_catalog(_catalog_path(args.catalog))
+    catalog = load_catalog(args.catalog)
     solution, _ = ingest.load_harmonics(args.solution, catalog)
     if args.length < args.interval:
         raise ValueError("synth requires --length of at least one --interval")
@@ -251,7 +236,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_rrmse(args: argparse.Namespace) -> int:
-    catalog = load_catalog(_catalog_path(args.catalog))
+    catalog = load_catalog(args.catalog)
     estimated, _ = ingest.load_harmonics(args.estimated, catalog)
     truth, _ = ingest.load_harmonics(args.truth, catalog)
     print(fmt(evaluation.rrmse(estimated.amplitudes, truth.amplitudes)))
@@ -266,51 +251,71 @@ def cmd_resample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The relsha parser and its subcommand parsers by name.
+
+    Every option's default lives here, except the solver's, which come
+    from RelshaConfig.
+    """
     parser = argparse.ArgumentParser(
         prog="relsha",
         description="Tidal constituent amplitude estimation from (under)sampled water levels.",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    catalog = {
+        "default": os.environ.get(CATALOG_ENV) or default_catalog_path(),
+        "help": f"constituent catalog (default ${CATALOG_ENV}, else bundled)",
+    }
+    data = default_catalog_path().parent
 
     fit = sub.add_parser("fit", help="fit a method to a water-level file")
-    fit.add_argument("--method", required=True, choices=["ha", "cha", "relsha"])
+    fit.add_argument("--method", required=True, choices=evaluation.KNOWN_METHODS)
     fit.add_argument("--input", required=True, help="water-level CSV (timestamp,height_m)")
     fit.add_argument("--output", required=True, help="solution file to write")
-    fit.add_argument("--catalog", help=f"constituent catalog (default ${CATALOG_ENV} or bundled)")
     fit.add_argument("--reference", help="reference amplitudes file (relsha)")
     fit.add_argument("--reference-a", help="first reference gauge harmonics (cha)")
     fit.add_argument("--reference-b", help="second reference gauge harmonics (cha)")
-    fit.add_argument("--lambda", dest="lam", type=float, help="regularization weight in [0,1]")
-    fit.add_argument("--normalize-terms", action="store_true",
-                     help="scale the data term by 1/m and the penalty by 1/n")
-    fit.add_argument("--max-iterations", type=int)
-    fit.add_argument("--init", choices=["min_norm_ls_rescaled", "reference_zero_phase"])
+    fit.add_argument("--max-iterations", type=int, default=RelshaConfig.max_iterations)
+    fit.add_argument("--catalog", **catalog)
     fit.add_argument("--strict", action="store_true",
                      help="exit with status 3 when the solver does not converge")
-    fit.add_argument("--config", help="JSON config file (flags override it)")
     fit.set_defaults(func=cmd_fit)
 
     experiment = sub.add_parser("experiment", help="run the interval-by-length error grid")
     experiment.add_argument("--output", required=True, help="grid CSV to write")
-    experiment.add_argument("--truth", help="truth harmonics file (default: bundled synthetic truth)")
-    experiment.add_argument("--reference", help="relsha reference amplitudes file")
-    experiment.add_argument("--reference-a", help="first cha reference gauge")
-    experiment.add_argument("--reference-b", help="second cha reference gauge")
-    experiment.add_argument("--methods", help="comma list from {ha,cha,relsha}")
-    experiment.add_argument("--intervals", help="comma list of sampling intervals in hours")
-    experiment.add_argument("--lengths", help="comma list of record lengths in hours")
-    experiment.add_argument("--base-interval", type=float, help="base series spacing in hours")
-    experiment.add_argument("--noise", type=float, help="Gaussian noise sigma for the base series")
-    experiment.add_argument("--seed", type=int)
-    experiment.add_argument("--threads", type=int,
-                            help="parallel grid cells (default 1; results identical)")
-    experiment.add_argument("--lambda", dest="lam", type=float)
-    experiment.add_argument("--normalize-terms", action="store_true")
-    experiment.add_argument("--catalog")
-    experiment.add_argument("--config", help="JSON config file (flags override it)")
+    experiment.add_argument("--truth", default=data / "synthetic_truth.csv",
+                            help="truth harmonics file")
+    experiment.add_argument("--reference", default=data / "reference_nearby.csv",
+                            help="relsha reference amplitudes file")
+    experiment.add_argument("--reference-a", default=data / "reference_nearby.csv",
+                            help="first cha reference gauge")
+    experiment.add_argument("--reference-b", default=data / "reference_offshore.csv",
+                            help="second cha reference gauge")
+    experiment.add_argument("--methods", type=_name_list, default=evaluation.KNOWN_METHODS,
+                            help="comma list from {ha,cha,relsha}")
+    experiment.add_argument("--intervals", type=_float_list,
+                            default=evaluation.default_intervals(),
+                            help="comma list of sampling intervals in hours")
+    experiment.add_argument("--lengths", type=_float_list, default=evaluation.default_lengths(),
+                            help="comma list of record lengths in hours")
+    experiment.add_argument("--base-interval", type=float, default=0.1,
+                            help="base series spacing in hours")
+    experiment.add_argument("--noise", type=float, default=0.0,
+                            help="Gaussian noise sigma for the base series")
+    experiment.add_argument("--seed", type=int, default=0)
+    experiment.add_argument("--threads", type=int, default=1,
+                            help="parallel grid cells (results identical)")
+    experiment.add_argument("--catalog", **catalog)
     experiment.set_defaults(func=cmd_experiment)
+
+    for command in (fit, experiment):
+        command.add_argument("--lambda", dest="lam", type=float, default=RelshaConfig.lam,
+                             help="regularization weight in [0,1]")
+        command.add_argument("--normalize-terms", action="store_true",
+                             default=RelshaConfig.normalize_terms,
+                             help="scale the data term by 1/m and the penalty by 1/n")
+        command.add_argument("--config", help="JSON config file (flags override it)")
 
     synth = sub.add_parser("synth", help="synthesize a water-level file from a solution")
     synth.add_argument("--solution", required=True, help="harmonics/solution file")
@@ -320,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--noise", type=float, default=0.0)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--epoch", default="2021-01-01T00:00:00Z")
-    synth.add_argument("--catalog")
+    synth.add_argument("--catalog", **catalog)
     synth.set_defaults(func=cmd_synth)
 
     rrmse_cmd = sub.add_parser("rrmse", help="amplitude RRMSE between two harmonics files")
     rrmse_cmd.add_argument("--estimated", required=True)
     rrmse_cmd.add_argument("--truth", required=True)
-    rrmse_cmd.add_argument("--catalog")
+    rrmse_cmd.add_argument("--catalog", **catalog)
     rrmse_cmd.set_defaults(func=cmd_rrmse)
 
     resample_cmd = sub.add_parser("resample", help="resample a water-level file")
@@ -337,17 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
     resample_cmd.add_argument("--seed", type=int, default=0)
     resample_cmd.set_defaults(func=cmd_resample)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if getattr(args, "config", None):
+            _load_config_defaults(commands[args.command], CONFIG_KEYS[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:
         log.error("%s", exc)

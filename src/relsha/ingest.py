@@ -318,8 +318,10 @@ def load_harmonics(
                 phase_deg = float(parts[2]) if len(parts) > 2 and parts[2] else 0.0
             except ValueError:
                 raise ValueError(f"{path}:{number}: non-numeric field") from None
-            if amplitude < 0:
-                raise ValueError(f"{path}:{number}: amplitude must be non-negative")
+            if not (math.isfinite(amplitude) and amplitude >= 0):
+                raise ValueError(f"{path}:{number}: amplitude must be finite and non-negative")
+            if not math.isfinite(phase_deg):
+                raise ValueError(f"{path}:{number}: phase must be finite")
             if seen[k]:
                 raise ValueError(f"{path}:{number}: duplicate constituent {name!r}")
             amplitudes[k] = amplitude

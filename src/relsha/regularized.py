@@ -43,10 +43,6 @@ from .design import PreparedRecord, _pair_squares, classify_regime, prepare, unp
 from .ha import RANK_RCOND
 from .series import HarmonicSolution, WaterLevelSeries
 
-INIT_MIN_NORM_LS_RESCALED = "min_norm_ls_rescaled"
-INIT_REFERENCE_ZERO_PHASE = "reference_zero_phase"
-_INIT_STRATEGIES = (INIT_MIN_NORM_LS_RESCALED, INIT_REFERENCE_ZERO_PHASE)
-
 # A step is taken when J falls by more than _ACCEPT of the model's
 # predicted fall; the radius shrinks below _SHRINK and grows above _GROW
 # (Nocedal & Wright, Algorithm 4.1).
@@ -72,7 +68,6 @@ class RelshaConfig:
     max_iterations: int = 2000
     gradient_tolerance: float = 1e-8
     normalize_terms: bool = False
-    init_strategy: str = INIT_MIN_NORM_LS_RESCALED
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.lam <= 1.0):
@@ -81,10 +76,6 @@ class RelshaConfig:
             raise ValueError("max_iterations must be at least 1")
         if not (self.gradient_tolerance > 0):
             raise ValueError("gradient_tolerance must be positive")
-        if self.init_strategy not in _INIT_STRATEGIES:
-            raise ValueError(
-                f"init_strategy must be one of {_INIT_STRATEGIES}, got {self.init_strategy!r}"
-            )
 
 
 def _term_weights(lam: float, m: int, n: int, normalize: bool) -> tuple[float, float]:
@@ -163,23 +154,15 @@ def _hessian(
     return 2.0 * w_data * gram + curvature + 8.0 * w_reg * np.outer(x, x) * pairs
 
 
-def _initial_state(
-    strategy: str,
-    a: np.ndarray,
-    b: np.ndarray,
-    target_magnitude: np.ndarray,
-) -> np.ndarray:
+def _initial_state(a: np.ndarray, b: np.ndarray, target_magnitude: np.ndarray) -> np.ndarray:
     """Starting state with pair magnitudes set to the reference amplitudes.
 
     The penalty pulls each pair magnitude A_k f_k to the reference A_0k,
-    so the start puts it there. min_norm_ls_rescaled keeps the phase of
-    the minimum-norm least-squares solution (data-driven) and rescales
-    each (cos, sin) pair to magnitude A_0k; reference_zero_phase starts
-    all phases at zero.
+    so the start puts it there: it keeps the phases of the minimum-norm
+    least-squares solution and rescales each (cos, sin) pair to magnitude
+    A_0k. A pair that solution leaves at zero starts at phase zero.
     """
     n = a.shape[1] // 2
-    if strategy == INIT_REFERENCE_ZERO_PHASE:
-        return np.concatenate([target_magnitude, np.zeros(n)])
     x0, _, _, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
     magnitude = np.hypot(x0[:n], x0[n:])
     nonzero = magnitude > 0
@@ -219,7 +202,7 @@ def relsha_fit(
     reference amplitudes as a prior.
 
     The series is detrended, the trust-region Newton minimization is run
-    from the configured starting point, and the final state is unpacked
+    from the rescaled least-squares start, and the final state is unpacked
     into amplitudes and phases. A result is always returned; failure to
     reach the gradient tolerance within the iteration budget is reported
     through diagnostics.converged, never silently.
@@ -264,7 +247,7 @@ def relsha_solve(
     def hessian(x: np.ndarray) -> np.ndarray:
         return _hessian(x, gram, ref_squares, w_data, w_reg)
 
-    x = _initial_state(config.init_strategy, a, b, reference)
+    x = _initial_state(a, b, reference)
     _check_dimensions(x, a, b, ref_squares)
 
     j0, g0 = fg(x)

@@ -83,14 +83,17 @@ class HarmonicSolution:
 
     def __post_init__(self) -> None:
         a = _frozen_array(self.amplitudes)
-        p = np.asarray(self.phases, dtype=float) % TWO_PI
-        p.setflags(write=False)
+        p = np.asarray(self.phases, dtype=float)
         if a.shape != (self.catalog.n,) or p.shape != (self.catalog.n,):
             raise ValueError(
                 f"amplitudes/phases must have length {self.catalog.n}, got {a.size}/{p.size}"
             )
         if not np.all(np.isfinite(a)) or np.any(a < 0):
             raise ValueError("amplitudes must be finite and non-negative")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("phases must be finite")
+        p = p % TWO_PI
+        p.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "phases", p)
         object.__setattr__(self, "mean", float(self.mean))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,36 @@ class TestFit:
                    "--config", config, "--lambda", 0.25, "--output", out) == 0
         assert "# lambda = 0.25" in out.read_text()
 
+    def test_cha_reference_with_a_nan_phase_fails(self, tmp_path, tiny_gauge, tiny_catalog, tiny_truth):
+        ref_b = tmp_path / "ref_b.csv"
+        ref_b.write_text("constituent_name,amplitude_m,phase_deg\nM2,0.4,nan\n", encoding="utf-8")
+        out = tmp_path / "solution.csv"
+        assert run("fit", "--method", "cha", "--input", tiny_gauge, "--catalog", tiny_catalog,
+                   "--reference-a", tiny_truth, "--reference-b", ref_b, "--output", out) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["lamda", "init"])
+    def test_unknown_config_key_fails_before_reading_input(self, tmp_path, caplog, key):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{key}": 0.9}}', encoding="utf-8")
+        out = tmp_path / "solution.csv"
+        # the input does not exist: the config check must come first
+        code = run("fit", "--method", "ha", "--input", tmp_path / "missing.csv",
+                   "--config", config, "--output", out)
+        assert code == 1
+        assert f"unknown config key(s) {key}" in caplog.text
+        assert "missing.csv" not in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", ['"normalize_terms": "false"', '"lambda": true'])
+    def test_config_value_of_the_wrong_type_fails(self, tmp_path, caplog, entry):
+        config = tmp_path / "config.json"
+        config.write_text("{" + entry + "}", encoding="utf-8")
+        code = run("fit", "--method", "ha", "--input", tmp_path / "missing.csv",
+                   "--config", config, "--output", tmp_path / "solution.csv")
+        assert code == 1
+        assert "has the wrong type" in caplog.text
+
 
 class TestAtomicWrite:
     def test_failed_write_leaves_no_temp_file_and_keeps_target(self, tmp_path):
@@ -304,6 +336,25 @@ class TestExperiment:
         fields = lines[1].split(",")
         assert fields[4] == "overdetermined"
         assert float(fields[5]) < 0.1
+
+    def test_config_lists_and_comma_strings_give_one_grid(self, tmp_path):
+        outputs = []
+        for form in (list, lambda values: ",".join(map(str, values))):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({
+                "methods": form(["ha", "relsha"]),
+                "intervals": form([120.0, 237.6]),
+                "lengths": form([720, 2000]),
+            }), encoding="utf-8")
+            out = tmp_path / f"grid_{len(outputs)}.csv"
+            assert run("experiment", "--config", config, "--seed", 7, "--output", out) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        rows = [line.split(",")[:3] for line in outputs[0].strip().split("\n")[1:]]
+        assert {row[2] for row in rows} == {"ha", "relsha"}
+        assert {(row[0], row[1]) for row in rows} == {
+            (i, l) for i in ("120", "237.6") for l in ("720", "2000")
+        }
 
     def test_missing_output_dir_fails_before_the_grid(self, tmp_path, monkeypatch, caplog):
         def no_grid(*args, **kwargs):

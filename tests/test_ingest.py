@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -530,6 +531,15 @@ class TestHarmonics:
     def test_negative_amplitude_rejected(self, tmp_path, catalog):
         path = write(tmp_path, "constituent_name,amplitude_m,phase_deg\nM2,-0.5,0\n")
         with pytest.raises(ValueError, match="non-negative"):
+            load_harmonics(path, catalog)
+
+    @pytest.mark.parametrize("row, field", [
+        ("M2,nan,0", "amplitude"), ("M2,inf,0", "amplitude"),
+        ("M2,0.5,nan", "phase"), ("M2,0.5,-inf", "phase"),
+    ])
+    def test_non_finite_value_rejected_with_its_line(self, tmp_path, catalog, row, field):
+        path = write(tmp_path, f"constituent_name,amplitude_m,phase_deg\nS2,0.2,10\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {field} must be finite")):
             load_harmonics(path, catalog)
 
     def test_metadata_headers(self, tmp_path, catalog):

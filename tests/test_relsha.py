@@ -10,8 +10,6 @@ from relsha.design import build_design_matrix, pack_solution, prepare
 from relsha.evaluation import rrmse
 from relsha.ha import ha_fit
 from relsha.regularized import (
-    INIT_MIN_NORM_LS_RESCALED,
-    INIT_REFERENCE_ZERO_PHASE,
     RelshaConfig,
     _hessian,
     _initial_state,
@@ -181,19 +179,11 @@ class TestFit:
         assert values.size > 1
         assert np.all(np.diff(values) <= 1e-9 * (1.0 + np.abs(values[:-1])))
 
-    def test_reference_zero_phase_init(self, hourly_year, truth, catalog):
-        config = RelshaConfig(lam=1.0, init_strategy=INIT_REFERENCE_ZERO_PHASE)
-        result = relsha_fit(hourly_year, truth.amplitudes, catalog, config)
-        assert result.diagnostics.converged
-        assert result.diagnostics.iterations == 0
-        assert np.abs(result.solution.amplitudes - truth.amplitudes).max() < 1e-9
-
     def test_start_puts_the_pair_magnitude_at_the_reference(self, hourly_year, truth, catalog):
         # the penalty pulls A f to the reference, so with every f = 1.2 the
-        # zero-phase start is already the lam = 1 minimizer
+        # start is already the lam = 1 minimizer
         scaled = ConstituentCatalog(tuple(replace(c, nodal_factor=1.2) for c in catalog.constituents))
-        config = RelshaConfig(lam=1.0, init_strategy=INIT_REFERENCE_ZERO_PHASE)
-        result = relsha_fit(hourly_year, truth.amplitudes, scaled, config)
+        result = relsha_fit(hourly_year, truth.amplitudes, scaled, RelshaConfig(lam=1.0))
         assert result.diagnostics.iterations == 0
         product = result.solution.amplitudes * scaled.nodal_factors
         assert np.abs(product - truth.amplitudes).max() < 1e-9
@@ -239,7 +229,7 @@ def _problem(record, reference, lam=0.5):
     def hessian(x):
         return _hessian(x, gram, ref_squares, 1.0 - lam, lam)
 
-    x0 = _initial_state(INIT_MIN_NORM_LS_RESCALED, record.a, record.b, reference)
+    x0 = _initial_state(record.a, record.b, reference)
     f0, g0 = fg(x0)
     return fg, hessian, x0, f0, g0, 1e-8 * (1.0 + abs(f0))
 
@@ -351,7 +341,3 @@ class TestConfig:
     def test_iterations_positive(self):
         with pytest.raises(ValueError, match="max_iterations"):
             RelshaConfig(max_iterations=0)
-
-    def test_init_strategy_checked(self):
-        with pytest.raises(ValueError, match="init_strategy"):
-            RelshaConfig(init_strategy="warm")

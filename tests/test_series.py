@@ -47,6 +47,13 @@ class TestWaterLevelSeries:
         assert s.native_spacing == 1.0
 
 
+class TestHarmonicSolution:
+    @pytest.mark.parametrize("phase", [np.nan, np.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            HarmonicSolution(0.0, 0.0, [0.5, 0.1], [0.0, phase], CAT2)
+
+
 class TestDetrend:
     def test_constant_series(self):
         residual, mean, trend = detrend(flat_series(1.5))
