@@ -16,7 +16,6 @@ from .constituents import (
     load_catalog,
     load_default_catalog,
     make_catalog,
-    write_catalog,
 )
 from .design import OVERDETERMINED, UNDERDETERMINED
 from .evaluation import (
@@ -29,15 +28,7 @@ from .evaluation import (
     run_grid,
 )
 from .ha import HaResult, ha_fit
-from .ingest import (
-    AltimetrySeries,
-    load_altimetry,
-    load_harmonics,
-    load_water_levels,
-    to_series,
-    write_solution,
-    write_water_levels,
-)
+from .ingest import load_harmonics, load_water_levels
 from .regularized import RelshaConfig, RelshaDiagnostics, RelshaResult, relsha_fit
 from .series import (
     HarmonicSolution,
@@ -53,7 +44,6 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AltimetrySeries",
     "ChaResult",
     "Constituent",
     "ConstituentCatalog",
@@ -77,7 +67,6 @@ __all__ = [
     "detrend",
     "ha_fit",
     "interval_slice",
-    "load_altimetry",
     "load_catalog",
     "load_default_catalog",
     "load_harmonics",
@@ -89,8 +78,4 @@ __all__ = [
     "run_grid",
     "synthesize",
     "synthesize_series",
-    "to_series",
-    "write_catalog",
-    "write_solution",
-    "write_water_levels",
 ]

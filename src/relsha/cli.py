@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -70,6 +71,14 @@ def _check_output_dir(path: str | Path) -> None:
     parent = Path(path).parent
     if not parent.is_dir():
         raise ValueError(f"output directory {parent} does not exist")
+
+
+def _check_values(option: str, values: tuple[float, ...], allow_zero: bool = False) -> None:
+    """Fail before any input is read when an option's values are not all
+    finite and positive (or zero, where allowed)."""
+    if not all(math.isfinite(v) and (v > 0 or (allow_zero and v == 0)) for v in values):
+        wanted = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{option} must be finite and {wanted}, got {','.join(map(fmt, values))}")
 
 
 def _load_config_defaults(
@@ -173,6 +182,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    _check_values("--intervals", args.intervals)
+    _check_values("--lengths", args.lengths)
+    _check_values("--noise", (args.noise,), allow_zero=True)
     _check_output_dir(args.output)
     relsha_config = RelshaConfig(lam=args.lam, normalize_terms=args.normalize_terms)
     catalog = load_catalog(args.catalog)
@@ -221,6 +233,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _check_values("--noise", (args.noise,), allow_zero=True)
     catalog = load_catalog(args.catalog)
     solution, _ = ingest.load_harmonics(args.solution, catalog)
     if args.length < args.interval:
@@ -271,7 +284,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     fit = sub.add_parser("fit", help="fit a method to a water-level file")
     fit.add_argument("--method", required=True, choices=evaluation.KNOWN_METHODS)
-    fit.add_argument("--input", required=True, help="water-level CSV (timestamp,height_m)")
+    fit.add_argument("--input", required=True, help="gauge or altimetry pass CSV (see README)")
     fit.add_argument("--output", required=True, help="solution file to write")
     fit.add_argument("--reference", help="reference amplitudes file (relsha)")
     fit.add_argument("--reference-a", help="first reference gauge harmonics (cha)")

@@ -10,7 +10,7 @@ at load time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -33,10 +33,6 @@ class Constituent:
     speed: float
     nodal_factor: float = 1.0
     nodal_angle: float = 0.0
-    # Degree-valued originals from a catalog file, kept so serialization
-    # reproduces the file text exactly (rad->deg is not 1-ulp safe).
-    speed_deg: float | None = field(default=None, compare=False, repr=False)
-    nodal_angle_deg: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -137,8 +133,6 @@ def _parse_row(raw: str, row_number: int) -> Constituent:
         speed=math.radians(speed_deg),
         nodal_factor=f,
         nodal_angle=math.radians(u_deg),
-        speed_deg=speed_deg,
-        nodal_angle_deg=u_deg,
     )
 
 
@@ -161,19 +155,6 @@ def load_catalog(source: str | Path) -> ConstituentCatalog:
     if not rows:
         raise ValueError(f"catalog file {path} contains no constituent rows")
     return ConstituentCatalog(tuple(rows))
-
-
-def write_catalog(catalog: ConstituentCatalog, path: str | Path) -> None:
-    """Serialize a catalog back to the file format accepted by load_catalog."""
-    lines = ["# name, speed_deg_per_hour[, f, u_deg]"]
-    for c in catalog.constituents:
-        speed_deg = c.speed_deg if c.speed_deg is not None else math.degrees(c.speed)
-        u_deg = c.nodal_angle_deg if c.nodal_angle_deg is not None else math.degrees(c.nodal_angle)
-        if c.nodal_factor == 1.0 and u_deg == 0.0:
-            lines.append(f"{c.name}, {speed_deg!r}")
-        else:
-            lines.append(f"{c.name}, {speed_deg!r}, {c.nodal_factor!r}, {u_deg!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def default_catalog_path() -> Path:

@@ -6,6 +6,11 @@ when no offset is given) and are converted to hours since the first
 valid sample. Bad rows are dropped with a logged warning, never
 interpolated.
 
+load_water_levels reads both kinds of water-level file, told apart by
+the header: tide-gauge records (``timestamp,height_m``) and altimetry
+pass files (``cycle,timestamp,ssh_m,flag``), which it reduces to one
+sample per repeat cycle.
+
 A file is read with one ``read_text`` and each row is parsed once into
 an aware datetime and a float; sorting, duplicate detection and the
 conversion to hours then run on one int64 array of microseconds.
@@ -16,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -114,16 +118,28 @@ def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray, dat
 
 
 def load_water_levels(path: str | Path) -> WaterLevelSeries:
-    """Load a ``timestamp,height_m`` file into a WaterLevelSeries.
+    """Load a gauge file or an altimetry pass file into a WaterLevelSeries.
 
-    Rows with missing or non-finite heights are dropped with a warning;
-    duplicate timestamps keep the first occurrence. Times are hours since
-    the first valid sample, which becomes the series epoch.
+    The header tells the two apart: a pass file's first column is the
+    repeat cycle (``cycle,timestamp,ssh_m,flag``), a gauge file's is the
+    timestamp (``timestamp,height_m``). Rows with missing or non-finite
+    heights are dropped with a warning. Times are hours since the earliest
+    valid row, which becomes the series epoch.
+
+    A gauge file gives one sample per row; of rows with the same instant,
+    the first in the file is kept. A pass file gives one sample per cycle,
+    at the median time and the median height of the cycle's good (flag 0,
+    or no flag) rows; a cycle with no good row leaves a gap, and of cycles
+    with the same median time the lower-numbered is kept. Flagged rows
+    still count toward the epoch.
     """
     path = Path(path)
     lines = _data_lines(path)
-    if not lines or "timestamp" not in lines[0][1].lower():
-        raise ValueError(f"{path}: missing 'timestamp,height_m' header")
+    header = lines[0][1].lower() if lines else ""
+    if "cycle" in header.partition(",")[0]:
+        return _load_pass(path, lines[1:])
+    if "timestamp" not in header:
+        raise ValueError(f"{path}: header names neither a 'timestamp' nor a leading 'cycle' column")
     stamps: list[datetime] = []
     heights: list[float] = []
     for number, line in lines[1:]:
@@ -150,59 +166,9 @@ def load_water_levels(path: str | Path) -> WaterLevelSeries:
     return WaterLevelSeries(times[keep], np.array(heights)[order[keep]], epoch)
 
 
-def water_levels_to_text(series: WaterLevelSeries) -> str:
-    stamps = _utc_stamps(series.epoch, series.times)
-    lines = ["timestamp,height_m"]
-    lines.extend(f"{stamp}Z,{format_number(h)}" for stamp, h in zip(stamps, series.heights))
-    return "\n".join(lines) + "\n"
-
-
-def write_water_levels(series: WaterLevelSeries, path: str | Path) -> None:
-    Path(path).write_text(water_levels_to_text(series), encoding="utf-8")
-
-
-@dataclass(frozen=True, eq=False)
-class AltimetrySeries:
-    """Along-track altimetry samples grouped by repeat cycle.
-
-    Gaps (missing cycles) are permitted and preserved; flagged-bad samples
-    stay in the container but are excluded from analysis views.
-    """
-
-    pass_id: str
-    cycles: np.ndarray
-    times: np.ndarray
-    heights: np.ndarray
-    flags: np.ndarray
-    epoch: datetime
-
-    def __post_init__(self) -> None:
-        cycles = np.array(self.cycles, dtype=int)
-        times = np.array(self.times, dtype=float)
-        heights = np.array(self.heights, dtype=float)
-        flags = np.array(self.flags, dtype=int)
-        if not (cycles.size == times.size == heights.size == flags.size):
-            raise ValueError("cycle/time/height/flag arrays must have equal length")
-        if times.size == 0:
-            raise ValueError("altimetry series must contain at least one sample")
-        if np.any(np.diff(times) < 0):
-            raise ValueError("altimetry times must be non-decreasing")
-        for name, arr in (("cycles", cycles), ("times", times), ("heights", heights), ("flags", flags)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-
-def load_altimetry(path: str | Path, pass_id: str | None = None) -> AltimetrySeries:
-    """Load a ``cycle,timestamp,ssh_m,flag`` file (flag 0 = good)."""
-    path = Path(path)
-    lines = _data_lines(path)
-    if not lines or "cycle" not in lines[0][1].lower():
-        raise ValueError(f"{path}: missing 'cycle,timestamp,ssh_m,flag' header")
+def _load_pass(path: Path, lines: list[tuple[int, str]]) -> WaterLevelSeries:
     rows: list[tuple[int, datetime, float, int]] = []
-    for number, line in lines[1:]:
+    for number, line in lines:
         parts = [p.strip() for p in line.split(",")]
         try:
             cycle = int(parts[0])
@@ -220,58 +186,31 @@ def load_altimetry(path: str | Path, pass_id: str | None = None) -> AltimetrySer
         raise ValueError(f"{path}: no valid rows")
     cycles, stamps, heights, flags = zip(*rows)
     order, times, epoch = _time_order(stamps)
-    return AltimetrySeries(
-        pass_id=pass_id if pass_id is not None else path.stem,
-        cycles=np.array(cycles)[order],
-        times=times,
-        heights=np.array(heights)[order],
-        flags=np.array(flags)[order],
-        epoch=epoch,
-    )
+    heights = np.array(heights)[order]
+    cycles = np.array(cycles)[order]
+    good = np.array(flags)[order] == FLAG_GOOD
+    kept = np.unique(cycles[good])
+    if kept.size == 0:
+        raise ValueError(f"{path}: no good-flag samples")
+    cycle_times = np.empty(kept.size)
+    cycle_heights = np.empty(kept.size)
+    for i, cycle in enumerate(kept):
+        mask = good & (cycles == cycle)
+        cycle_times[i] = np.median(times[mask])
+        cycle_heights[i] = np.median(heights[mask])
+    order = np.argsort(cycle_times, kind="stable")
+    sorted_times = cycle_times[order]
+    keep = np.concatenate(([True], sorted_times[1:] != sorted_times[:-1]))
+    for i in order[~keep]:
+        log.warning("%s: cycle %d dropped: same median time as a lower cycle", path, kept[i])
+    return WaterLevelSeries(cycle_times[order[keep]], cycle_heights[order[keep]], epoch)
 
 
-def to_series(altimetry: AltimetrySeries, reducer: str = "median") -> WaterLevelSeries:
-    """Reduce each cycle's good-flag samples to one representative height.
-
-    reducer: "median" (default), "mean", or "nearest" (the sample closest
-    to the cycle's mean time). Cycles with no good samples are absent from
-    the output, preserving the gap.
-    """
-    if reducer not in ("median", "mean", "nearest"):
-        raise ValueError(f"unknown reducer {reducer!r}")
-    good = altimetry.flags == FLAG_GOOD
-    times, heights = [], []
-    for cycle in np.unique(altimetry.cycles[good]):
-        mask = good & (altimetry.cycles == cycle)
-        t = altimetry.times[mask]
-        h = altimetry.heights[mask]
-        if reducer == "median":
-            value = float(np.median(h))
-        elif reducer == "mean":
-            value = float(np.mean(h))
-        else:
-            value = float(h[np.argmin(np.abs(t - t.mean()))])
-        times.append(float(np.median(t)))
-        heights.append(value)
-    if not times:
-        raise ValueError("no good-flag samples to reduce")
-    order = np.argsort(times, kind="stable")
-    kept_t, kept_h = [], []
-    for i in order:
-        if kept_t and times[i] == kept_t[-1]:
-            log.warning("pass %s: coincident cycle time %.6f dropped", altimetry.pass_id, times[i])
-            continue
-        kept_t.append(times[i])
-        kept_h.append(heights[i])
-    return WaterLevelSeries(np.array(kept_t), np.array(kept_h), altimetry.epoch)
-
-
-def write_altimetry(altimetry: AltimetrySeries, path: str | Path) -> None:
-    stamps = _utc_stamps(altimetry.epoch, altimetry.times)
-    lines = ["cycle,timestamp,ssh_m,flag"]
-    for cycle, stamp, h, flag in zip(altimetry.cycles, stamps, altimetry.heights, altimetry.flags):
-        lines.append(f"{cycle},{stamp}Z,{format_number(h)},{flag}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def water_levels_to_text(series: WaterLevelSeries) -> str:
+    stamps = _utc_stamps(series.epoch, series.times)
+    lines = ["timestamp,height_m"]
+    lines.extend(f"{stamp}Z,{format_number(h)}" for stamp, h in zip(stamps, series.heights))
+    return "\n".join(lines) + "\n"
 
 
 def load_harmonics(
@@ -362,11 +301,3 @@ def solution_to_text(solution: HarmonicSolution, diagnostics: dict[str, object] 
     for name, amplitude, phase in zip(solution.catalog.names, solution.amplitudes, solution.phases):
         lines.append(f"{name},{format_number(amplitude)},{format_number(math.degrees(phase))}")
     return "\n".join(lines) + "\n"
-
-
-def write_solution(
-    solution: HarmonicSolution,
-    path: str | Path,
-    diagnostics: dict[str, object] | None = None,
-) -> None:
-    Path(path).write_text(solution_to_text(solution, diagnostics), encoding="utf-8")

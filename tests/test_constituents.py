@@ -9,7 +9,6 @@ from relsha.constituents import (
     load_catalog,
     load_default_catalog,
     make_catalog,
-    write_catalog,
 )
 
 
@@ -79,30 +78,14 @@ def test_empty_catalog_rejected(tmp_path):
         ConstituentCatalog(())
 
 
-def test_round_trip_preserves_speeds(tmp_path):
-    original = load_default_catalog()
-    out = tmp_path / "roundtrip.csv"
-    write_catalog(original, out)
-    reloaded = load_catalog(out)
-    assert reloaded.names == original.names
-    assert np.array_equal(reloaded.speeds, original.speeds)
-    # serialization is stable: a second cycle reproduces the same text
-    out2 = tmp_path / "roundtrip2.csv"
-    write_catalog(reloaded, out2)
-    assert out.read_text() == out2.read_text()
-
-
 def test_round_trip_with_nodal_columns(tmp_path):
     path = write(tmp_path, "M2, 28.9841042, 1.02, 12.5\nS2, 30.0\n")
     catalog = load_catalog(path)
     assert catalog.constituents[0].nodal_factor == 1.02
     assert catalog.constituents[0].nodal_angle == pytest.approx(math.radians(12.5))
-    out = tmp_path / "rt.csv"
-    write_catalog(catalog, out)
-    again = load_catalog(out)
-    assert np.array_equal(again.speeds, catalog.speeds)
-    assert np.array_equal(again.nodal_factors, catalog.nodal_factors)
-    assert np.array_equal(again.nodal_angles, catalog.nodal_angles)
+    assert catalog.speeds.tolist() == [math.radians(28.9841042), math.radians(30.0)]
+    assert catalog.nodal_factors.tolist() == [1.02, 1.0]
+    assert catalog.nodal_angles[1] == 0.0
 
 
 def test_constituent_validation():

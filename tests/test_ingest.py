@@ -10,18 +10,12 @@ from hypothesis import given, strategies as st
 import relsha
 from relsha.ingest import (
     FLAG_GOOD,
-    AltimetrySeries,
     format_number,
-    load_altimetry,
     load_harmonics,
     load_water_levels,
     parse_timestamp,
     solution_to_text,
-    to_series,
     water_levels_to_text,
-    write_altimetry,
-    write_solution,
-    write_water_levels,
 )
 from relsha.series import DEFAULT_EPOCH, HarmonicSolution
 
@@ -91,11 +85,10 @@ class TestWaterLevels:
                                    "2021-03-01T07:00:00Z,0.25\n")
         series = load_water_levels(original)
         out = tmp_path / "out.csv"
-        write_water_levels(series, out)
+        out.write_text(water_levels_to_text(series))
         assert load_water_levels(out).heights.tolist() == series.heights.tolist()
-        assert out.read_text() == water_levels_to_text(series)
         again = tmp_path / "again.csv"
-        write_water_levels(load_water_levels(out), again)
+        again.write_text(water_levels_to_text(load_water_levels(out)))
         assert again.read_text() == out.read_text()
 
     def test_timestamp_formats(self):
@@ -173,6 +166,12 @@ class TestWaterLevels:
         assert series.times.tolist() == [0.0, 1080.0 / 3600.0]
         lines = [r.getMessage().split(":")[-2] for r in caplog.records]
         assert lines == ["2", "4", "5"]
+
+    def test_cycle_column_after_the_timestamp_is_a_gauge_column(self, tmp_path):
+        path = write(tmp_path, "timestamp,height_m,cycle\n"
+                               "2021-01-01T00:00:00Z,1.0,7\n"
+                               "2021-01-01T00:06:00Z,1.2,7\n")
+        assert load_water_levels(path).heights.tolist() == [1.0, 1.2]
 
     def test_extra_columns_ignored(self, tmp_path):
         path = write(tmp_path, "timestamp,height_m,quality,note\n"
@@ -313,6 +312,7 @@ class TestWaterLevelGolden:
 
 def _reference_load_altimetry(path):
     """The row-by-row altimetry loader, kept as the oracle of the new one."""
+    warn = logging.getLogger("relsha.ingest").warning
     lines = _reference_data_lines(path)
     rows = []
     for number, line in lines[1:]:
@@ -323,8 +323,10 @@ def _reference_load_altimetry(path):
             value = float(parts[2]) if parts[2] else math.nan
             flag = int(parts[3]) if len(parts) > 3 and parts[3] else FLAG_GOOD
         except (ValueError, IndexError):
+            warn("%s:%d: unparseable row %r dropped", path, number, line)
             continue
         if not math.isfinite(value):
+            warn("%s:%d: missing/non-finite height dropped", path, number)
             continue
         rows.append((cycle, stamp, value, flag))
     rows.sort(key=lambda r: r[1])
@@ -338,8 +340,28 @@ def _reference_load_altimetry(path):
     )
 
 
+def _reference_median_per_cycle(path, cycles, times, heights, flags):
+    """The per-cycle median reduction that pass files once went through
+    separately, kept as the oracle of the one inside load_water_levels."""
+    good = flags == FLAG_GOOD
+    reduced = []
+    for cycle in np.unique(cycles[good]):
+        mask = good & (cycles == cycle)
+        reduced.append((float(np.median(times[mask])), float(np.median(heights[mask])), cycle))
+    reduced.sort(key=lambda r: r[0])
+    kept_t, kept_h = [], []
+    for t, h, cycle in reduced:
+        if kept_t and t == kept_t[-1]:
+            logging.getLogger("relsha.ingest").warning(
+                "%s: cycle %d dropped: same median time as a lower cycle", path, cycle)
+            continue
+        kept_t.append(t)
+        kept_h.append(h)
+    return np.array(kept_t), np.array(kept_h)
+
+
 class TestAltimetryGolden:
-    def test_matches_row_by_row_loader_bit_for_bit(self, tmp_path):
+    def test_matches_row_by_row_loader_bit_for_bit(self, tmp_path, caplog):
         rng = np.random.default_rng(6)
         stamps, heights = _six_minute_year(rng)
         flags = rng.integers(0, 3, len(stamps))
@@ -350,18 +372,29 @@ class TestAltimetryGolden:
         rows[35] = "0,2021-01-03T05:36:00Z"                                  # no height
         rows[45] = "0,2021-01-03T11:36:00+05:30,0.5"                         # no flag column
         rows[55] = rows[54].rsplit(",", 2)[0] + ",3.0,1"                     # duplicate stamp kept
+        rows[65] = rows[65].rsplit(",", 2)[0] + ",inf,0"                     # non-finite height
         rows.insert(60, "# pass 288")
-        rows.append("9,2021-01-02T00:00:00,2.5,0")                            # naive, earliest
+        rows.append("9,2021-01-02T00:00:00,2.5,0")                            # naive, early
+        rows.append("9,2021-01-02T01:00:00+05:30,2.5,1")                      # flagged, earliest
+        rows += ["1000" + row[row.index(","):]                                # cycle 5 again
+                 for row in rows if row.startswith("5,")]
         path = write(tmp_path, "cycle,timestamp,ssh_m,flag\n" + "\n".join(rows) + "\n")
-        cycles, times, kept, flags, epoch = _reference_load_altimetry(path)
-        altimetry = load_altimetry(path)
-        assert altimetry.cycles.tobytes() == cycles.astype(int).tobytes()
-        assert altimetry.times.tobytes() == times.tobytes()
-        assert altimetry.heights.tobytes() == kept.tobytes()
-        assert altimetry.flags.tobytes() == flags.astype(int).tobytes()
-        assert altimetry.epoch == epoch
-        assert altimetry.epoch.tzinfo == epoch.tzinfo == timezone.utc
-        assert len(altimetry) == len(stamps) - 2 + 1
+        with caplog.at_level(logging.WARNING):
+            *columns, epoch = _reference_load_altimetry(path)
+            times, kept = _reference_median_per_cycle(path, *columns)
+        expected_log = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            series = load_water_levels(path)
+        assert series.times.tobytes() == times.tobytes()
+        assert series.heights.tobytes() == kept.tobytes()
+        assert series.epoch == epoch
+        assert series.epoch.tzinfo == epoch.tzinfo
+        assert series.epoch.utcoffset() == timedelta(hours=5, minutes=30)
+        assert [r.getMessage() for r in caplog.records] == expected_log
+        assert len(expected_log) == 4
+        assert expected_log[-1] == f"{path}: cycle 1000 dropped: same median time as a lower cycle"
+        assert len(series) == 366
 
 
 def _reference_stamp(epoch, hours):
@@ -414,17 +447,6 @@ class TestWriterGolden:
         series = relsha.WaterLevelSeries(sorted(hours), np.zeros(len(hours)), epoch)
         assert water_levels_to_text(series) == _reference_water_levels_to_text(series)
 
-    def test_altimetry_matches_row_by_row_writer(self, tmp_path):
-        path = write(tmp_path, ALTIMETRY_TEXT.replace("00:00:01Z", "00:00:01.5+05:30"))
-        altimetry = load_altimetry(path)
-        out = tmp_path / "alt.csv"
-        write_altimetry(altimetry, out)
-        expected = ["cycle,timestamp,ssh_m,flag"] + [
-            f"{c},{_reference_stamp(altimetry.epoch, t)},{format_number(h)},{f}"
-            for c, t, h, f in zip(altimetry.cycles, altimetry.times, altimetry.heights, altimetry.flags)
-        ]
-        assert out.read_text() == "\n".join(expected) + "\n"
-
 
 ALTIMETRY_TEXT = (
     "cycle,timestamp,ssh_m,flag\n"
@@ -442,66 +464,51 @@ ALTIMETRY_TEXT = (
 class TestAltimetry:
     def test_load_and_reduce(self, tmp_path):
         path = write(tmp_path, ALTIMETRY_TEXT)
-        altimetry = load_altimetry(path, pass_id="288")
-        assert altimetry.pass_id == "288"
-        assert len(altimetry) == 8
-        series = to_series(altimetry)
+        series = load_water_levels(path)
         # cycle 3 is all-bad: gap preserved, cycles 1, 2, 4 remain
         assert len(series) == 3
         assert series.heights[0] == pytest.approx(1.2)  # median of (1.0, 1.2, 5.0)
         assert series.heights[1] == pytest.approx(1.0)  # even count: mid-mean
         assert series.heights[2] == pytest.approx(0.7)
-
-    def test_reducers(self, tmp_path):
-        path = write(tmp_path, ALTIMETRY_TEXT)
-        altimetry = load_altimetry(path)
-        mean_series = to_series(altimetry, reducer="mean")
-        assert mean_series.heights[0] == pytest.approx((1.0 + 1.2 + 5.0) / 3)
-        nearest = to_series(altimetry, reducer="nearest")
-        assert nearest.heights[0] == pytest.approx(1.2)
-        with pytest.raises(ValueError, match="reducer"):
-            to_series(altimetry, reducer="mode")
+        assert series.times.tolist() == [1 / 3600, 237.6 + 0.5 / 3600, 712.8]
+        assert series.epoch == datetime(2021, 1, 1, tzinfo=timezone.utc)
 
     def test_sample_count_never_grows(self, tmp_path):
         path = write(tmp_path, ALTIMETRY_TEXT)
-        altimetry = load_altimetry(path)
-        assert len(to_series(altimetry)) <= len(altimetry)
+        assert len(load_water_levels(path)) <= ALTIMETRY_TEXT.count("\n") - 1
 
-    def test_round_trip(self, tmp_path):
-        path = write(tmp_path, ALTIMETRY_TEXT)
-        altimetry = load_altimetry(path)
-        out = tmp_path / "alt.csv"
-        write_altimetry(altimetry, out)
-        again = load_altimetry(out)
-        assert np.array_equal(again.heights, altimetry.heights)
-        assert np.array_equal(again.cycles, altimetry.cycles)
-        assert np.array_equal(again.flags, altimetry.flags)
+    def test_flagged_row_sets_the_epoch(self, tmp_path):
+        # a flagged row an hour before the first good one moves the epoch
+        # and shifts every time, but adds no sample
+        path = write(tmp_path, ALTIMETRY_TEXT + "0,2020-12-31T23:00:00Z,9.0,1\n")
+        series = load_water_levels(path)
+        assert series.epoch == datetime(2020, 12, 31, 23, tzinfo=timezone.utc)
+        assert series.heights.tolist() == [1.2, 1.0, 0.7]
+        assert series.times[0] == 1.0 + 1 / 3600
 
     def test_all_bad_rejected_on_reduce(self, tmp_path):
         path = write(tmp_path, "cycle,timestamp,ssh_m,flag\n1,2021-01-01T00:00:00Z,1.0,2\n")
         with pytest.raises(ValueError, match="no good-flag"):
-            to_series(load_altimetry(path))
-
-    def test_non_decreasing_times_enforced(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            AltimetrySeries("p", [1, 2], [1.0, 0.5], [0.0, 0.0], [0, 0],
-                            datetime(2021, 1, 1, tzinfo=timezone.utc))
+            load_water_levels(path)
 
     @given(
         heights=st.lists(st.floats(-2, 2), min_size=1, max_size=12),
         cycle_count=st.integers(1, 4),
     )
-    def test_to_series_satisfies_series_invariants(self, heights, cycle_count):
+    def test_pass_file_satisfies_series_invariants(self, tmp_path_factory, heights, cycle_count):
         count = len(heights)
         cycles = np.sort(np.arange(count) % cycle_count)
-        times = np.linspace(0.0, 10.0 * count, count)
-        altimetry = AltimetrySeries(
-            "p", cycles, times, np.array(heights), np.zeros(count, dtype=int),
-            datetime(2021, 1, 1, tzinfo=timezone.utc),
-        )
-        series = to_series(altimetry)
-        assert np.all(np.diff(series.times) > 0) or len(series) == 1
-        assert len(series) <= len(altimetry)
+        epoch = datetime(2021, 1, 1, tzinfo=timezone.utc)
+        rows = [f"{c},{(epoch + timedelta(hours=10.0 * i)).isoformat()},{format_number(h)},0"
+                for i, (c, h) in enumerate(zip(cycles, heights))]
+        path = tmp_path_factory.mktemp("pass") / "pass.csv"
+        path.write_text("cycle,timestamp,ssh_m,flag\n" + "\n".join(rows) + "\n")
+        series = load_water_levels(path)
+        assert np.all(np.diff(series.times) > 0)
+        assert len(series) == len(set(cycles))
+        # a median lies within its samples (heights are written to 9 digits)
+        assert np.all(series.heights >= min(heights) - 1e-8)
+        assert np.all(series.heights <= max(heights) + 1e-8)
 
 
 class TestHarmonics:
@@ -554,7 +561,7 @@ class TestHarmonics:
 
     def test_solution_round_trip(self, tmp_path, truth, catalog):
         out = tmp_path / "solution.csv"
-        write_solution(truth, out, diagnostics={"method": "synthetic"})
+        out.write_text(solution_to_text(truth, diagnostics={"method": "synthetic"}))
         again, metadata = load_harmonics(out, catalog)
         assert metadata["method"] == "synthetic"
         assert np.allclose(again.amplitudes, truth.amplitudes, rtol=1e-8, atol=1e-12)
