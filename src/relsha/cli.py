@@ -1,10 +1,11 @@
 """Command-line interface: fit, experiment, synth, rrmse, and resample.
 
 Output files are written atomically (unique temp file then rename) so a
-failed run never leaves a partial file, and fit and experiment check that
-the output directory exists before reading any input. All numbers are
-printed with 9 significant digits so reruns with identical inputs and
-seeds are byte-identical.
+failed run never leaves a partial file. Before reading any input, every
+command that writes a file checks that its output directory exists, and
+synth, resample and experiment check their spacings, lengths and noise.
+All numbers are printed with 9 significant digits so reruns with
+identical inputs and seeds are byte-identical.
 """
 
 from __future__ import annotations
@@ -185,6 +186,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _check_values("--intervals", args.intervals)
     _check_values("--lengths", args.lengths)
     _check_values("--noise", (args.noise,), allow_zero=True)
+    _check_values("--base-interval", (args.base_interval,))
     _check_output_dir(args.output)
     relsha_config = RelshaConfig(lam=args.lam, normalize_terms=args.normalize_terms)
     catalog = load_catalog(args.catalog)
@@ -233,7 +235,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _check_values("--interval", (args.interval,))
+    _check_values("--length", (args.length,))
     _check_values("--noise", (args.noise,), allow_zero=True)
+    _check_output_dir(args.output)
     catalog = load_catalog(args.catalog)
     solution, _ = ingest.load_harmonics(args.solution, catalog)
     if args.length < args.interval:
@@ -257,6 +262,9 @@ def cmd_rrmse(args: argparse.Namespace) -> int:
 
 
 def cmd_resample(args: argparse.Namespace) -> int:
+    _check_values("--interval", (args.interval,))
+    _check_values("--length", (args.length,))
+    _check_output_dir(args.output)
     series = ingest.load_water_levels(args.input)
     plan = SamplingPlan(interval=args.interval, record_length=args.length, seed=args.seed)
     sampled = resample(series, plan)

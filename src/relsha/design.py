@@ -10,12 +10,16 @@ sin(theta)sin(wt); amplitudes are unaffected by the choice.
 Every fit reads the data only through the misfit ||H x - h||^2 of the
 detrended heights h. ``prepare`` computes, once per record, a triple
 (a, b, rest) with ||H x - h||^2 = ||a x - b||^2 + rest for every x. For
-m > 2n + 1 samples it QR-factors the augmented m x (2n+1) matrix [H | h]:
-with [H | h] = Q [[R, c], [0, d], [0, 0]], a = R is 2n x 2n, b = c and
-rest = d^2, so every later solve costs O(n^2) whatever m is. R has the
-singular values of H, so rank decisions and minimum-norm solutions carry
-over. For m <= 2n + 1 the factorization would not shrink anything, and
-a, b are H and h themselves (rest = 0).
+m > 2n + 1 samples it compresses the augmented m x (2n+1) matrix [H | h]
+by Gram-Cholesky, with QR as the fallback: with [H | h] = Q [[R, c],
+[0, d], [0, 0]], a = R is 2n x 2n, b = c and rest = d^2, so every later
+solve costs O(n^2) whatever m is. A well-conditioned H gets R and c from
+the Cholesky factor of the Gram matrix [H | h]^T [H | h], one BLAS-3 pass
+over the data; an ill-conditioned one (near-resonant sampling, short
+records) is QR-factored by dgeqrf. R has the singular values of H, so
+rank decisions and minimum-norm solutions carry over. For m <= 2n + 1
+the factorization would not shrink anything, and a, b are H and h
+themselves (rest = 0).
 """
 
 from __future__ import annotations
@@ -23,13 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
+from scipy.linalg.blas import dgemv, dsyrk
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dpotrf, dtrcon, dtrtrs
 
 from .constituents import TWO_PI, ConstituentCatalog
 from .series import HarmonicSolution, WaterLevelSeries, detrend
 
 OVERDETERMINED = "overdetermined"
 UNDERDETERMINED = "underdetermined"
+
+# compress_design takes the Gram-Cholesky path only below this estimated
+# cond(R): its relative error eps * cond^2 then stays under about 2e-8,
+# and every singular value stays far above the rank cut-off of HA's solve.
+GRAM_MAX_CONDITION = 1e4
 
 
 def classify_regime(sample_count: int, n_constituents: int) -> str:
@@ -61,22 +71,55 @@ def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.nda
 
     H is build_design_matrix(times, catalog). Up to 2n + 1 samples, a and
     b are H and heights. Beyond that, [H | heights] is built in Fortran
-    order and factored in place by LAPACK dgeqrf, and a is the 2n x 2n
-    triangle R.
+    order and compressed by Gram-Cholesky (_gram_compress), with QR as the
+    fallback: when the Gram path declines, LAPACK dgeqrf factors the same
+    matrix in place. Either way a is the 2n x 2n upper triangle R.
     """
     h = np.asarray(heights, dtype=float)
     two_n = 2 * catalog.n
     if h.size <= two_n + 1:
         return build_design_matrix(times, catalog), h, 0.0
-    # Column-major [H | h]: dgeqrf factors it without a copy.
+    # Column-major [H | h]: dsyrk and dgeqrf read it without a copy.
     augmented = np.empty((h.size, two_n + 1), order="F")
     _fill_transposed_design(np.asarray(times, dtype=float), catalog, augmented[:, :two_n].T)
     augmented[:, two_n] = h
+    compressed = _gram_compress(augmented)
+    if compressed is not None:
+        return compressed
     lwork, _ = dgeqrf_lwork(*augmented.shape)
     qr, _, _, info = dgeqrf(augmented, lwork=int(lwork), overwrite_a=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
     return np.triu(qr[:two_n, :two_n]), qr[:two_n, two_n].copy(), float(qr[two_n, two_n] ** 2)
+
+
+def _gram_compress(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(a, b, rest) of the m x (2n+1) Fortran-order [H | h] from its Gram
+    matrix, or None, leaving augmented untouched, when H is too
+    ill-conditioned for it.
+
+    G = [H | h]^T [H | h] (one dsyrk) gives H^T H = R^T R (dpotrf of its
+    leading 2n x 2n block) and b = R^-T H^T h, the R and Q^T h of a QR
+    factorization up to rounding: the first pass of CholeskyQR (Fukaya,
+    Nakatsukasa et al. 2014). Its relative error grows like
+    eps cond(H)^2, so the path is taken only when dpotrf succeeds and
+    dtrcon estimates cond(R) below GRAM_MAX_CONDITION. rest is
+    ||H x* - h||^2 at x* = R^-1 b, formed in place of the h column. G's
+    last pivot would give it as ||h||^2 - ||b||^2, which cancels to noise
+    on records that H fits almost exactly, so that pivot is never formed.
+    """
+    two_n = augmented.shape[1] - 1
+    gram = dsyrk(1.0, augmented, trans=1)
+    a, info = dpotrf(gram[:two_n, :two_n])
+    if info != 0:
+        return None
+    rcond, info = dtrcon(a)
+    if info != 0 or rcond * GRAM_MAX_CONDITION <= 1.0:
+        return None
+    b, _ = dtrtrs(a, gram[:two_n, two_n], trans=1)
+    x, _ = dtrtrs(a, b)
+    residual = dgemv(1.0, augmented[:, :two_n], x, beta=-1.0, y=augmented[:, two_n], overwrite_y=1)
+    return a, b, float(residual @ residual)
 
 
 @dataclass(frozen=True, eq=False)

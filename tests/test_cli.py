@@ -287,6 +287,23 @@ class TestSynth:
         assert "missing.csv" not in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value", [("--interval", "0"), ("--interval", "-1"), ("--length", "nan")])
+    def test_bad_spacing_fails_before_reading_input(self, tmp_path, caplog, option, value):
+        argv = {"--interval": "1", "--length": "24", option: value}
+        code = run("synth", "--solution", tmp_path / "missing.csv",
+                   *[x for pair in argv.items() for x in pair], "--output", tmp_path / "out.csv")
+        assert code == 1
+        assert f"{option} must be finite and positive, got {value}" in caplog.text
+        assert "missing.csv" not in caplog.text
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_output_dir_fails_before_reading_input(self, tmp_path, caplog):
+        code = run("synth", "--solution", tmp_path / "missing.csv", "--interval", 1.0,
+                   "--length", 24, "--output", tmp_path / "no_such_dir" / "out.csv")
+        assert code == 1
+        assert f"output directory {tmp_path / 'no_such_dir'} does not exist" in caplog.text
+        assert "missing.csv" not in caplog.text and ".tmp" not in caplog.text
+
 
 class TestRrmseCommand:
     def test_identical_files_print_zero(self, tmp_path, tiny_catalog, tiny_truth, capsys):
@@ -317,6 +334,22 @@ class TestResampleCommand:
         picked = load_water_levels(out)
         assert len(picked) == (len(source) + 1) // 2
         assert np.array_equal(picked.heights, source.heights[::2])
+
+    @pytest.mark.parametrize("option, value", [("--interval", "-1"), ("--length", "0")])
+    def test_bad_spacing_fails_before_reading_input(self, tmp_path, caplog, option, value):
+        argv = {"--interval": "1", "--length": "24", option: value}
+        code = run("resample", "--input", tmp_path / "missing.csv",
+                   *[x for pair in argv.items() for x in pair], "--output", tmp_path / "out.csv")
+        assert code == 1
+        assert f"{option} must be finite and positive, got {value}" in caplog.text
+        assert "missing.csv" not in caplog.text
+
+    def test_missing_output_dir_fails_before_reading_input(self, tmp_path, caplog):
+        code = run("resample", "--input", tmp_path / "missing.csv", "--interval", 1.0,
+                   "--length", 24, "--output", tmp_path / "no_such_dir" / "out.csv")
+        assert code == 1
+        assert "output directory" in caplog.text
+        assert "missing.csv" not in caplog.text
 
 
 class TestExperiment:
@@ -385,6 +418,7 @@ class TestExperiment:
     @pytest.mark.parametrize("option, value", [
         ("--intervals", "237.6,-5"), ("--intervals", "nan"),
         ("--lengths", "0"), ("--lengths", "2000,inf"), ("--noise", "-1"),
+        ("--base-interval", "0"), ("--base-interval", "-1"),
     ])
     def test_bad_lattice_or_noise_fails_before_the_base_record(
         self, tmp_path, monkeypatch, caplog, option, value

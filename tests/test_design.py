@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
 
+from relsha import design
 from relsha.constituents import ConstituentCatalog, Constituent, make_catalog
 from relsha.design import (
     OVERDETERMINED,
@@ -16,7 +19,15 @@ from relsha.design import (
     prepare,
     unpack_state,
 )
-from relsha.series import HarmonicSolution, WaterLevelSeries, detrend, synthesize
+from relsha.ha import RANK_RCOND, ha_fit
+from relsha.series import (
+    HarmonicSolution,
+    SamplingPlan,
+    WaterLevelSeries,
+    detrend,
+    resample,
+    synthesize,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -173,3 +184,77 @@ class TestPreparedRecord:
     def test_prepare_rejects_a_single_sample(self, catalog):
         with pytest.raises(ValueError, match="at least 2"):
             prepare(WaterLevelSeries([0.0], [1.0]), catalog)
+
+
+class TestGramPath:
+    """compress_design takes Gram-Cholesky on well-conditioned records and
+    dgeqrf otherwise; which one ran is seen by spying on design.dgeqrf."""
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dgeqrf(*args, **kwargs)
+
+        monkeypatch.setattr(design, "dgeqrf", spy)
+        return calls
+
+    @staticmethod
+    def _augmented(residual, catalog):
+        return np.column_stack([build_design_matrix(residual.times, catalog), residual.heights])
+
+    @pytest.mark.parametrize("interval, length", [
+        (12.0, 8766.0),  # aliases the semidiurnal band: cond(H) ~ 1e16, dpotrf fails
+        (1.0, 720.0),  # 30 days: dpotrf succeeds, dtrcon estimates cond(R) ~ 2e6
+    ])
+    def test_ill_conditioned_record_falls_back_to_dgeqrf_bit_for_bit(
+        self, base_series, catalog, qr_calls, interval, length
+    ):
+        residual, _, _ = detrend(resample(base_series, SamplingPlan(interval, length, seed=0)))
+        a, b, rest = compress_design(residual.times, residual.heights, catalog)
+        assert len(qr_calls) == 1
+        augmented = np.asfortranarray(self._augmented(residual, catalog))
+        lwork, _ = dgeqrf_lwork(*augmented.shape)
+        qr, _, _, info = dgeqrf(augmented, lwork=int(lwork))
+        two_n = 2 * catalog.n
+        assert info == 0
+        assert np.array_equal(a, np.triu(qr[:two_n, :two_n]))
+        assert np.array_equal(b, qr[:two_n, two_n])
+        assert rest == qr[two_n, two_n] ** 2
+
+    def test_hourly_year_takes_the_gram_path(self, hourly_year, catalog, qr_calls):
+        record = prepare(hourly_year, catalog)
+        assert qr_calls == []
+        assert np.array_equal(record.a, np.triu(record.a))
+
+    def test_gram_rest_matches_qr_rest_on_noise_free_heights(self, hourly_year, catalog, qr_calls):
+        residual, _, _ = detrend(hourly_year)
+        _, _, rest = compress_design(residual.times, residual.heights, catalog)
+        assert qr_calls == []
+        r = scipy.linalg.qr(self._augmented(residual, catalog), mode="r")[0]
+        two_n = 2 * catalog.n
+        assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
+
+    def test_gram_rest_survives_a_near_exact_fit(self, catalog, qr_calls):
+        # ||h||^2 - ||Q^T h||^2 would cancel to ~1e-4 relative error here
+        rng = np.random.default_rng(5)
+        times = np.arange(0.0, 8766.0, 1.0)
+        design_matrix = build_design_matrix(times, catalog)
+        heights = design_matrix @ rng.normal(size=2 * catalog.n) + 1e-6 * rng.normal(size=times.size)
+        _, _, rest = compress_design(times, heights, catalog)
+        assert qr_calls == []
+        r = scipy.linalg.qr(np.column_stack([design_matrix, heights]), mode="r")[0]
+        two_n = 2 * catalog.n
+        assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
+
+    def test_gram_ha_amplitudes_match_a_qr_of_the_full_design(self, hourly_year, catalog, qr_calls):
+        amplitudes = ha_fit(hourly_year, catalog).solution.amplitudes
+        assert qr_calls == []
+        residual, _, _ = detrend(hourly_year)
+        r = scipy.linalg.qr(self._augmented(residual, catalog), mode="r")[0]
+        two_n = 2 * catalog.n
+        x, _, _, _ = np.linalg.lstsq(r[:two_n, :two_n], r[:two_n, two_n], rcond=RANK_RCOND)
+        expected, _ = unpack_state(x, catalog)
+        assert np.abs(amplitudes - expected).max() < 1e-9
