@@ -77,8 +77,10 @@ def cha_fit(
 
     Weight 0 reproduces gauge A's harmonics and weight 1 gauge B's. The
     returned solution carries the interpolated amplitudes/phases at w*
-    together with the series' own mean and trend. When the two gauges are
-    identical the weight is unidentifiable and flagged as such.
+    together with the series' own mean and trend. When the scanned
+    objective is flat, its range within 1e-9 (1 + its minimum), the weight
+    is unidentifiable and flagged as such: the gauges are identical or
+    differ by less than the series can resolve.
     """
     if len(series) < 2:
         raise ValueError("cha_fit requires at least 2 samples")
@@ -123,9 +125,8 @@ def cha_solve(record: PreparedRecord, ref_a: GaugeHarmonics, ref_b: GaugeHarmoni
             if j_refined < j_star:
                 w_star, j_star = w_refined, j_refined
 
-    identifiable = not (
-        np.array_equal(amp_a, amp_b) and np.array_equal(phase_a, ref_b.solution.phases)
-    )
+    # A flat scan leaves w to rounding: gauges equal, or too close to tell apart.
+    identifiable = bool(values.max() - values.min() > 1e-9 * (1.0 + abs(values.min())))
 
     amp = (1.0 - w_star) * amp_a + w_star * amp_b
     phase = (phase_a + w_star * arc) % TWO_PI

@@ -163,6 +163,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         diagnostics.update(
             **{"lambda": fmt(fit_config.lam)},
             iterations=d.iterations,
+            factorizations=d.factorizations,
             restarts=d.restarts,
             initial_objective=fmt(d.initial_objective),
             final_objective=fmt(d.objective),

@@ -25,14 +25,22 @@ divides by m.
 The minimization is _newton, a trust-region Newton method on the exact
 Hessian B (Nocedal & Wright, Numerical Optimization, ch. 4). Each step
 is p = -(B + mu I)^-1 g, factored by Cholesky, with mu >= 0 found by
-Newton's method on the secular equation ||p(mu)|| = radius (More &
-Sorensen 1983). Where the quartic penalty makes B indefinite, mu
-shifts the model to a positive-definite one inside the radius, so
-negative curvature bends the step instead of stalling the solver.
+More and Sorensen's method (1983): Newton's method on the secular
+equation ||p(mu)|| = radius inside a safeguarded bracket, started from
+the previous step's mu. Where the quartic penalty makes B indefinite,
+mu shifts the model to a positive-definite one inside the radius, so
+negative curvature bends the step instead of stalling the solver. In
+the hard case, where p stays inside the radius as mu falls to
+-lambda_min(B), inverse iteration with the factor gives a near-lowest
+eigenvector z and the step is p + tau z on the radius. A step is taken
+on the ratio of actual to predicted decrease with both raised by a
+floor at the rounding level of J (Conn, Gould & Toint, Trust-Region
+Methods, 17.4.2), so rounding does not decide whether a fit converges.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +58,8 @@ from .series import HarmonicSolution, WaterLevelSeries
 _ACCEPT, _SHRINK, _GROW = 0.15, 0.25, 0.75
 # Cholesky factorizations one trust-region step may try.
 _MAX_FACTORIZATIONS = 20
+# A step ends within this fraction of the radius (More and Sorensen's sigma_1).
+_RADIUS_TOLERANCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -148,11 +158,25 @@ def _hessian(
     w_data: float,
     w_reg: float,
 ) -> np.ndarray:
-    """The objective's Hessian at x, with gram = a^T a formed once per solve."""
+    """The objective's Hessian at x, with gram = a^T a formed once per solve.
+
+    The penalty terms are added in place on the diagonal and on the two
+    diagonals of the cos/sin cross block, the only entries they touch.
+    """
     s = _pair_squares(x) - ref_squares
-    pairs = np.tile(np.eye(s.size), (2, 2))
-    curvature = np.diag(4.0 * w_reg * np.concatenate([s, s]))
-    return 2.0 * w_data * gram + curvature + 8.0 * w_reg * np.outer(x, x) * pairs
+    n = s.size
+    hess = (2.0 * w_data) * gram
+    # -0.0 + 0.0 is 0.0: every entry keeps the bits of the full-matrix sum
+    # 2 w_data gram + diag(4 w_reg expand(s)) + 8 w_reg P(x x^T).
+    hess += 0.0
+    diagonal, pair = np.arange(2 * n), np.arange(n)
+    hess[diagonal, diagonal] += (4.0 * w_reg) * np.concatenate([s, s])
+    coupling = 8.0 * w_reg
+    hess[diagonal, diagonal] += coupling * (x * x)
+    cross = coupling * (x[:n] * x[n:])
+    hess[pair, pair + n] += cross
+    hess[pair + n, pair] += cross
+    return hess
 
 
 def _initial_state(a: np.ndarray, b: np.ndarray, target_magnitude: np.ndarray) -> np.ndarray:
@@ -181,6 +205,7 @@ class RelshaDiagnostics:
     gradient_tolerance: float
     iterations: int
     restarts: int  # always 0: the trust-region loop never restarts; kept for its readers
+    factorizations: int  # Cholesky factorizations tried, failed ones included
     converged: bool
     regime: str
     sample_count: int
@@ -253,8 +278,9 @@ def relsha_solve(
 
     j0, g0 = fg(x)
     tolerance = config.gradient_tolerance * (1.0 + abs(j0))
+    tries: list[int] = []
     x, final_objective, final_gradient, iterations = _newton(
-        fg, hessian, x, j0, g0, tolerance, config.max_iterations, callback
+        fg, hessian, x, j0, g0, tolerance, config.max_iterations, callback, tries
     )
     gradient_norm = float(np.abs(final_gradient).max())
     diagnostics = RelshaDiagnostics(
@@ -264,6 +290,7 @@ def relsha_solve(
         gradient_tolerance=tolerance,
         iterations=iterations,
         restarts=0,
+        factorizations=sum(tries),
         converged=gradient_norm <= tolerance,
         regime=classify_regime(record.sample_count, catalog.n),
         sample_count=record.sample_count,
@@ -271,67 +298,114 @@ def relsha_solve(
     return RelshaResult(solution=record.solution(*unpack_state(x, catalog)), diagnostics=diagnostics)
 
 
-def _step(hess, g, radius):
-    """A trust-region step p = -(hess + mu I)^-1 g with mu >= 0, or None.
+def _step(hess, g, radius, mu=0.0):
+    """A trust-region step for the model g^T p + p^T hess p / 2 in
+    ||p|| <= radius, by More and Sorensen's algorithm (1983, sections 3-4).
 
-    mu = 0 when that is positive definite with p inside the radius.
-    Otherwise mu stays in More and Sorensen's bracket, which each
-    factorization narrows: Newton's method on 1/||p(mu)|| = 1/radius
-    proposes the next mu, a failed factorization raises the lower end,
-    and a proposal outside the bracket is replaced by its safeguard. A
-    p within 10% of the radius is returned at once; when the
-    factorizations run out, the last p found, cut back to the radius.
+    Returns (p, mu, factorizations): p = -(hess + mu I)^-1 g with mu >= 0,
+    or p + tau z on the hard case, or None; mu to start the next step's
+    search from; and the Cholesky factorizations tried. The search starts
+    at the given mu, clamped into More and Sorensen's bracket [low, high],
+    which each factorization narrows: Newton's method on 1/||p(mu)|| =
+    1/radius proposes the next mu, a failed factorization raises low, and
+    a proposal outside the bracket is replaced by its safeguard, except
+    that mu = 0 is tried once when Newton goes below 0 with low = 0.
+
+    p is returned when mu = 0 with p inside the radius, or when ||p|| is
+    within 10% of it. When p falls inside at mu > 0, two inverse
+    iterations with the factor give z, a unit vector near the lowest
+    eigenvector of hess, which raises low to mu - ||u z||^2; p + tau z,
+    on the radius, is returned when its model value is within the same
+    tolerance of the optimum. When the factorizations run out, the last
+    p found, cut back to the radius.
     """
-    identity = np.eye(g.size)
-    scale = np.linalg.norm(g) / radius
+    size = g.size
+    diagonal = hess.diagonal().copy()
     bound = np.abs(hess).sum(axis=0).max()
-    mu, low, high = 0.0, max(0.0, -np.diag(hess).min(), scale - bound), scale + bound
+    scale = math.sqrt(g @ g) / radius
+    low, high = max(0.0, -diagonal.min(), scale - bound), scale + bound
+    mu = min(max(mu, low), high)
+    zero_tried = mu == 0.0
+    shifted = np.empty((size, size), order="F")
     best = None
-    for _ in range(_MAX_FACTORIZATIONS):
-        u, info = dpotrf(hess + mu * identity, overwrite_a=1)
+    for tries in range(1, _MAX_FACTORIZATIONS + 1):
+        shifted[...] = hess
+        np.fill_diagonal(shifted, diagonal + mu)
+        u, info = dpotrf(shifted, overwrite_a=1)
         if info == 0:
             p = dpotrs(u, -g)[0]
-            norm = np.linalg.norm(p)
-            if (mu == 0.0 and norm <= radius) or abs(norm - radius) <= 0.1 * radius:
-                return p
-            best = p * min(1.0, radius / norm)
+            norm = math.sqrt(p @ p)
+            if (mu == 0.0 and norm <= radius) or abs(norm - radius) <= _RADIUS_TOLERANCE * radius:
+                return p, mu, tries
             if norm < radius:
                 high = min(high, mu)
+                # Inverse iteration from p, which carries on the sequence
+                # (hess + mu I)^-k g, plus a constant vector of the same
+                # norm for a lowest eigenvector orthogonal to g.
+                z = dpotrs(u, dpotrs(u, p / norm + 1.0 / math.sqrt(size))[0])[0]
+                z /= math.sqrt(z @ z)
+                uz, up = u @ z, u @ p
+                curvature = uz @ uz
+                low = max(low, mu - curvature)
+                tau = _to_boundary(p, z, norm, radius)
+                sigma = _RADIUS_TOLERANCE
+                if tau * tau * curvature <= sigma * (2.0 - sigma) * (up @ up + mu * radius * radius):
+                    return p + tau * z, mu, tries
             else:
                 low = max(low, mu)
+            best = p * min(1.0, radius / norm)
             q = dtrtrs(u, p, trans=1)[0]
-            mu += (norm / np.linalg.norm(q)) ** 2 * (norm - radius) / radius
+            mu += (norm * norm / (q @ q)) * (norm - radius) / radius
+            if mu <= 0.0 and low == 0.0 and not zero_tried:
+                mu, zero_tried = 0.0, True
+                continue
         else:
             low = max(low, mu)
         if not low < mu < high:
-            mu = max(np.sqrt(low * high), 1e-3 * high)
-    return best
+            mu = max(math.sqrt(low * high), 1e-3 * high)
+    return best, mu, _MAX_FACTORIZATIONS
 
 
-def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback):
+def _to_boundary(p, z, norm, radius):
+    """The root of ||p + tau z|| = radius of smaller magnitude, for
+    ||p|| = norm < radius and a unit z, in the form that does not cancel."""
+    along = p @ z
+    gap = (radius - norm) * (radius + norm)
+    return gap / (along + math.copysign(math.sqrt(along * along + gap), along))
+
+
+def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback, tries=None):
     """Trust-region Newton from x, with f, g = fg(x), until the gradient
     infinity norm is at most tolerance or max_iterations steps are taken.
 
     callback(x) runs once per step taken. A trial point with a non-finite
-    J is rejected. The loop also ends when no step is found or the step
+    J is rejected. A step is taken on the ratio of actual to predicted
+    decrease, each raised by 10 eps max(1, |J|) so that decreases below
+    the float noise of J count as agreeing (Conn, Gould and Toint,
+    Trust-Region Methods, 17.4.2). Each step's search for mu starts from
+    the last step's. The loop also ends when no step is found or the step
     falls to the float resolution of x, as rejected steps near a zero of
-    J make it. Returns x, f, g and the steps taken.
+    J make it. Returns x, f, g and the steps taken; each step's count of
+    Cholesky factorizations is appended to tries, when given.
     """
-    iterations = 0
+    iterations, mu = 0, 0.0
     # Short first steps keep the fit near its start; from a radius of the
     # start's full size, more sparse records ended at a higher J.
     radius = 0.1 * max(np.linalg.norm(x), 1.0)
     b = hessian(x)
     while np.abs(g).max() > tolerance and iterations < max_iterations:
-        p = _step(b, g, radius)
+        p, mu, factorizations = _step(b, g, radius, mu)
+        if tries is not None:
+            tries.append(factorizations)
         if p is None:
             break
-        length = np.linalg.norm(p)
+        length = math.sqrt(p @ p)
         if length <= np.finfo(float).eps * np.linalg.norm(x):
             break
         predicted = -(g @ p + 0.5 * (p @ b @ p))
         f_new, g_new = fg(x + p)
-        ratio = (f - f_new) / predicted if predicted > 0 and np.isfinite(f_new) else 0.0
+        floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f))
+        ratio = (f - f_new + floor) / (predicted + floor) if predicted > 0 and np.isfinite(f_new) else 0.0
         if ratio < _SHRINK:
             radius = _SHRINK * length
         elif ratio > _GROW and length >= 0.9 * radius:

@@ -100,6 +100,14 @@ class TestProperties:
         assert not result.identifiable
         assert np.allclose(result.solution.amplitudes, ref_a.solution.amplitudes)
 
+    def test_gauges_apart_by_rounding_flagged(self, gauges, catalog):
+        ref_a, _ = gauges
+        a = ref_a.solution
+        shifted = HarmonicSolution(a.mean, a.trend, a.amplitudes, a.phases + 1e-13, catalog)
+        series = synthesize_series(a, np.arange(0.0, 400.0, 0.5))
+        result = cha_fit(series, ref_a, GaugeHarmonics("shifted", shifted), catalog)
+        assert not result.identifiable
+
     def test_solution_keeps_series_mean_and_trend(self, gauges, catalog):
         ref_a, ref_b = gauges
         base = synthesize_series(ref_a.solution, np.arange(0.0, 800.0, 0.5))

@@ -83,6 +83,7 @@ class TestFit:
         d = relsha_fit(load_water_levels(tiny_gauge), reference, catalog).diagnostics
         _, metadata = load_harmonics(out, catalog)
         assert metadata["restarts"] == str(d.restarts)
+        assert metadata["factorizations"] == str(d.factorizations)
         assert metadata["initial_objective"] == format_number(d.initial_objective)
 
     def test_normalize_terms_flag(self, tmp_path, tiny_gauge, tiny_catalog, tiny_truth):

@@ -5,19 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relsha.regularized
 from relsha.constituents import ConstituentCatalog
-from relsha.design import build_design_matrix, pack_solution, prepare
-from relsha.evaluation import rrmse
+from relsha.design import _pair_squares, build_design_matrix, pack_solution, prepare
+from relsha.evaluation import cell_seed, default_intervals, default_lengths, rrmse
 from relsha.ha import ha_fit
 from relsha.regularized import (
     RelshaConfig,
     _hessian,
     _initial_state,
     _newton,
+    _step,
     relsha_fit,
+    relsha_solve,
     relsha_value_and_gradient,
 )
-from relsha.series import SamplingPlan, WaterLevelSeries, resample
+from relsha.series import SamplingPlan, WaterLevelSeries, resample, synthesize_series
 
 TWO_PI = 2.0 * math.pi
 
@@ -292,6 +295,103 @@ class TestNewtonLoop:
         assert np.abs(g).max() <= tolerance
         assert 0 < iterations == len(values) - 1
         assert np.all(np.diff(values) < 0.0)
+
+
+def _dense_hessian(x, gram, ref_squares, w_data, w_reg):
+    """The Hessian as the full-matrix sum of its formula."""
+    s = _pair_squares(x) - ref_squares
+    pairs = np.tile(np.eye(s.size), (2, 2))
+    curvature = np.diag(4.0 * w_reg * np.concatenate([s, s]))
+    return 2.0 * w_data * gram + curvature + 8.0 * w_reg * np.outer(x, x) * pairs
+
+
+@pytest.fixture
+def dpotrf_calls(monkeypatch):
+    """Counts the Cholesky factorizations the solver tries."""
+    calls = []
+    factor = relsha.regularized.dpotrf
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(relsha.regularized, "dpotrf", counting)
+    return calls
+
+
+def _hard_case():
+    """An indefinite B, its lowest eigenvector orthogonal to g, and a radius
+    that ||(B + mu I)^-1 g|| stays inside however close mu gets to 1."""
+    return np.diag([2.0, -1.0, 3.0, 1.0]), np.array([0.5, 0.0, 0.5, 0.5]), 1.0
+
+
+class TestHessianBits:
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("interval", [264.0, 237.6, 1.0])
+    def test_matches_the_full_matrix_sum_bit_for_bit(self, base_series, reference_nearby, catalog, interval, lam):
+        record = _one_year(base_series, catalog, interval)
+        gram = record.a.T @ record.a
+        for scale in (1.0, 10.0):
+            reference = scale * reference_nearby.amplitudes
+            x0 = _initial_state(record.a, record.b, reference)
+            noisy = x0 + np.random.default_rng(3).normal(scale=0.05, size=x0.size)
+            for x in (x0, 1e-3 * x0, noisy, np.zeros_like(x0)):
+                args = (x, gram, reference**2, 1.0 - lam, lam)
+                assert _hessian(*args).tobytes() == _dense_hessian(*args).tobytes()
+
+
+class TestStep:
+    def test_interior_newton_step_takes_one_factorization(self, dpotrf_calls):
+        b = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        g = np.array([0.1, -0.2, 0.3])
+        p, mu, tries = _step(b, g, 1.0)
+        assert np.allclose(p, -np.linalg.solve(b, g), rtol=1e-14, atol=0.0)
+        assert mu == 0.0 and tries == 1 and len(dpotrf_calls) == 1
+
+    def test_hard_case_reaches_the_radius(self, dpotrf_calls):
+        b, g, radius = _hard_case()
+        p, mu, tries = _step(b, g, radius)
+        assert abs(np.linalg.norm(p) - radius) <= 0.1 * radius
+        assert tries == len(dpotrf_calls) <= 6
+        # within More and Sorensen's tolerance of the model's minimum on the
+        # sphere: p* = (B + I)^+ (-g) plus the lowest eigenvector to the radius
+        model = g @ p + 0.5 * p @ b @ p
+        interior = -np.linalg.pinv(b + np.eye(4)) @ g
+        lowest = np.linalg.eigh(b)[1][:, 0]
+        best = interior + math.sqrt(radius**2 - interior @ interior) * lowest
+        optimum = g @ best + 0.5 * best @ b @ best
+        assert optimum < model <= (1.0 - 0.1 * (2.0 - 0.1)) * optimum
+
+    @pytest.mark.parametrize("mu", [1e6, 1e-9])
+    def test_warm_start_outside_the_bracket_is_clamped(self, mu):
+        b, g, radius = _hard_case()
+        p, _, _ = _step(b, g, radius, mu)
+        assert abs(np.linalg.norm(p) - radius) <= 0.1 * radius
+
+    def test_newton_below_zero_still_finds_the_interior_step(self):
+        # warm-started above the answer, Newton overshoots below mu = 0
+        b = np.diag([1.0, 2.0, 3.0])
+        g = np.array([0.1, 0.1, 0.1])
+        p, mu, _ = _step(b, g, 1.0, mu=5.0)
+        assert mu == 0.0
+        assert np.allclose(p, -g / np.diag(b), rtol=1e-14, atol=0.0)
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("seed, i, j", [(0, 28, 6), (1, 26, 10)])
+    def test_lattice_cell_at_rounding_level_converges(self, truth, reference_nearby, catalog, seed, i, j):
+        # relsha experiment's base record and cell seeds; these cells end a
+        # step above tolerance with a predicted decrease below J's rounding
+        lengths = default_lengths()
+        base = synthesize_series(truth, np.arange(0.0, 1.05 * lengths.max() + 0.05, 0.1))
+        plan = SamplingPlan(default_intervals()[i], lengths[j], seed=cell_seed(seed, i, j))
+        record = prepare(resample(base, plan), catalog)
+        assert relsha_solve(record, reference_nearby.amplitudes).diagnostics.converged
+
+    def test_factorizations_counts_every_cholesky_attempt(self, base_series, reference_nearby, catalog, dpotrf_calls):
+        record = _one_year(base_series, catalog, 264.0)
+        d = relsha_solve(record, reference_nearby.amplitudes).diagnostics
+        assert d.factorizations == len(dpotrf_calls) > d.iterations
 
 
 class TestNormalizedTerms:
