@@ -15,7 +15,6 @@ from .constituents import (
     default_catalog_path,
     load_catalog,
     load_default_catalog,
-    make_catalog,
 )
 from .design import OVERDETERMINED, UNDERDETERMINED
 from .evaluation import (
@@ -71,7 +70,6 @@ __all__ = [
     "load_default_catalog",
     "load_harmonics",
     "load_water_levels",
-    "make_catalog",
     "relsha_fit",
     "resample",
     "rrmse",

@@ -82,8 +82,6 @@ def cha_fit(
     is unidentifiable and flagged as such: the gauges are identical or
     differ by less than the series can resolve.
     """
-    if len(series) < 2:
-        raise ValueError("cha_fit requires at least 2 samples")
     return cha_solve(prepare(series, catalog), ref_a, ref_b)
 
 

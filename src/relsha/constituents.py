@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -23,16 +22,15 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Constituent:
-    """A single tidal constituent with its nodal corrections.
+    """A single tidal constituent with its nodal factor.
 
-    speed is the angular frequency in radians/hour; nodal_factor and
-    nodal_angle (radians) default to the no-correction values 1 and 0.
+    speed is the angular frequency in radians/hour; nodal_factor defaults
+    to the no-correction value 1. No fit applies a nodal angle u.
     """
 
     name: str
     speed: float
     nodal_factor: float = 1.0
-    nodal_angle: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -43,11 +41,6 @@ class Constituent:
             raise ValueError(
                 f"constituent {self.name!r}: nodal factor must be positive, got {self.nodal_factor}"
             )
-        object.__setattr__(self, "nodal_angle", self.nodal_angle % TWO_PI)
-
-    @property
-    def period_hours(self) -> float:
-        return TWO_PI / self.speed
 
 
 @dataclass(frozen=True)
@@ -87,12 +80,6 @@ class ConstituentCatalog:
         return a
 
     @cached_property
-    def nodal_angles(self) -> np.ndarray:
-        a = np.array([c.nodal_angle for c in self.constituents])
-        a.setflags(write=False)
-        return a
-
-    @cached_property
     def _index(self) -> dict[str, int]:
         return {c.name: k for k, c in enumerate(self.constituents)}
 
@@ -103,46 +90,33 @@ class ConstituentCatalog:
         except KeyError:
             raise KeyError(f"unknown constituent {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self.constituents)
-
 
 def _parse_row(raw: str, row_number: int) -> Constituent:
     parts = [p.strip() for p in raw.split(",")]
-    if len(parts) < 2 or len(parts) > 4 or not parts[0]:
+    if len(parts) < 2 or len(parts) > 3 or not parts[0]:
         raise ValueError(
-            f"catalog row {row_number}: expected 'name, speed_deg_per_hour[, f, u_deg]', got {raw!r}"
+            f"catalog row {row_number}: expected 'name, speed_deg_per_hour[, f]'"
+            f" (a nodal angle u is not applied), got {raw!r}"
         )
     name = parts[0]
     try:
         speed_deg = float(parts[1])
         f = float(parts[2]) if len(parts) > 2 and parts[2] else 1.0
-        u_deg = float(parts[3]) if len(parts) > 3 and parts[3] else 0.0
     except ValueError:
         raise ValueError(f"catalog row {row_number}: non-numeric field in {raw!r}") from None
     if not (speed_deg > 0):
         raise ValueError(f"catalog row {row_number}: speed must be positive, got {speed_deg}")
-    return Constituent(
-        name=name,
-        speed=math.radians(speed_deg),
-        nodal_factor=f,
-        nodal_angle=math.radians(u_deg),
-    )
+    return Constituent(name=name, speed=math.radians(speed_deg), nodal_factor=f)
 
 
 def load_catalog(source: str | Path) -> ConstituentCatalog:
     """Load a constituent catalog from a delimited text file.
 
-    Columns: ``name, speed_deg_per_hour[, f, u_deg]``. Lines starting
-    with ``#`` and blank lines are ignored. Speeds are converted to
-    radians/hour; missing f, u default to 1 and 0. Rows are kept in file
-    order, which becomes the canonical constituent order.
+    Columns: ``name, speed_deg_per_hour[, f]``. Lines starting with ``#``
+    and blank lines are ignored. Speeds are converted to radians/hour; a
+    missing f defaults to 1. A nodal angle u is not applied, so a row
+    with a 4th column is rejected rather than read and dropped. Rows are
+    kept in file order, which becomes the canonical constituent order.
     """
     path = Path(source)
     rows: list[Constituent] = []
@@ -164,8 +138,3 @@ def default_catalog_path() -> Path:
 
 def load_default_catalog() -> ConstituentCatalog:
     return load_catalog(default_catalog_path())
-
-
-def make_catalog(entries: Iterable[tuple[str, float]]) -> ConstituentCatalog:
-    """Catalog from (name, speed_rad_per_hour) pairs; test/scripting helper."""
-    return ConstituentCatalog(tuple(Constituent(name, speed) for name, speed in entries))

@@ -169,25 +169,10 @@ def prepare(series: WaterLevelSeries, catalog: ConstituentCatalog) -> PreparedRe
     )
 
 
-def amplitude_squares(x: np.ndarray) -> np.ndarray:
-    """Per-constituent squared magnitude A_k^2 f_k^2 of the state pairs."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size % 2 != 0:
-        raise ValueError(f"state vector must be one-dimensional of even length, got shape {x.shape}")
-    return _pair_squares(x)
-
-
 def _pair_squares(x: np.ndarray) -> np.ndarray:
-    """amplitude_squares without the checks, for a float vector of even length."""
+    """Per-constituent squared magnitude A_k^2 f_k^2 of a state vector."""
     n = x.size // 2
     return x[:n] ** 2 + x[n:] ** 2
-
-
-def pack_solution(solution: HarmonicSolution) -> np.ndarray:
-    """State vector for a solution: (A f cos(theta), -A f sin(theta))."""
-    f = solution.catalog.nodal_factors
-    af = solution.amplitudes * f
-    return np.concatenate([af * np.cos(solution.phases), -af * np.sin(solution.phases)])
 
 
 def unpack_state(x: np.ndarray, catalog: ConstituentCatalog) -> tuple[np.ndarray, np.ndarray]:

@@ -32,8 +32,6 @@ def ha_fit(series: WaterLevelSeries, catalog: ConstituentCatalog) -> HaResult:
     (or a rank-deficient H) the minimum-norm solution is returned and the
     regime flag reports the underdetermined case.
     """
-    if len(series) < 2:
-        raise ValueError("harmonic analysis requires at least 2 samples")
     return ha_solve(prepare(series, catalog))
 
 

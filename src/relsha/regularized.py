@@ -234,8 +234,6 @@ def relsha_fit(
     through diagnostics.converged, never silently.
     """
     _check_reference(reference, catalog)
-    if len(series) < 2:
-        raise ValueError("relsha_fit requires at least 2 samples")
     return relsha_solve(prepare(series, catalog), reference, config, callback)
 
 

@@ -68,7 +68,7 @@ class WaterLevelSeries:
 class HarmonicSolution:
     """Mean, trend, and per-constituent amplitude/phase for one catalog.
 
-    phases hold the combined angle theta_k = phi_k + u_k in [0, 2*pi).
+    phases hold theta_k in [0, 2*pi), the phase of A_k f_k cos(w_k t + theta_k).
     The mean applies at ``time_reference`` hours since epoch, so the
     modeled level is mean + trend*(t - time_reference) + harmonics; a
     solution built directly from constants uses time_reference = 0.

@@ -18,6 +18,18 @@ def data_file(name: str):
 
 
 @pytest.fixture(scope="session")
+def pack_state():
+    """State vector of a solution, (A f cos(theta), -A f sin(theta)): the
+    x that unpack_state maps back to it."""
+
+    def pack(solution):
+        af = solution.amplitudes * solution.catalog.nodal_factors
+        return np.concatenate([af * np.cos(solution.phases), -af * np.sin(solution.phases)])
+
+    return pack
+
+
+@pytest.fixture(scope="session")
 def catalog():
     return relsha.load_default_catalog()
 

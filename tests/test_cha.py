@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relsha.cha import GaugeHarmonics, cha_fit, shortest_arc
-from relsha.constituents import make_catalog
-from relsha.design import build_design_matrix, pack_solution
+from relsha.constituents import Constituent, ConstituentCatalog
+from relsha.design import build_design_matrix
 from relsha.evaluation import rrmse
 from relsha.series import HarmonicSolution, WaterLevelSeries, detrend, synthesize_series
 
@@ -72,14 +72,14 @@ class TestEndpoints:
 
 
 class TestProperties:
-    def test_objective_no_worse_than_endpoints(self, gauges, catalog):
+    def test_objective_no_worse_than_endpoints(self, gauges, catalog, pack_state):
         ref_a, ref_b = gauges
         series = synthesize_series(interpolant(ref_a, ref_b, 0.3, catalog), DENSE_T)
         result = cha_fit(series, ref_a, ref_b, catalog)
         residual, _, _ = detrend(series)
         h_matrix = build_design_matrix(residual.times, catalog)
         for endpoint in (ref_a, ref_b):
-            misfit = h_matrix @ pack_solution(endpoint.solution) - residual.heights
+            misfit = h_matrix @ pack_state(endpoint.solution) - residual.heights
             assert result.objective <= misfit @ misfit + 1e-9
 
     def test_swap_reverses_weight(self, gauges, catalog):
@@ -121,7 +121,7 @@ class TestProperties:
 class TestValidation:
     def test_misaligned_reference_rejected(self, gauges):
         ref_a, ref_b = gauges
-        other = make_catalog([("A", 1.0)])
+        other = ConstituentCatalog((Constituent("A", 1.0),))
         stranger = GaugeHarmonics(
             "stranger",
             HarmonicSolution(0, 0, np.array([1.0]), np.array([0.0]), other),
@@ -132,5 +132,5 @@ class TestValidation:
 
     def test_requires_two_samples(self, gauges, catalog):
         ref_a, ref_b = gauges
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="at least 2 samples"):
             cha_fit(WaterLevelSeries([0.0], [1.0]), ref_a, ref_b, catalog)

@@ -154,6 +154,19 @@ class TestFit:
         assert "output directory" in caplog.text
         assert "missing.csv" not in caplog.text
 
+    def test_nodal_angle_catalog_fails_before_reading_input(self, tmp_path, caplog):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text(TINY_CATALOG + "N2, 28.4397295, 1.0, 12.5\n", encoding="utf-8")
+        out = tmp_path / "solution.csv"
+        # the input does not exist: the catalog check must come first
+        code = run("fit", "--method", "ha", "--catalog", catalog,
+                   "--input", tmp_path / "missing.csv", "--output", out)
+        assert code == 1
+        assert "catalog row 4" in caplog.text
+        assert "nodal angle u is not applied" in caplog.text
+        assert "missing.csv" not in caplog.text
+        assert not out.exists()
+
     def test_strict_flags_non_convergence(self, tmp_path, tiny_catalog, tiny_truth, base_series, truth):
         # deeply undersampled record, one iteration: cannot converge
         from relsha.series import SamplingPlan, resample

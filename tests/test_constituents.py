@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from relsha.constituents import (
@@ -8,7 +7,6 @@ from relsha.constituents import (
     ConstituentCatalog,
     load_catalog,
     load_default_catalog,
-    make_catalog,
 )
 
 
@@ -23,13 +21,12 @@ def test_single_row_m2(tmp_path):
     assert catalog.n == 1
     m2 = catalog.constituents[0]
     # 360 / 28.9841042 deg/h is the familiar 12 h 25 min semidiurnal period
-    assert abs(m2.period_hours - 12.4206) < 1e-3
+    assert abs(2 * math.pi / m2.speed - 12.4206) < 1e-3
     assert m2.nodal_factor == 1.0
-    assert m2.nodal_angle == 0.0
 
 
 def test_explicit_defaults_match_implicit(tmp_path):
-    explicit = load_catalog(write(tmp_path, "M2, 28.98, 1.0, 0.0\n", "a.csv"))
+    explicit = load_catalog(write(tmp_path, "M2, 28.98, 1.0\n", "a.csv"))
     implicit = load_catalog(write(tmp_path, "M2, 28.98\n", "b.csv"))
     assert explicit.constituents[0] == implicit.constituents[0]
 
@@ -51,7 +48,7 @@ def test_index_of_unknown_name():
     catalog = load_default_catalog()
     with pytest.raises(KeyError):
         catalog.index_of("ZZ9")
-    assert "ZZ9" not in catalog
+    assert "ZZ9" not in catalog.names
 
 
 def test_duplicate_name_rejected(tmp_path):
@@ -79,13 +76,18 @@ def test_empty_catalog_rejected(tmp_path):
 
 
 def test_round_trip_with_nodal_columns(tmp_path):
-    path = write(tmp_path, "M2, 28.9841042, 1.02, 12.5\nS2, 30.0\n")
+    path = write(tmp_path, "M2, 28.9841042, 1.02\nS2, 30.0\n")
     catalog = load_catalog(path)
     assert catalog.constituents[0].nodal_factor == 1.02
-    assert catalog.constituents[0].nodal_angle == pytest.approx(math.radians(12.5))
     assert catalog.speeds.tolist() == [math.radians(28.9841042), math.radians(30.0)]
     assert catalog.nodal_factors.tolist() == [1.02, 1.0]
-    assert catalog.nodal_angles[1] == 0.0
+
+
+def test_nodal_angle_column_rejected_with_row_number(tmp_path):
+    # no fit applies u, so a 4th column is refused rather than dropped
+    path = write(tmp_path, "# header\nM2, 28.9841042, 1.02\nS2, 30.0, 1.0, 12.5\n")
+    with pytest.raises(ValueError, match=r"row 3: .*nodal angle u is not applied"):
+        load_catalog(path)
 
 
 def test_constituent_validation():
@@ -95,16 +97,3 @@ def test_constituent_validation():
         Constituent("X", 1.0, nodal_factor=0.0)
     with pytest.raises(ValueError, match="name"):
         Constituent("", 1.0)
-
-
-def test_nodal_angle_normalized():
-    c = Constituent("X", 1.0, nodal_angle=7.0)
-    assert 0.0 <= c.nodal_angle < 2 * math.pi
-    assert c.nodal_angle == pytest.approx(7.0 - 2 * math.pi)
-
-
-def test_make_catalog_helper():
-    catalog = make_catalog([("A", 0.5), ("B", 0.25)])
-    assert catalog.n == 2
-    assert catalog.index_of("B") == 1
-    assert np.array_equal(catalog.speeds, [0.5, 0.25])

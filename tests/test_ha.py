@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from relsha.constituents import make_catalog
-from relsha.design import UNDERDETERMINED, build_design_matrix, pack_solution
+from relsha.constituents import Constituent, ConstituentCatalog
+from relsha.design import UNDERDETERMINED, build_design_matrix
 from relsha.evaluation import rrmse
 from relsha.ha import RANK_RCOND, ha_fit
 from relsha.series import (
@@ -39,11 +39,11 @@ def test_underdetermined_regime_flag(base_series, catalog):
     assert result.regime == UNDERDETERMINED
 
 
-def test_residual_orthogonality(hourly_year, catalog):
+def test_residual_orthogonality(hourly_year, catalog, pack_state):
     result = ha_fit(hourly_year, catalog)
     residual, _, _ = detrend(hourly_year)
     h_matrix = build_design_matrix(residual.times, catalog)
-    x = pack_solution(result.solution)
+    x = pack_state(result.solution)
     misfit = h_matrix @ x - residual.heights
     scale = np.linalg.norm(residual.heights)
     assert np.abs(h_matrix.T @ misfit).max() < 1e-8 * scale
@@ -61,7 +61,13 @@ def test_constant_offset_moves_only_the_mean(hourly_year, catalog):
 def test_recovery_of_random_solutions():
     # detrending couples weakly with the harmonics, so recovery is exact
     # only to the leakage level, well inside the 0.1% contract
-    cat = make_catalog([("A", TWO_PI / 12.42), ("B", TWO_PI / 12.0), ("C", TWO_PI / 23.93)])
+    cat = ConstituentCatalog(
+        (
+            Constituent("A", TWO_PI / 12.42),
+            Constituent("B", TWO_PI / 12.0),
+            Constituent("C", TWO_PI / 23.93),
+        )
+    )
     times = np.arange(0.0, 600.0, 0.5)
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -83,7 +89,7 @@ def test_near_resonant_sampling_does_not_crash(base_series, catalog):
     assert np.all(np.isfinite(result.solution.amplitudes))
 
 
-def test_rank_collapsed_solution_matches_full_design_lstsq(base_series, catalog):
+def test_rank_collapsed_solution_matches_full_design_lstsq(base_series, catalog, pack_state):
     # the SVD runs on the compressed design; rank and minimum-norm
     # solution must be those of the full m x 2n design
     sampled = resample(base_series, SamplingPlan(12.0, 8766.0, seed=2))
@@ -92,10 +98,10 @@ def test_rank_collapsed_solution_matches_full_design_lstsq(base_series, catalog)
     x, _, rank, _ = np.linalg.lstsq(h_matrix, residual.heights, rcond=RANK_RCOND)
     result = ha_fit(sampled, catalog)
     assert result.rank == rank < 2 * catalog.n
-    assert np.abs(pack_solution(result.solution) - x).max() < 1e-8
+    assert np.abs(pack_state(result.solution) - x).max() < 1e-8
 
 
 def test_insufficient_data():
-    cat = make_catalog([("A", 1.0)])
-    with pytest.raises(ValueError, match="at least 2"):
+    cat = ConstituentCatalog((Constituent("A", 1.0),))
+    with pytest.raises(ValueError, match="at least 2 samples"):
         ha_fit(WaterLevelSeries([0.0], [1.0]), cat)

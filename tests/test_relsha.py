@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import relsha.regularized
 from relsha.constituents import ConstituentCatalog
-from relsha.design import _pair_squares, build_design_matrix, pack_solution, prepare
+from relsha.design import _pair_squares, build_design_matrix, prepare
 from relsha.evaluation import cell_seed, default_intervals, default_lengths, rrmse
 from relsha.ha import ha_fit
 from relsha.regularized import (
@@ -220,6 +220,10 @@ class TestFit:
         with pytest.raises(ValueError, match="non-negative"):
             relsha_fit(hourly_year, bad, catalog)
 
+    def test_requires_two_samples(self, truth, catalog):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            relsha_fit(WaterLevelSeries([0.0], [1.0]), truth.amplitudes, catalog)
+
 
 def _problem(record, reference, lam=0.5):
     """The objective, Hessian, start point and tolerance relsha_solve uses."""
@@ -267,7 +271,8 @@ class TestNewtonLoop:
         assert f == f_at_x and np.array_equal(g, g_at_x)
         assert 0 < iterations < 2000
 
-    @pytest.mark.parametrize("k", [1, 5, 20])
+    # budgets well below the 21 steps this record takes to converge
+    @pytest.mark.parametrize("k", [1, 5, 10])
     def test_iteration_budget_is_exact(self, base_series, reference_nearby, catalog, k):
         sampled = resample(base_series, SamplingPlan(264.0, 8766.0, seed=0))
         states = []
@@ -395,7 +400,7 @@ class TestConvergence:
 
 
 class TestNormalizedTerms:
-    def test_compressed_and_raw_paths_agree(self, hourly_year, truth, catalog):
+    def test_compressed_and_raw_paths_agree(self, hourly_year, truth, catalog, pack_state):
         from relsha.series import detrend
 
         record = prepare(hourly_year, catalog)
@@ -404,7 +409,7 @@ class TestNormalizedTerms:
         ref_squares = (0.9 * truth.amplitudes) ** 2
         rng = np.random.default_rng(12)
         for lam in (0.0, 0.4, 1.0):
-            x = pack_solution(truth) + rng.normal(scale=0.01, size=2 * catalog.n)
+            x = pack_state(truth) + rng.normal(scale=0.01, size=2 * catalog.n)
             raw = relsha_value_and_gradient(x, design, residual.heights, ref_squares, lam, True)
             compressed = relsha_value_and_gradient(
                 x, record.a, record.b, ref_squares, lam, True, record.rest, record.sample_count
@@ -412,7 +417,7 @@ class TestNormalizedTerms:
             assert compressed[0] == pytest.approx(raw[0], rel=1e-10)
             assert np.allclose(compressed[1], raw[1], rtol=1e-8, atol=1e-12)
 
-    def test_fit_objective_divides_by_the_sample_count(self, hourly_year, truth, catalog):
+    def test_fit_objective_divides_by_the_sample_count(self, hourly_year, truth, catalog, pack_state):
         from relsha.series import detrend
 
         reference = 1.05 * truth.amplitudes
@@ -422,7 +427,7 @@ class TestNormalizedTerms:
         residual, _, _ = detrend(hourly_year)
         design = build_design_matrix(residual.times, catalog)
         raw, _ = relsha_value_and_gradient(
-            pack_solution(result.solution), design, residual.heights, reference**2, 0.5, True
+            pack_state(result.solution), design, residual.heights, reference**2, 0.5, True
         )
         assert result.diagnostics.objective == pytest.approx(raw, rel=1e-8)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relsha.constituents import make_catalog
+from relsha.constituents import Constituent, ConstituentCatalog
 from relsha.series import (
     HarmonicSolution,
     SamplingPlan,
@@ -17,8 +17,10 @@ from relsha.series import (
 
 TWO_PI = 2.0 * math.pi
 
-CAT1 = make_catalog([("A", TWO_PI / 12.0)])
-CAT2 = make_catalog([("A", TWO_PI / 12.0), ("B", TWO_PI / 10.0)])
+CAT1 = ConstituentCatalog((Constituent("A", TWO_PI / 12.0),))
+CAT2 = ConstituentCatalog(
+    (Constituent("A", TWO_PI / 12.0), Constituent("B", TWO_PI / 10.0))
+)
 
 
 def flat_series(value, count=10, spacing=1.0):
