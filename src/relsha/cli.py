@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 from datetime import timezone
 from pathlib import Path
 
@@ -184,6 +185,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     _check_values("--intervals", args.intervals)
     _check_values("--lengths", args.lengths)
     _check_values("--noise", (args.noise,), allow_zero=True)
@@ -228,10 +230,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             _atomic_write(slice_path, slice_to_text(curves))
 
     cells = list(grid.rows())
-    missing = [cell for cell in cells if cell.rrmse_percent is None]
+    missing = sum(cell.rrmse_percent is None for cell in cells)
+    nonconverged = sum(cell.converged is False for cell in cells)
     if missing:
-        log.warning("%d of %d cells missing (solver or resampling errors)",
-                    len(missing), len(cells))
+        log.warning("%d of %d cells missing (solver or resampling errors)", missing, len(cells))
+    if nonconverged:
+        log.warning("%d ReLSHA cells did not converge (converged=false in %s)",
+                    nonconverged, args.output)
+    log.info("experiment: %d cells, %d missing, %d ReLSHA not converged, %.2f s",
+             len(cells), missing, nonconverged, time.perf_counter() - start)
     return EXIT_OK
 
 

@@ -12,10 +12,16 @@ passed off as converged.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .cha import GaugeHarmonics, cha_solve
 from .constituents import ConstituentCatalog
@@ -119,6 +125,49 @@ def _fit_method(
     return relsha_solve(record, relsha_reference, relsha_config)
 
 
+@cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of numpy's and scipy's bundled
+    OpenBLAS: numpy's is ILP64, with a ``64_`` suffix on its symbols.
+
+    Only a library already loaded is opened (``RTLD_NOLOAD``). Any other
+    BLAS (MKL, Accelerate, an ``openblas_``-named build) gives none.
+    """
+    controls = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get = lib[f"scipy_openblas_get_num_threads{suffix}"]
+                set_ = lib[f"scipy_openblas_set_num_threads{suffix}"]
+            except (AttributeError, OSError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded bundled OpenBLAS on one thread.
+
+    The grid's BLAS calls are small or skinny, and a second OpenBLAS
+    thread costs them more than it gives. The count is global to the
+    process, so the saved counts are put back on exit.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+
+
 def run_grid(
     series: WaterLevelSeries,
     truth_amplitudes,
@@ -139,7 +188,9 @@ def run_grid(
     prepares (detrends and factors) that record once, and runs all
     requested methods on it. Per-cell solver errors are recorded as
     missing cells (rrmse None plus the error message), never fabricated.
-    Output is identical for any thread count.
+    Output is identical for any thread count. The cells run with each
+    bundled OpenBLAS on one thread, its own and any pool worker's alike,
+    and the old thread counts are restored on return.
     """
     truth = np.asarray(truth_amplitudes, dtype=float)
     methods = tuple(methods)
@@ -194,11 +245,12 @@ def run_grid(
         return out
 
     coordinates = [(i, j) for i in range(len(intervals)) for j in range(len(lengths))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, coordinates))
-    else:
-        results = [evaluate(c) for c in coordinates]
+    with _one_blas_thread():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(evaluate, coordinates))
+        else:
+            results = [evaluate(c) for c in coordinates]
 
     cells: dict[tuple[int, int, str], GridCell] = {}
     for (i, j), cell_list in zip(coordinates, results):

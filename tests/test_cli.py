@@ -1,11 +1,13 @@
 import json
+import logging
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 import relsha
-from relsha import cli
+from relsha import cli, evaluation
 from relsha.cli import main
 from relsha.constituents import load_catalog
 from relsha.ingest import (
@@ -459,6 +461,31 @@ class TestExperiment:
         assert (rows[0][1], rows[0][5]) == ("100", "")
         assert (rows[1][1], rows[1][5] != "") == ("2000", True)
         assert "1 of 2 cells missing" in caplog.text
+
+    def test_verbose_run_ends_with_a_summary(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="relsha")
+        assert run("-v", "experiment", "--intervals", "264", "--lengths", "100,2000",
+                   "--methods", "ha,relsha", "--output", tmp_path / "grid.csv") == 0
+        summary = [r for r in caplog.records if r.levelno == logging.INFO]
+        assert len(summary) == 1
+        assert summary[0].getMessage().startswith(
+            "experiment: 4 cells, 2 missing, 0 ReLSHA not converged, "
+        )
+        assert "did not converge" not in caplog.text
+
+    def test_nonconverged_relsha_cells_warn(self, tmp_path, monkeypatch, caplog):
+        solve = evaluation.relsha_solve
+
+        def stalled(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            return replace(result, diagnostics=replace(result.diagnostics, converged=False))
+
+        monkeypatch.setattr(evaluation, "relsha_solve", stalled)
+        out = tmp_path / "grid.csv"
+        assert run("experiment", "--intervals", "237.6,264", "--lengths", "2000",
+                   "--methods", "ha,relsha", "--output", out) == 0
+        assert out.read_text().count(",relsha,") == 2
+        assert f"2 ReLSHA cells did not converge (converged=false in {out})" in caplog.text
 
 
 REPEAT_HOURS = 9.9156 * 24.0

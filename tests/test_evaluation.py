@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relsha import evaluation
 from relsha.cha import GaugeHarmonics
 from relsha.evaluation import (
     cell_seed,
@@ -129,6 +130,70 @@ class TestRunGrid:
             assert cell.regime == expected
             seen.add(cell.regime)
         assert seen == {"underdetermined", "overdetermined"}
+
+
+def blas_threads():
+    return [get() for get, _ in evaluation._openblas_thread_controls()]
+
+
+@pytest.fixture()
+def blas_at_two_threads():
+    """Each loaded bundled OpenBLAS at 2 threads, so that a restore to 1
+    cannot pass unseen; the counts found are put back afterwards."""
+    controls = evaluation._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled scipy-openblas library is loaded")
+    saved = blas_threads()
+    for _, set_ in controls:
+        set_(2)
+    yield [2] * len(controls)
+    for (_, set_), count in zip(controls, saved):
+        set_(count)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_grid_runs_on_one_thread_and_restores_the_counts(
+        self, base_series, truth, catalog, monkeypatch, blas_at_two_threads, threads
+    ):
+        seen = []
+        solve = evaluation.ha_solve
+
+        def recording(record):
+            seen.append(blas_threads())
+            return solve(record)
+
+        monkeypatch.setattr(evaluation, "ha_solve", recording)
+        run_grid(base_series, truth.amplitudes, catalog, intervals=[1.0, 237.6],
+                 lengths=[720.0, 2190.0], methods=("ha",), threads=threads)
+        assert seen == [[1] * len(blas_at_two_threads)] * 4
+        assert blas_threads() == blas_at_two_threads
+
+    def test_counts_restored_when_an_interrupt_escapes(
+        self, base_series, truth, catalog, monkeypatch, blas_at_two_threads
+    ):
+        def interrupted(record):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(evaluation, "ha_solve", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(base_series, truth.amplitudes, catalog, intervals=[1.0],
+                     lengths=[720.0], methods=("ha",))
+        assert blas_threads() == blas_at_two_threads
+
+    def test_grid_is_the_same_without_a_thread_control(
+        self, base_series, truth, catalog, monkeypatch, reference_nearby, reference_offshore
+    ):
+        kwargs = dict(
+            intervals=[1.0, 237.6], lengths=[720.0, 2190.0], base_seed=5,
+            relsha_reference=reference_nearby.amplitudes,
+            cha_ref_a=GaugeHarmonics("a", reference_nearby),
+            cha_ref_b=GaugeHarmonics("b", reference_offshore),
+        )
+        pinned = grid_to_text(run_grid(base_series, truth.amplitudes, catalog, **kwargs))
+        monkeypatch.setattr(evaluation, "_openblas_thread_controls", lambda: ())
+        unpinned = grid_to_text(run_grid(base_series, truth.amplitudes, catalog, **kwargs))
+        assert unpinned == pinned
 
 
 @pytest.fixture(scope="module")
