@@ -32,7 +32,6 @@ def parse_args():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="results/lambda_sweep.csv")
     parser.add_argument("--seeds", type=int, default=20)
-    parser.add_argument("--normalize-terms", action="store_true")
     return parser.parse_args()
 
 
@@ -59,7 +58,7 @@ def main() -> int:
             for seed, sampled in enumerate(samples):
                 rng = np.random.default_rng(10_000 + seed)
                 reference = truth.amplitudes * (1 + rng.uniform(-0.1, 0.1, catalog.n))
-                config = relsha.RelshaConfig(lam=lam, normalize_terms=args.normalize_terms)
+                config = relsha.RelshaConfig(lam=lam)
                 fit = relsha.relsha_fit(sampled, reference, catalog, config)
                 errors.append(relsha.rrmse(fit.solution.amplitudes, truth.amplitudes))
             median = float(np.median(errors))

@@ -43,10 +43,10 @@ EXIT_NOT_CONVERGED = 3
 # The keys a subcommand's --config file may set, each the name of an
 # option with "_" for "-"; "lambda" sets --lambda, whose dest is lam.
 CONFIG_KEYS = {
-    "fit": ("lambda", "normalize_terms", "max_iterations"),
+    "fit": ("lambda", "max_iterations"),
     "experiment": (
         "truth", "reference", "reference_a", "reference_b", "methods", "intervals", "lengths",
-        "base_interval", "noise", "seed", "threads", "lambda", "normalize_terms",
+        "base_interval", "noise", "seed", "threads", "lambda",
     ),
 }
 _CONFIG_DESTS = {"lambda": "lam"}
@@ -102,8 +102,8 @@ def _load_config_defaults(
     defaults = {}
     for key, value in config.items():
         dest = _CONFIG_DESTS.get(key, key)
-        # an on/off flag takes true or false, and nothing else does
-        if isinstance(value, bool) != isinstance(parser.get_default(dest), bool):
+        # no option is an on/off flag, so no key takes true or false
+        if isinstance(value, bool):
             raise ValueError(f"{path}: {key} = {json.dumps(value)} has the wrong type")
         defaults[dest] = ",".join(map(str, value)) if isinstance(value, list) else value
     parser.set_defaults(**defaults)
@@ -120,10 +120,6 @@ def _name_list(text: str) -> tuple[str, ...]:
 def _gauge(path: str | Path, catalog) -> GaugeHarmonics:
     """A reference gauge's harmonics, named after its file."""
     return GaugeHarmonics(Path(path).stem, ingest.load_harmonics(path, catalog)[0])
-
-
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -146,31 +142,29 @@ def cmd_fit(args: argparse.Namespace) -> int:
         result = cha_fit(series, ref_a, ref_b, catalog)
         solution = result.solution
         diagnostics.update(
-            weight=fmt(result.weight),
-            objective=fmt(result.objective),
-            identifiable=_bool_text(result.identifiable),
+            weight=result.weight,
+            objective=result.objective,
+            identifiable=result.identifiable,
             sample_count=result.sample_count,
         )
     else:
         if not args.reference:
             raise ValueError("fit --method relsha requires --reference")
         reference, _ = ingest.load_harmonics(args.reference, catalog)
-        fit_config = RelshaConfig(
-            lam=args.lam, max_iterations=args.max_iterations, normalize_terms=args.normalize_terms
-        )
+        fit_config = RelshaConfig(lam=args.lam, max_iterations=args.max_iterations)
         result = relsha_fit(series, reference.amplitudes, catalog, fit_config)
         solution = result.solution
         d = result.diagnostics
         diagnostics.update(
-            **{"lambda": fmt(fit_config.lam)},
+            **{"lambda": fit_config.lam},
             iterations=d.iterations,
             factorizations=d.factorizations,
             restarts=d.restarts,
-            initial_objective=fmt(d.initial_objective),
-            final_objective=fmt(d.objective),
-            gradient_norm=fmt(d.gradient_norm),
-            gradient_tolerance=fmt(d.gradient_tolerance),
-            converged=_bool_text(d.converged),
+            initial_objective=d.initial_objective,
+            final_objective=d.objective,
+            gradient_norm=d.gradient_norm,
+            gradient_tolerance=d.gradient_tolerance,
+            converged=d.converged,
             regime=d.regime,
             sample_count=d.sample_count,
         )
@@ -191,7 +185,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _check_values("--noise", (args.noise,), allow_zero=True)
     _check_values("--base-interval", (args.base_interval,))
     _check_output_dir(args.output)
-    relsha_config = RelshaConfig(lam=args.lam, normalize_terms=args.normalize_terms)
+    relsha_config = RelshaConfig(lam=args.lam)
     catalog = load_catalog(args.catalog)
     truth, _ = ingest.load_harmonics(args.truth, catalog)
     reference, _ = ingest.load_harmonics(args.reference, catalog)
@@ -341,9 +335,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     for command in (fit, experiment):
         command.add_argument("--lambda", dest="lam", type=float, default=RelshaConfig.lam,
                              help="regularization weight in [0,1]")
-        command.add_argument("--normalize-terms", action="store_true",
-                             default=RelshaConfig.normalize_terms,
-                             help="scale the data term by 1/m and the penalty by 1/n")
         command.add_argument("--config", help="JSON config file (flags override it)")
 
     synth = sub.add_parser("synth", help="synthesize a water-level file from a solution")

@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .cha import GaugeHarmonics, cha_solve
+from .cha import GaugeHarmonics, _check_alignment, cha_solve
 from .constituents import ConstituentCatalog
 from .design import PreparedRecord, classify_regime, prepare
 from .ha import ha_solve
 from .ingest import format_number
-from .regularized import RelshaConfig, relsha_solve
+from .regularized import RelshaConfig, _check_reference, relsha_solve
 from .series import SamplingPlan, WaterLevelSeries, resample
 
 METHOD_HA = "ha"
@@ -186,7 +186,8 @@ def run_grid(
 
     Each cell resamples the base series once with its derived seed,
     prepares (detrends and factors) that record once, and runs all
-    requested methods on it. Per-cell solver errors are recorded as
+    requested methods on it. A bad prior or a misaligned gauge fails
+    before the first cell; per-cell solver errors are recorded as
     missing cells (rrmse None plus the error message), never fabricated.
     Output is identical for any thread count. The cells run with each
     bundled OpenBLAS on one thread, its own and any pool worker's alike,
@@ -197,10 +198,15 @@ def run_grid(
     for method in methods:
         if method not in KNOWN_METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
-    if METHOD_RELSHA in methods and relsha_reference is None:
-        raise ValueError("relsha requires reference amplitudes")
-    if METHOD_CHA in methods and (cha_ref_a is None or cha_ref_b is None):
-        raise ValueError("cha requires two reference gauges")
+    if METHOD_RELSHA in methods:
+        if relsha_reference is None:
+            raise ValueError("relsha requires reference amplitudes")
+        _check_reference(relsha_reference, catalog)
+    if METHOD_CHA in methods:
+        if cha_ref_a is None or cha_ref_b is None:
+            raise ValueError("cha requires two reference gauges")
+        _check_alignment(cha_ref_a, catalog)
+        _check_alignment(cha_ref_b, catalog)
     intervals = tuple(float(v) for v in np.asarray(intervals, dtype=float))
     lengths = tuple(float(v) for v in np.asarray(lengths, dtype=float))
 

@@ -287,14 +287,17 @@ def load_harmonics(
 
 def solution_to_text(solution: HarmonicSolution, diagnostics: dict[str, object] | None = None) -> str:
     """Render a solution in the harmonics file format, with mean/trend and
-    any diagnostics as ``# key = value`` headers."""
+    any diagnostics as ``# key = value`` headers: a bool as true or false,
+    a float through format_number, anything else as str() gives it."""
     lines = [
         f"# mean_m = {format_number(solution.mean)}",
         f"# trend_m_per_hour = {format_number(solution.trend)}",
         f"# time_reference_hours = {format_number(solution.time_reference)}",
     ]
     for key, value in (diagnostics or {}).items():
-        if isinstance(value, float):
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
             value = format_number(value)
         lines.append(f"# {key} = {value}")
     lines.append("constituent_name,amplitude_m,phase_deg")

@@ -19,8 +19,7 @@ The data term is evaluated on the record's compressed form from
 design.prepare: ||H x - h||^2 = ||a x - b||^2 + rest, with a the 2n x 2n
 triangle R of [H | h] = QR, found by Gram-Cholesky with QR as the
 fallback, when the record has more than 2n + 1 samples. An evaluation
-then costs O(n^2) whatever the record length m; normalize_terms still
-divides by m.
+then costs O(n^2) whatever the record length m.
 
 The minimization is _newton, a trust-region Newton method on the exact
 Hessian B (Nocedal & Wright, Numerical Optimization, ch. 4). Each step
@@ -60,6 +59,9 @@ _ACCEPT, _SHRINK, _GROW = 0.15, 0.25, 0.75
 _MAX_FACTORIZATIONS = 20
 # A step ends within this fraction of the radius (More and Sorensen's sigma_1).
 _RADIUS_TOLERANCE = 0.1
+# A fit has converged when the gradient infinity norm is at most this
+# times 1 + |J0|, J0 being the objective at the starting point.
+_GRADIENT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,31 +70,19 @@ class RelshaConfig:
 
     lam is the regularization weight in [0, 1] balancing data misfit
     against the amplitude prior. The optimizer stops when the gradient
-    infinity norm falls below gradient_tolerance * (1 + |J0|), J0 being
-    the objective at the starting point, or after max_iterations
-    trust-region Newton steps. normalize_terms divides the data term by
-    the sample count and the penalty by the constituent count, making lam
-    transferable across sampling plans; the default keeps the raw sums.
+    infinity norm falls below 1e-8 * (1 + |J0|), J0 being the objective
+    at the starting point, or after max_iterations trust-region Newton
+    steps.
     """
 
     lam: float = 0.5
     max_iterations: int = 2000
-    gradient_tolerance: float = 1e-8
-    normalize_terms: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not (self.gradient_tolerance > 0):
-            raise ValueError("gradient_tolerance must be positive")
-
-
-def _term_weights(lam: float, m: int, n: int, normalize: bool) -> tuple[float, float]:
-    if normalize:
-        return (1.0 - lam) / m, lam / n
-    return 1.0 - lam, lam
 
 
 def relsha_value_and_gradient(
@@ -101,36 +91,25 @@ def relsha_value_and_gradient(
     b: np.ndarray,
     ref_squares: np.ndarray,
     lam: float,
-    normalize: bool = False,
     rest: float = 0.0,
-    sample_count: int | None = None,
 ) -> tuple[float, np.ndarray]:
     """Value and analytic gradient of the regularized objective at state x.
 
     The data term is ||a x - b||^2 + rest: a raw design H with heights h
     is the case a = H, b = h, rest = 0, and a prepared record supplies its
-    compressed (a, b, rest). With normalize, the data term is divided by
-    sample_count (the record's m; default the rows of a) and the penalty
-    by n.
+    compressed (a, b, rest).
     """
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ref_squares = np.asarray(ref_squares, dtype=float)
-    _check_dimensions(x, a, b, ref_squares)
-    rows, two_n = a.shape
-    m = rows if sample_count is None else sample_count
-    w_data, w_reg = _term_weights(lam, m, two_n // 2, normalize)
-    return _value_and_gradient(x, a, b, ref_squares, w_data, w_reg, rest)
-
-
-def _check_dimensions(x: np.ndarray, a: np.ndarray, b: np.ndarray, ref_squares: np.ndarray) -> None:
     rows, two_n = a.shape
     if x.shape != (two_n,) or b.shape != (rows,) or ref_squares.shape != (two_n // 2,):
         raise ValueError(
             f"inconsistent dimensions: design {a.shape}, x {x.shape}, "
             f"heights {b.shape}, ref_squares {ref_squares.shape}"
         )
+    return _value_and_gradient(x, a, b, ref_squares, 1.0 - lam, lam, rest)
 
 
 def _value_and_gradient(
@@ -142,8 +121,8 @@ def _value_and_gradient(
     w_reg: float,
     rest: float,
 ) -> tuple[float, np.ndarray]:
-    """The objective's one formula, on float arrays already checked by
-    _check_dimensions; the solver calls it on every trial step."""
+    """The objective's one formula, on float arrays of consistent
+    dimensions; the solver calls it on every trial step."""
     r = a @ x - b
     s = _pair_squares(x) - ref_squares
     value = w_data * (r @ r + rest) + w_reg * (s @ s)
@@ -261,7 +240,7 @@ def relsha_solve(
     reference = _check_reference(reference, catalog)
     ref_squares = reference**2
     a, b, rest = record.a, record.b, record.rest
-    w_data, w_reg = _term_weights(config.lam, record.sample_count, catalog.n, config.normalize_terms)
+    w_data, w_reg = 1.0 - config.lam, config.lam
 
     gram = a.T @ a
 
@@ -272,13 +251,10 @@ def relsha_solve(
         return _hessian(x, gram, ref_squares, w_data, w_reg)
 
     x = _initial_state(a, b, reference)
-    _check_dimensions(x, a, b, ref_squares)
-
     j0, g0 = fg(x)
-    tolerance = config.gradient_tolerance * (1.0 + abs(j0))
-    tries: list[int] = []
-    x, final_objective, final_gradient, iterations = _newton(
-        fg, hessian, x, j0, g0, tolerance, config.max_iterations, callback, tries
+    tolerance = _GRADIENT_TOLERANCE * (1.0 + abs(j0))
+    x, final_objective, final_gradient, iterations, factorizations = _newton(
+        fg, hessian, x, j0, g0, tolerance, config.max_iterations, callback
     )
     gradient_norm = float(np.abs(final_gradient).max())
     diagnostics = RelshaDiagnostics(
@@ -288,7 +264,7 @@ def relsha_solve(
         gradient_tolerance=tolerance,
         iterations=iterations,
         restarts=0,
-        factorizations=sum(tries),
+        factorizations=factorizations,
         converged=gradient_norm <= tolerance,
         regime=classify_regime(record.sample_count, catalog.n),
         sample_count=record.sample_count,
@@ -372,7 +348,7 @@ def _to_boundary(p, z, norm, radius):
     return gap / (along + math.copysign(math.sqrt(along * along + gap), along))
 
 
-def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback, tries=None):
+def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback):
     """Trust-region Newton from x, with f, g = fg(x), until the gradient
     infinity norm is at most tolerance or max_iterations steps are taken.
 
@@ -383,18 +359,17 @@ def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback, tries=Non
     Trust-Region Methods, 17.4.2). Each step's search for mu starts from
     the last step's. The loop also ends when no step is found or the step
     falls to the float resolution of x, as rejected steps near a zero of
-    J make it. Returns x, f, g and the steps taken; each step's count of
-    Cholesky factorizations is appended to tries, when given.
+    J make it. Returns x, f, g, the steps taken and the Cholesky
+    factorizations tried.
     """
-    iterations, mu = 0, 0.0
+    iterations, factorizations, mu = 0, 0, 0.0
     # Short first steps keep the fit near its start; from a radius of the
     # start's full size, more sparse records ended at a higher J.
     radius = 0.1 * max(np.linalg.norm(x), 1.0)
     b = hessian(x)
     while np.abs(g).max() > tolerance and iterations < max_iterations:
-        p, mu, factorizations = _step(b, g, radius, mu)
-        if tries is not None:
-            tries.append(factorizations)
+        p, mu, tries = _step(b, g, radius, mu)
+        factorizations += tries
         if p is None:
             break
         length = math.sqrt(p @ p)
@@ -414,4 +389,4 @@ def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback, tries=Non
             iterations += 1
             if callback is not None:
                 callback(x)
-    return x, f, g, iterations
+    return x, f, g, iterations, factorizations

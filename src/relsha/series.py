@@ -53,10 +53,6 @@ class WaterLevelSeries:
         return int(self.times.size)
 
     @property
-    def span(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
-    @property
     def native_spacing(self) -> float:
         """Median sample spacing in hours; requires at least 2 samples."""
         if len(self) < 2:

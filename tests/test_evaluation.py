@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from relsha import evaluation
 from relsha.cha import GaugeHarmonics
+from relsha.constituents import Constituent, ConstituentCatalog
 from relsha.evaluation import (
     cell_seed,
     default_intervals,
@@ -16,6 +17,7 @@ from relsha.evaluation import (
     slice_to_text,
 )
 from relsha.regularized import RelshaConfig
+from relsha.series import HarmonicSolution
 
 YEAR = 8766.0
 
@@ -93,6 +95,26 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="two reference gauges"):
             run_grid(base_series, truth.amplitudes, catalog,
                      intervals=[1.0], lengths=[720.0], methods=("cha",))
+
+    @pytest.mark.parametrize("method", ["relsha", "cha"])
+    def test_bad_prior_fails_before_any_cell(self, base_series, truth, catalog, monkeypatch,
+                                             reference_nearby, method):
+        # run_grid records a cell's exception as a missing cell, so the
+        # calls are counted rather than failed
+        resampled = []
+        monkeypatch.setattr(evaluation, "resample", lambda *args: resampled.append(args))
+        other = ConstituentCatalog((Constituent("A", 1.0),))
+        stranger = GaugeHarmonics("stranger", HarmonicSolution(0, 0, [1.0], [0.0], other))
+        inputs = {
+            "relsha": ({"relsha_reference": np.ones(5)}, "must have length 37, got 5"),
+            "cha": ({"cha_ref_a": GaugeHarmonics("a", reference_nearby), "cha_ref_b": stranger},
+                    "'stranger' is not aligned"),
+        }
+        kwargs, message = inputs[method]
+        with pytest.raises(ValueError, match=message):
+            run_grid(base_series, truth.amplitudes, catalog, intervals=[1.0], lengths=[720.0],
+                     methods=("ha", method), **kwargs)
+        assert resampled == []
 
     def test_unknown_method_rejected(self, base_series, truth, catalog):
         with pytest.raises(ValueError, match="unknown method"):

@@ -11,6 +11,7 @@ from relsha.design import _pair_squares, build_design_matrix, prepare
 from relsha.evaluation import cell_seed, default_intervals, default_lengths, rrmse
 from relsha.ha import ha_fit
 from relsha.regularized import (
+    _GRADIENT_TOLERANCE,
     RelshaConfig,
     _hessian,
     _initial_state,
@@ -33,7 +34,7 @@ def gradient(*args, **kwargs):
     return relsha_value_and_gradient(*args, **kwargs)[1]
 
 
-def finite_difference_gradient(x, design, heights, ref_squares, lam, normalize=False):
+def finite_difference_gradient(x, design, heights, ref_squares, lam):
     grad = np.empty_like(x)
     for j in range(x.size):
         step = 1e-6 * (1.0 + abs(x[j]))
@@ -42,8 +43,8 @@ def finite_difference_gradient(x, design, heights, ref_squares, lam, normalize=F
         forward[j] += step
         backward[j] -= step
         grad[j] = (
-            objective(forward, design, heights, ref_squares, lam, normalize)
-            - objective(backward, design, heights, ref_squares, lam, normalize)
+            objective(forward, design, heights, ref_squares, lam)
+            - objective(backward, design, heights, ref_squares, lam)
         ) / (2.0 * step)
     return grad
 
@@ -81,13 +82,6 @@ class TestObjective:
         with pytest.raises(ValueError, match="dimensions"):
             objective(np.zeros(4), design, np.array([0.0]), np.array([1.0]), 0.5)
 
-    def test_normalized_variant(self):
-        design, heights, ref_squares, x = random_instance(3, m=8, n=2)
-        raw_data = objective(x, design, heights, ref_squares, 0.0)
-        raw_reg = objective(x, design, heights, ref_squares, 1.0)
-        mixed = objective(x, design, heights, ref_squares, 0.4, normalize=True)
-        assert mixed == pytest.approx(0.6 * raw_data / 8 + 0.4 * raw_reg / 2)
-
 
 class TestGradient:
     def test_reduces_to_least_squares_at_lam_zero(self):
@@ -116,19 +110,18 @@ class TestGradient:
     @given(
         seed=st.integers(0, 10_000),
         lam=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
-        normalize=st.booleans(),
     )
-    def test_directional_derivative_consistency(self, seed, lam, normalize):
+    def test_directional_derivative_consistency(self, seed, lam):
         design, heights, ref_squares, x = random_instance(seed, m=6, n=2)
         rng = np.random.default_rng(seed + 1)
         direction = rng.normal(size=x.size)
         direction /= np.linalg.norm(direction)
         eps = 1e-6
         slope = (
-            objective(x + eps * direction, design, heights, ref_squares, lam, normalize)
-            - objective(x - eps * direction, design, heights, ref_squares, lam, normalize)
+            objective(x + eps * direction, design, heights, ref_squares, lam)
+            - objective(x - eps * direction, design, heights, ref_squares, lam)
         ) / (2.0 * eps)
-        analytic = gradient(x, design, heights, ref_squares, lam, normalize) @ direction
+        analytic = gradient(x, design, heights, ref_squares, lam) @ direction
         assert abs(analytic - slope) / (1.0 + abs(slope)) < 1e-6
 
 
@@ -238,7 +231,7 @@ def _problem(record, reference, lam=0.5):
 
     x0 = _initial_state(record.a, record.b, reference)
     f0, g0 = fg(x0)
-    return fg, hessian, x0, f0, g0, 1e-8 * (1.0 + abs(f0))
+    return fg, hessian, x0, f0, g0, _GRADIENT_TOLERANCE * (1.0 + abs(f0))
 
 
 def _one_year(base_series, catalog, interval):
@@ -265,11 +258,12 @@ class TestNewtonLoop:
     def test_reaches_tolerance(self, base_series, reference_nearby, catalog, interval):
         record = _one_year(base_series, catalog, interval)
         fg, hessian, x0, f0, g0, tolerance = _problem(record, reference_nearby.amplitudes)
-        x, f, g, iterations = _newton(fg, hessian, x0, f0, g0, tolerance, 2000, None)
+        x, f, g, iterations, factorizations = _newton(fg, hessian, x0, f0, g0, tolerance, 2000, None)
         assert np.abs(g).max() <= tolerance
         f_at_x, g_at_x = fg(x)
         assert f == f_at_x and np.array_equal(g, g_at_x)
         assert 0 < iterations < 2000
+        assert factorizations >= iterations
 
     # budgets well below the 21 steps this record takes to converge
     @pytest.mark.parametrize("k", [1, 5, 10])
@@ -292,9 +286,9 @@ class TestNewtonLoop:
         x = 1e-3 * x0
         assert np.linalg.eigvalsh(hessian(x)).min() < 0.0
         f, g = fg(x)
-        tolerance = 1e-8 * (1.0 + abs(f))
+        tolerance = _GRADIENT_TOLERANCE * (1.0 + abs(f))
         values = [f]
-        x, f, g, iterations = _newton(
+        x, f, g, iterations, _ = _newton(
             fg, hessian, x, f, g, tolerance, 2000, lambda state: values.append(fg(state)[0])
         )
         assert np.abs(g).max() <= tolerance
@@ -399,7 +393,7 @@ class TestConvergence:
         assert d.factorizations == len(dpotrf_calls) > d.iterations
 
 
-class TestNormalizedTerms:
+class TestCompressedObjective:
     def test_compressed_and_raw_paths_agree(self, hourly_year, truth, catalog, pack_state):
         from relsha.series import detrend
 
@@ -410,24 +404,21 @@ class TestNormalizedTerms:
         rng = np.random.default_rng(12)
         for lam in (0.0, 0.4, 1.0):
             x = pack_state(truth) + rng.normal(scale=0.01, size=2 * catalog.n)
-            raw = relsha_value_and_gradient(x, design, residual.heights, ref_squares, lam, True)
-            compressed = relsha_value_and_gradient(
-                x, record.a, record.b, ref_squares, lam, True, record.rest, record.sample_count
-            )
+            raw = relsha_value_and_gradient(x, design, residual.heights, ref_squares, lam)
+            compressed = relsha_value_and_gradient(x, record.a, record.b, ref_squares, lam, record.rest)
             assert compressed[0] == pytest.approx(raw[0], rel=1e-10)
             assert np.allclose(compressed[1], raw[1], rtol=1e-8, atol=1e-12)
 
-    def test_fit_objective_divides_by_the_sample_count(self, hourly_year, truth, catalog, pack_state):
+    def test_fit_objective_is_the_raw_objective(self, hourly_year, truth, catalog, pack_state):
         from relsha.series import detrend
 
         reference = 1.05 * truth.amplitudes
-        config = RelshaConfig(lam=0.5, normalize_terms=True)
-        result = relsha_fit(hourly_year, reference, catalog, config)
+        result = relsha_fit(hourly_year, reference, catalog, RelshaConfig(lam=0.5))
         assert result.diagnostics.converged
         residual, _, _ = detrend(hourly_year)
         design = build_design_matrix(residual.times, catalog)
         raw, _ = relsha_value_and_gradient(
-            pack_state(result.solution), design, residual.heights, reference**2, 0.5, True
+            pack_state(result.solution), design, residual.heights, reference**2, 0.5
         )
         assert result.diagnostics.objective == pytest.approx(raw, rel=1e-8)
 
@@ -438,10 +429,6 @@ class TestConfig:
             RelshaConfig(lam=1.5)
         with pytest.raises(ValueError, match="lam"):
             RelshaConfig(lam=-0.1)
-
-    def test_tolerance_positive(self):
-        with pytest.raises(ValueError, match="gradient_tolerance"):
-            RelshaConfig(gradient_tolerance=0.0)
 
     def test_iterations_positive(self):
         with pytest.raises(ValueError, match="max_iterations"):
