@@ -87,8 +87,10 @@ def _load_config_defaults(
     parser: argparse.ArgumentParser, keys: tuple[str, ...], path: str
 ) -> None:
     """Make a JSON config file's values the subcommand's option defaults,
-    so that flags still win. A JSON list is joined with commas, so an
-    option's type parses a list and a comma string alike."""
+    so that flags still win. Every value becomes a string, a JSON list
+    joined with commas, because argparse runs an option's type only on a
+    string default: a value of the wrong kind is then a usage error, and
+    an option's type parses a list and a comma string alike."""
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
@@ -102,10 +104,11 @@ def _load_config_defaults(
     defaults = {}
     for key, value in config.items():
         dest = _CONFIG_DESTS.get(key, key)
-        # no option is an on/off flag, so no key takes true or false
-        if isinstance(value, bool):
+        # no option is an on/off flag, so no key takes true or false;
+        # null and objects have no option form at all
+        if value is None or isinstance(value, (bool, dict)):
             raise ValueError(f"{path}: {key} = {json.dumps(value)} has the wrong type")
-        defaults[dest] = ",".join(map(str, value)) if isinstance(value, list) else value
+        defaults[dest] = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     parser.set_defaults(**defaults)
 
 
@@ -113,8 +116,15 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _name_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _method_list(text: str) -> tuple[str, ...]:
+    methods = tuple(part.strip() for part in text.split(",") if part.strip())
+    unknown = [m for m in methods if m not in evaluation.KNOWN_METHODS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown method(s) {', '.join(unknown)}; expected some of "
+            f"{', '.join(evaluation.KNOWN_METHODS)}"
+        )
+    return methods
 
 
 def _gauge(path: str | Path, catalog) -> GaugeHarmonics:
@@ -315,7 +325,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                             help="first cha reference gauge")
     experiment.add_argument("--reference-b", default=data / "reference_offshore.csv",
                             help="second cha reference gauge")
-    experiment.add_argument("--methods", type=_name_list, default=evaluation.KNOWN_METHODS,
+    experiment.add_argument("--methods", type=_method_list, default=evaluation.KNOWN_METHODS,
                             help="comma list from {ha,cha,relsha}")
     experiment.add_argument("--intervals", type=_float_list,
                             default=evaluation.default_intervals(),

@@ -11,9 +11,16 @@ the header: tide-gauge records (``timestamp,height_m``) and altimetry
 pass files (``cycle,timestamp,ssh_m,flag``), which it reduces to one
 sample per repeat cycle.
 
-A file is read with one ``read_text`` and each row is parsed once into
-an aware datetime and a float; sorting, duplicate detection and the
-conversion to hours then run on one int64 array of microseconds.
+A file is read with one ``read_text``. A gauge file in exactly the
+layout water_levels_to_text writes (what ``relsha synth`` and ``relsha
+resample`` produce: the ``timestamp,height_m`` header, then LF-ended
+``YYYY-MM-DDTHH:MM:SSZ,<height>`` rows with finite heights and strictly
+increasing times) is read column-wise: every stamp is decoded in one
+numpy pass and every height by float() in one np.fromiter pass. Any
+other file is read row by row: each row is parsed once into an aware
+datetime and a float, and sorting, duplicate detection and the
+conversion to hours run on one int64 array of microseconds. Both paths
+give the same series, bit for bit, on a file the first one accepts.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import logging
 import math
 from collections.abc import Iterator, Sequence
 from datetime import datetime, timezone
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -83,14 +90,13 @@ def format_number(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _data_lines(path: Path) -> list[tuple[int, str]]:
+def _data_lines(text: str) -> list[tuple[int, str]]:
     """(line number, stripped text) of every non-blank, non-comment line.
 
     read_text turns CRLF and CR line ends into LF, so splitting on LF
     numbers the lines as iterating the file would; str.splitlines would
     also split on form feeds and other separators.
     """
-    text = path.read_text(encoding="utf-8")
     return [
         (number, line)
         for number, raw in enumerate(text.split("\n"), start=1)
@@ -98,14 +104,19 @@ def _data_lines(path: Path) -> list[tuple[int, str]]:
     ]
 
 
+def _hours_since_first(micros: np.ndarray) -> np.ndarray:
+    """Hours since micros[0] of sorted int64 microseconds.
+
+    (us - us0) / 1e6 / 3600 is the same IEEE operations as
+    timedelta.total_seconds() / 3600 while us - us0 stays below 2**53
+    (about 285 years), where int64 to float is exact.
+    """
+    return (micros - micros[0]) / 1e6 / 3600.0
+
+
 def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray, datetime]:
     """Stable time order of aware stamps, their hours since the earliest
-    in that order, and the earliest (the epoch, keeping its tzinfo).
-
-    The hours are (us - us0) / 1e6 / 3600 on int64 microseconds, the same
-    IEEE operations as timedelta.total_seconds() / 3600 while us - us0
-    stays below 2**53 (about 285 years), where int64 to float is exact.
-    """
+    in that order, and the earliest (the epoch, keeping its tzinfo)."""
     deltas = [stamp - _UNIX_EPOCH for stamp in stamps]
 
     def field(name: str) -> np.ndarray:
@@ -113,8 +124,66 @@ def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray, dat
 
     micros = (field("days") * 86_400 + field("seconds")) * 1_000_000 + field("microseconds")
     order = np.argsort(micros, kind="stable")
-    micros = micros[order]
-    return order, (micros - micros[0]) / 1e6 / 3600.0, stamps[order[0]]
+    return order, _hours_since_first(micros[order]), stamps[order[0]]
+
+
+# A row as water_levels_to_text writes it, up to the height: "0" marks a
+# digit, every other byte must match exactly.
+_ROW_START = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
+_DIGIT = _ROW_START == ord("0")
+_ROW_LIMIT = np.where(_DIGIT, 9, 0).astype(np.uint8)
+_START_FIELD = itemgetter(slice(None, _ROW_START.size))
+_HEIGHT_FIELD = itemgetter(slice(_ROW_START.size, None))
+
+
+def _read_canonical(text: str) -> WaterLevelSeries | None:
+    """The series of a gauge file in exactly the layout water_levels_to_text
+    writes, decoded column-wise; None for any other file.
+
+    The header must be ``timestamp,height_m`` and every row
+    ``YYYY-MM-DDTHH:MM:SSZ,<height>``, LF-ended, with a valid calendar
+    stamp (year 1 on, the month's length from datetime64 arithmetic, hour
+    below 24, second below 60), a height float() reads as finite, and a
+    time strictly after the row before. Such a file has no row the
+    row-by-row reader drops, sorts or warns about, so both give the same
+    series.
+    """
+    lines = text.split("\n")
+    rows = lines[1:-1]
+    if lines[0] != "timestamp,height_m" or lines[-1] or not rows:
+        return None
+    starts = "".join(map(_START_FIELD, rows))
+    if not starts.isascii() or len(starts) != len(rows) * _ROW_START.size:
+        return None
+    offsets = np.frombuffer(starts.encode("ascii"), dtype=np.uint8).reshape(len(rows), -1)
+    offsets = offsets - _ROW_START  # uint8: a byte below its template wraps above 9
+    if not (offsets <= _ROW_LIMIT).all():
+        return None
+    digits = offsets[:, _DIGIT]
+    pairs = (digits[:, 0::2] * 10 + digits[:, 1::2]).astype(np.int64)
+    century, year_of_century, month, day, hour, minute, second = pairs.T
+    year = century * 100 + year_of_century
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    first_day = months.astype("datetime64[D]")
+    month_days = ((months + 1).astype("datetime64[D]") - first_day).astype(np.int64)
+    valid = (
+        (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+        & (hour < 24) & (minute < 60) & (second < 60)
+    )
+    if not valid.all():
+        return None
+    days = first_day.astype(np.int64) + (day - 1)
+    micros = (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
+    if not (micros[1:] > micros[:-1]).all():
+        return None
+    try:
+        heights = np.fromiter(map(float, map(_HEIGHT_FIELD, rows)), dtype=float, count=len(rows))
+    except ValueError:
+        return None
+    if not np.isfinite(heights).all():
+        return None
+    epoch = parse_timestamp(rows[0].partition(",")[0])
+    return WaterLevelSeries(_hours_since_first(micros), heights, epoch)
 
 
 def load_water_levels(path: str | Path) -> WaterLevelSeries:
@@ -134,7 +203,11 @@ def load_water_levels(path: str | Path) -> WaterLevelSeries:
     still count toward the epoch.
     """
     path = Path(path)
-    lines = _data_lines(path)
+    text = path.read_text(encoding="utf-8")
+    series = _read_canonical(text)
+    if series is not None:
+        return series
+    lines = _data_lines(text)
     header = lines[0][1].lower() if lines else ""
     if "cycle" in header.partition(",")[0]:
         return _load_pass(path, lines[1:])

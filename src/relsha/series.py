@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
@@ -52,9 +53,12 @@ class WaterLevelSeries:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    @property
+    @cached_property
     def native_spacing(self) -> float:
-        """Median sample spacing in hours; requires at least 2 samples."""
+        """Median sample spacing in hours; requires at least 2 samples.
+
+        Computed once per series: the grid resamples one base record for
+        every cell."""
         if len(self) < 2:
             raise ValueError("native spacing undefined for a single sample")
         return float(np.median(np.diff(self.times)))

@@ -200,7 +200,8 @@ class TestFit:
         assert "missing.csv" not in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("entry", ['"max_iterations": false', '"lambda": true'])
+    @pytest.mark.parametrize("entry", ['"max_iterations": false', '"lambda": true',
+                                       '"lambda": null', '"max_iterations": {"value": 5}'])
     def test_config_value_of_the_wrong_type_fails(self, tmp_path, caplog, entry):
         config = tmp_path / "config.json"
         config.write_text("{" + entry + "}", encoding="utf-8")
@@ -208,6 +209,18 @@ class TestFit:
                    "--config", config, "--output", tmp_path / "solution.csv")
         assert code == 1
         assert "has the wrong type" in caplog.text
+
+    def test_fractional_max_iterations_in_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"max_iterations": 2.5}', encoding="utf-8")
+        out = tmp_path / "solution.csv"
+        # the input does not exist: the usage error must come first
+        with pytest.raises(SystemExit) as excinfo:
+            run("fit", "--method", "relsha", "--input", tmp_path / "missing.csv",
+                "--config", config, "--output", out)
+        assert excinfo.value.code == 2
+        assert "argument --max-iterations: invalid int value: '2.5'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAtomicWrite:
@@ -392,6 +405,33 @@ class TestExperiment:
         assert {(row[0], row[1]) for row in rows} == {
             (i, l) for i in ("120", "237.6") for l in ("720", "2000")
         }
+
+    @pytest.mark.parametrize("entry, message", [
+        ('"seed": 1.7', "argument --seed: invalid int value: '1.7'"),
+        ('"methods": 5', "argument --methods: unknown method(s) 5"),
+    ])
+    def test_config_value_of_the_wrong_kind_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, entry, message
+    ):
+        def no_record(*args, **kwargs):
+            raise AssertionError("the base record was synthesized")
+
+        monkeypatch.setattr(cli, "synthesize_series", no_record)
+        config = tmp_path / "config.json"
+        config.write_text("{" + entry + "}", encoding="utf-8")
+        out = tmp_path / "grid.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run("experiment", "--config", config, "--intervals", "264", "--lengths", "8784",
+                "--truth", tmp_path / "missing.csv", "--output", out)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_method_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run("experiment", "--methods", "ha,spectral", "--output", tmp_path / "grid.csv")
+        assert excinfo.value.code == 2
+        assert "unknown method(s) spectral; expected some of ha, cha, relsha" in capsys.readouterr().err
 
     def test_missing_output_dir_fails_before_the_grid(self, tmp_path, monkeypatch, caplog):
         def no_grid(*args, **kwargs):

@@ -2,6 +2,7 @@ import logging
 import math
 import re
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -264,50 +265,149 @@ def _reference_data_lines(path):
     return lines
 
 
-def _six_minute_year(rng, start="2021-01-03T02:06"):
+def _six_minute_year(rng, start="2021-01-03T02:06", count=87_841):
     """One year of 6-min stamps, as ``relsha synth`` writes them."""
-    count = 87_841
     steps = np.arange(count) * np.timedelta64(6, "m")
     stamps = np.datetime_as_string(np.datetime64(start) + steps, unit="s")
     return [f"{s}Z" for s in stamps], rng.normal(0.0, 0.6, count)
 
 
+def _canonical_rows(stamps, heights):
+    return [f"{s},{format_number(h)}" for s, h in zip(stamps, heights)]
+
+
+def _stamp(row):
+    return row.split(",")[0]
+
+
+def _replaced(rows, i, row):
+    return rows[:i] + [row] + rows[i + 1:]
+
+
+# Every kind of row the loaders drop, reorder or must read exactly, one
+# defect each; _spoil applies them all.
+DEFECTS = {
+    "unparseable-stamp": lambda r: _replaced(r, 10, "not-a-date,1.0"),
+    "empty-height": lambda r: _replaced(r, 20, _stamp(r[20]) + ","),
+    "nan-height": lambda r: _replaced(r, 30, _stamp(r[30]) + ",nan"),
+    "infinite-height": lambda r: _replaced(r, 40, _stamp(r[40]) + ",-inf"),
+    "duplicate": lambda r: _replaced(r, 50, _stamp(r[49]) + ",9.5"),
+    "offset": lambda r: _replaced(r, 60, "2021-01-03T13:06:00+05:30,0.25"),  # = r[55] in UTC
+    "naive-fractional": lambda r: _replaced(r, 70, "2021-01-03 09:06:00.000250,0.5"),
+    "out-of-order": lambda r: r[:80] + [r[81], r[80]] + r[82:],
+    "padded-extra-column": lambda r: _replaced(r, 90, " 2021-01-03T11:06:00.5Z , 0.75 ,extra"),
+    "comment": lambda r: r[:100] + ["# gauge serviced"] + r[100:],
+    "blank-line": lambda r: r[:101] + [""] + r[101:],
+    "sorts-far-back": lambda r: r + [_stamp(r[5]) + ",7.0"],
+    "new-earliest": lambda r: r + ["2021-01-01T00:00:00-03:00,1.5"],
+}
+
+
 def _spoil(rows):
-    """Every kind of row the loaders drop, reorder or must read exactly."""
-    rows[10] = "not-a-date,1.0"
-    rows[20] = rows[20].split(",")[0] + ","
-    rows[30] = rows[30].split(",")[0] + ",nan"
-    rows[40] = rows[40].split(",")[0] + ",-inf"
-    rows[50] = rows[49].split(",")[0] + ",9.5"                         # duplicate
-    rows[60] = "2021-01-03T13:06:00+05:30,0.25"                          # = rows[49] in UTC
-    rows[70] = "2021-01-03 09:06:00.000250,0.5"                          # naive, fractional
-    rows[80], rows[81] = rows[81], rows[80]                              # out of order
-    rows[90] = " 2021-01-03T11:06:00.5Z , 0.75 ,extra"
-    rows.insert(100, "# gauge serviced")
-    rows.insert(101, "")
-    rows.append(rows[5].split(",")[0] + ",7.0")                          # sorts far back
-    rows.append("2021-01-01T00:00:00-03:00,1.5")                         # new earliest
+    for defect in DEFECTS.values():
+        rows = defect(rows)
     return rows
+
+
+def _gauge_text(rows):
+    return "timestamp,height_m\n" + "\n".join(rows) + "\n"
+
+
+def _assert_matches_reference(path, caplog):
+    """load_water_levels gives the reference loader's series and log;
+    returns both."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        times, kept, epoch = _reference_load_water_levels(path)
+    expected_log = [r.getMessage() for r in caplog.records]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        series = load_water_levels(path)
+    assert series.times.tobytes() == times.tobytes()
+    assert series.heights.tobytes() == kept.tobytes()
+    assert series.epoch == epoch
+    assert series.epoch.tzinfo == epoch.tzinfo
+    assert [r.getMessage() for r in caplog.records] == expected_log
+    return series, expected_log
 
 
 class TestWaterLevelGolden:
     def test_matches_row_by_row_loader_bit_for_bit(self, tmp_path, caplog):
         stamps, heights = _six_minute_year(np.random.default_rng(5))
-        rows = _spoil([f"{s},{format_number(h)}" for s, h in zip(stamps, heights)])
-        path = write(tmp_path, "timestamp,height_m\n" + "\n".join(rows) + "\n")
-        with caplog.at_level(logging.WARNING):
-            times, kept, epoch = _reference_load_water_levels(path)
-        expected_log = [r.getMessage() for r in caplog.records]
-        caplog.clear()
-        with caplog.at_level(logging.WARNING):
-            series = load_water_levels(path)
-        assert series.times.tobytes() == times.tobytes()
-        assert series.heights.tobytes() == kept.tobytes()
-        assert series.epoch == epoch
-        assert series.epoch.tzinfo == epoch.tzinfo
+        path = write(tmp_path, _gauge_text(_spoil(_canonical_rows(stamps, heights))))
+        series, expected_log = _assert_matches_reference(path, caplog)
         assert series.epoch.utcoffset() == timedelta(hours=-3)
-        assert [r.getMessage() for r in caplog.records] == expected_log
         assert len(expected_log) == 7
+
+    def test_canonical_year_is_read_column_wise_bit_for_bit(self, tmp_path, caplog):
+        stamps, heights = _six_minute_year(np.random.default_rng(5))
+        text = _gauge_text(_canonical_rows(stamps, heights))
+        assert relsha.ingest._read_canonical(text) is not None
+        path = write(tmp_path, text)
+        series, expected_log = _assert_matches_reference(path, caplog)
+        assert expected_log == []
+        assert series.epoch.tzinfo == timezone.utc
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_each_defect_takes_the_row_by_row_path(self, tmp_path, caplog, defect):
+        stamps, heights = _six_minute_year(np.random.default_rng(5), count=300)
+        text = _gauge_text(DEFECTS[defect](_canonical_rows(stamps, heights)))
+        assert relsha.ingest._read_canonical(text) is None
+        _assert_matches_reference(write(tmp_path, text), caplog)
+
+    @pytest.mark.parametrize("text", [
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1.5",
+        "timestamp,height_m,quality\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1.5\n",
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1.5,good\n",
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1,5\n",
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1.5\n\n",
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n202\u0661-01-01T00:06:00Z,1.5\n",
+    ], ids=["no-final-newline", "extra-header-column", "extra-column", "two-heights",
+            "trailing-blank-line", "arabic-indic-digit"])
+    def test_other_layouts_take_the_row_by_row_path(self, tmp_path, caplog, text):
+        assert relsha.ingest._read_canonical(text) is None
+        _assert_matches_reference(write(tmp_path, text), caplog)
+
+    @pytest.mark.parametrize("stamp", [
+        "2021-02-29T12:00:00Z", "2100-02-29T12:00:00Z", "2021-04-31T12:00:00Z",
+        "2021-13-01T12:00:00Z", "2021-03-00T12:00:00Z", "2021-03-01T24:00:00Z",
+        "2021-03-01T23:60:00Z", "2021-03-01T23:59:60Z", "0000-03-01T12:00:00Z",
+    ])
+    def test_invalid_calendar_stamp_is_dropped_as_row_by_row(self, tmp_path, caplog, stamp):
+        # first, so that read as any instant it would sort before the next row
+        text = _gauge_text([f"{stamp},2.0", "2200-01-01T00:00:00Z,3.0"])
+        assert relsha.ingest._read_canonical(text) is None
+        path = write(tmp_path, text)
+        assert _assert_matches_reference(path, caplog)[1] == [
+            f"{path}:2: unparseable row '{stamp},2.0' dropped"
+        ]
+
+    @given(
+        boundary=st.sampled_from([
+            datetime(1, 2, 1), datetime(1900, 3, 1), datetime(2000, 3, 1), datetime(2020, 3, 1),
+            datetime(2021, 3, 1), datetime(2021, 5, 1), datetime(2021, 1, 1),
+            datetime(2022, 1, 1), datetime(2100, 3, 1), datetime(9999, 12, 1),
+        ]),
+        seconds=st.lists(st.integers(-3 * 86_400, 3 * 86_400), min_size=1, max_size=40,
+                         unique=True),
+        heights=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=40,
+                         max_size=40),
+    )
+    def test_both_paths_agree_across_calendar_boundaries(
+        self, tmp_path_factory, boundary, seconds, heights
+    ):
+        stamps = [(boundary + timedelta(seconds=s)).isoformat() + "Z" for s in sorted(seconds)]
+        text = _gauge_text(_canonical_rows(stamps, heights))
+        columns = relsha.ingest._read_canonical(text)
+        assert columns is not None
+        path = tmp_path_factory.mktemp("gauge") / "gauge.csv"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(relsha.ingest, "_read_canonical", return_value=None):
+            rows = load_water_levels(path)
+        assert columns.times.tobytes() == rows.times.tobytes()
+        assert columns.heights.tobytes() == rows.heights.tobytes()
+        assert columns.epoch == rows.epoch
+        assert columns.epoch.tzinfo == rows.epoch.tzinfo
 
 
 def _reference_load_altimetry(path):
