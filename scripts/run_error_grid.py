@@ -4,9 +4,9 @@
 Compares HA, CHA, and ReLSHA on the bundled synthetic truth across the
 default lattice (12 minutes to 11 days; 30 to 366 days) and writes the
 grid CSV plus the slice files at the 6-min, 9.9-day, and 11-day marks.
-The full lattice is 840 records x 3 methods and took 11-13 s with
---threads 1, and 8.5-10 s with --threads 2, on a 2-vCPU machine
-(Python 3.11, numpy 2.4, scipy 1.17; four runs each at seeds 0 and 1).
+The full lattice is 840 records x 3 methods and took 10.9-12.6 s with
+--threads 1, and 8.0-8.8 s with --threads 2, on a 2-vCPU machine
+(Python 3.11, numpy 2.4, scipy 1.17; two runs each at seeds 0 and 1).
 Every option but --output goes to `relsha experiment` as given, so the
 defaults are that command's; pass --intervals/--lengths to trim the
 lattice.

@@ -44,27 +44,39 @@ def shortest_arc(from_angle: np.ndarray, to_angle: np.ndarray) -> np.ndarray:
     return math.pi - (math.pi - delta) % TWO_PI
 
 
-def _check_alignment(ref: GaugeHarmonics, catalog: ConstituentCatalog) -> None:
-    if ref.solution.catalog.names != catalog.names:
-        raise ValueError(
-            f"reference gauge {ref.station!r} is not aligned with the analysis catalog"
-        )
+class GaugePair:
+    """Two reference gauges on one catalog, with CHA's weight scan over them.
 
+    Built once and shared by every record fitted against the gauges: it
+    checks that both gauges are aligned with the catalog and holds the
+    candidate states of the whole scan, one column per weight in
+    ``weights``. Its arrays are read-only, since pool threads share a pair.
+    """
 
-def _state_for_weights(
-    weights: np.ndarray,
-    amp_a: np.ndarray,
-    amp_b: np.ndarray,
-    phase_a: np.ndarray,
-    arc: np.ndarray,
-    nodal_factors: np.ndarray,
-) -> np.ndarray:
-    """Stack of state vectors, one column per candidate weight."""
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    amp = (1.0 - w)[None, :] * amp_a[:, None] + w[None, :] * amp_b[:, None]
-    amp = amp * nodal_factors[:, None]
-    phase = phase_a[:, None] + w[None, :] * arc[:, None]
-    return np.vstack([amp * np.cos(phase), -amp * np.sin(phase)])
+    def __init__(self, ref_a: GaugeHarmonics, ref_b: GaugeHarmonics, catalog: ConstituentCatalog):
+        for ref in (ref_a, ref_b):
+            if ref.solution.catalog.names != catalog.names:
+                raise ValueError(
+                    f"reference gauge {ref.station!r} is not aligned with the analysis catalog"
+                )
+        self.catalog = catalog
+        self.amp_a = ref_a.solution.amplitudes
+        self.amp_b = ref_b.solution.amplitudes
+        self.phase_a = ref_a.solution.phases
+        self.arc = shortest_arc(self.phase_a, ref_b.solution.phases)
+        self.nodal_factors = catalog.nodal_factors
+        self.weights = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
+        self.states = self.states_for(self.weights)
+        for array in (self.arc, self.weights, self.states):
+            array.setflags(write=False)
+
+    def states_for(self, weights) -> np.ndarray:
+        """Stack of state vectors, one column per candidate weight."""
+        w = np.atleast_1d(np.asarray(weights, dtype=float))
+        amp = (1.0 - w)[None, :] * self.amp_a[:, None] + w[None, :] * self.amp_b[:, None]
+        amp = amp * self.nodal_factors[:, None]
+        phase = self.phase_a[:, None] + w[None, :] * self.arc[:, None]
+        return np.vstack([amp * np.cos(phase), -amp * np.sin(phase)])
 
 
 def cha_fit(
@@ -82,32 +94,25 @@ def cha_fit(
     is unidentifiable and flagged as such: the gauges are identical or
     differ by less than the series can resolve.
     """
-    return cha_solve(prepare(series, catalog), ref_a, ref_b)
+    pair = GaugePair(ref_a, ref_b, catalog)
+    return cha_solve(prepare(series, catalog), pair)
 
 
-def cha_solve(record: PreparedRecord, ref_a: GaugeHarmonics, ref_b: GaugeHarmonics) -> ChaResult:
-    """cha_fit on a prepared record."""
-    catalog = record.catalog
-    _check_alignment(ref_a, catalog)
-    _check_alignment(ref_b, catalog)
+def cha_solve(record: PreparedRecord, pair: GaugePair) -> ChaResult:
+    """cha_fit on a prepared record, against a pair built on its catalog."""
+    if record.catalog.names != pair.catalog.names:
+        raise ValueError("record and gauge pair are on different catalogs")
     # Gram form keeps the w scan cheap: ||Hx - h||^2 = x'Gx - 2b'x + c.
     gram = record.a.T @ record.a
     b = record.a.T @ record.b
     c = float(record.b @ record.b) + record.rest
 
-    amp_a = ref_a.solution.amplitudes
-    amp_b = ref_b.solution.amplitudes
-    phase_a = ref_a.solution.phases
-    arc = shortest_arc(phase_a, ref_b.solution.phases)
-    nodal = catalog.nodal_factors
-
-    def objective(weights: np.ndarray) -> np.ndarray:
-        x = _state_for_weights(weights, amp_a, amp_b, phase_a, arc, nodal)
+    def objective(x: np.ndarray) -> np.ndarray:
         quad = np.einsum("ij,ij->j", x, gram @ x)
         return quad - 2.0 * (b @ x) + c
 
-    grid = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
-    values = objective(grid)
+    grid = pair.weights
+    values = objective(pair.states)
     best = int(np.argmin(values))
     w_star = float(grid[best])
     j_star = float(values[best])
@@ -119,15 +124,15 @@ def cha_solve(record: PreparedRecord, ref_a: GaugeHarmonics, ref_b: GaugeHarmoni
         if denom > 0:
             w_refined = w_star + GRID_STEP * 0.5 * (j_left - j_right) / denom
             w_refined = float(np.clip(w_refined, grid[best - 1], grid[best + 1]))
-            j_refined = float(objective(np.array([w_refined]))[0])
+            j_refined = float(objective(pair.states_for(w_refined))[0])
             if j_refined < j_star:
                 w_star, j_star = w_refined, j_refined
 
     # A flat scan leaves w to rounding: gauges equal, or too close to tell apart.
     identifiable = bool(values.max() - values.min() > 1e-9 * (1.0 + abs(values.min())))
 
-    amp = (1.0 - w_star) * amp_a + w_star * amp_b
-    phase = (phase_a + w_star * arc) % TWO_PI
+    amp = (1.0 - w_star) * pair.amp_a + w_star * pair.amp_b
+    phase = (pair.phase_a + w_star * pair.arc) % TWO_PI
     return ChaResult(
         weight=w_star,
         solution=record.solution(amp, phase),

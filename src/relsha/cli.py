@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, ingest
-from .cha import GaugeHarmonics, cha_fit
+from .cha import GaugeHarmonics, GaugePair, cha_solve
 from .constituents import default_catalog_path, load_catalog
+from .design import prepare
 from .evaluation import MARK_INTERVALS, grid_to_text, interval_slice, run_grid, slice_to_text
 from .ha import ha_fit
 from .ingest import format_number as fmt
@@ -124,6 +125,8 @@ def _method_list(text: str) -> tuple[str, ...]:
             f"unknown method(s) {', '.join(unknown)}; expected some of "
             f"{', '.join(evaluation.KNOWN_METHODS)}"
         )
+    if len(set(methods)) != len(methods):
+        raise argparse.ArgumentTypeError(f"repeated method in {text}")
     return methods
 
 
@@ -135,6 +138,14 @@ def _gauge(path: str | Path, catalog) -> GaugeHarmonics:
 def cmd_fit(args: argparse.Namespace) -> int:
     _check_output_dir(args.output)
     catalog = load_catalog(args.catalog)
+    if args.method == "cha":
+        if not args.reference_a or not args.reference_b:
+            raise ValueError("fit --method cha requires --reference-a and --reference-b")
+        pair = GaugePair(_gauge(args.reference_a, catalog), _gauge(args.reference_b, catalog), catalog)
+    elif args.method == "relsha":
+        if not args.reference:
+            raise ValueError("fit --method relsha requires --reference")
+        reference, _ = ingest.load_harmonics(args.reference, catalog)
     series = ingest.load_water_levels(args.input)
 
     diagnostics: dict[str, object] = {"method": args.method}
@@ -146,10 +157,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             regime=result.regime, sample_count=result.sample_count, rank=result.rank
         )
     elif args.method == "cha":
-        if not args.reference_a or not args.reference_b:
-            raise ValueError("fit --method cha requires --reference-a and --reference-b")
-        ref_a, ref_b = _gauge(args.reference_a, catalog), _gauge(args.reference_b, catalog)
-        result = cha_fit(series, ref_a, ref_b, catalog)
+        result = cha_solve(prepare(series, catalog), pair)
         solution = result.solution
         diagnostics.update(
             weight=result.weight,
@@ -158,9 +166,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             sample_count=result.sample_count,
         )
     else:
-        if not args.reference:
-            raise ValueError("fit --method relsha requires --reference")
-        reference, _ = ingest.load_harmonics(args.reference, catalog)
         fit_config = RelshaConfig(lam=args.lam, max_iterations=args.max_iterations)
         result = relsha_fit(series, reference.amplitudes, catalog, fit_config)
         solution = result.solution

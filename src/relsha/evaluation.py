@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .cha import GaugeHarmonics, _check_alignment, cha_solve
+from .cha import GaugeHarmonics, GaugePair, cha_solve
 from .constituents import ConstituentCatalog
-from .design import PreparedRecord, classify_regime, prepare
+from .design import classify_regime, prepare
 from .ha import ha_solve
 from .ingest import format_number
 from .regularized import RelshaConfig, _check_reference, relsha_solve
@@ -110,21 +110,6 @@ def cell_seed(base_seed: int, interval_index: int, length_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _fit_method(
-    method: str,
-    record: PreparedRecord,
-    relsha_reference,
-    relsha_config: RelshaConfig,
-    cha_ref_a,
-    cha_ref_b,
-):
-    if method == METHOD_HA:
-        return ha_solve(record)
-    if method == METHOD_CHA:
-        return cha_solve(record, cha_ref_a, cha_ref_b)
-    return relsha_solve(record, relsha_reference, relsha_config)
-
-
 @cache
 def _openblas_thread_controls():
     """(get, set) thread-count functions of numpy's and scipy's bundled
@@ -186,9 +171,10 @@ def run_grid(
 
     Each cell resamples the base series once with its derived seed,
     prepares (detrends and factors) that record once, and runs all
-    requested methods on it. A bad prior or a misaligned gauge fails
-    before the first cell; per-cell solver errors are recorded as
-    missing cells (rrmse None plus the error message), never fabricated.
+    requested methods on it. A repeated method, a bad prior or a
+    misaligned gauge fails before the first cell; per-cell errors are
+    recorded as missing cells (rrmse None plus the error message), never
+    fabricated.
     Output is identical for any thread count. The cells run with each
     bundled OpenBLAS on one thread, its own and any pool worker's alike,
     and the old thread counts are restored on return.
@@ -198,15 +184,19 @@ def run_grid(
     for method in methods:
         if method not in KNOWN_METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"repeated method in {methods}")
+    solvers = {METHOD_HA: ha_solve}
     if METHOD_RELSHA in methods:
         if relsha_reference is None:
             raise ValueError("relsha requires reference amplitudes")
         _check_reference(relsha_reference, catalog)
+        solvers[METHOD_RELSHA] = lambda record: relsha_solve(record, relsha_reference, relsha_config)
     if METHOD_CHA in methods:
         if cha_ref_a is None or cha_ref_b is None:
             raise ValueError("cha requires two reference gauges")
-        _check_alignment(cha_ref_a, catalog)
-        _check_alignment(cha_ref_b, catalog)
+        pair = GaugePair(cha_ref_a, cha_ref_b, catalog)
+        solvers[METHOD_CHA] = lambda record: cha_solve(record, pair)
     intervals = tuple(float(v) for v in np.asarray(intervals, dtype=float))
     lengths = tuple(float(v) for v in np.asarray(lengths, dtype=float))
 
@@ -224,23 +214,18 @@ def run_grid(
         try:
             plan = SamplingPlan(interval, length, seed=cell_seed(base_seed, i, j))
             sampled = resample(series, plan)
-        except Exception as exc:
-            return [replace(base, method=m, error=str(exc)) for m in methods]
-        base = replace(
-            base,
-            sample_count=len(sampled),
-            regime=classify_regime(len(sampled), catalog.n),
-        )
-        try:
+            base = replace(
+                base,
+                sample_count=len(sampled),
+                regime=classify_regime(len(sampled), catalog.n),
+            )
             record = prepare(sampled, catalog)
         except Exception as exc:
             return [replace(base, method=m, error=str(exc)) for m in methods]
         out = []
         for method in methods:
             try:
-                result = _fit_method(
-                    method, record, relsha_reference, relsha_config, cha_ref_a, cha_ref_b
-                )
+                result = solvers[method](record)
                 cell = replace(base, method=method, rrmse_percent=rrmse(result.solution.amplitudes, truth))
                 if method == METHOD_RELSHA:
                     d = result.diagnostics

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relsha.cha import GaugeHarmonics, cha_fit, shortest_arc
+import relsha.cha
+from relsha.cha import GaugeHarmonics, GaugePair, cha_fit, cha_solve, shortest_arc
 from relsha.constituents import Constituent, ConstituentCatalog
-from relsha.design import build_design_matrix
+from relsha.design import build_design_matrix, prepare
 from relsha.evaluation import rrmse
 from relsha.series import HarmonicSolution, WaterLevelSeries, detrend, synthesize_series
 
@@ -118,8 +119,27 @@ class TestProperties:
         assert result.solution.trend == pytest.approx(trend)
 
 
+class TestGaugePair:
+    def test_solve_on_a_prepared_record_is_the_fit(self, gauges, catalog):
+        ref_a, ref_b = gauges
+        series = synthesize_series(interpolant(ref_a, ref_b, 0.3, catalog), np.arange(0.0, 800.0, 3.7))
+        solved = cha_solve(prepare(series, catalog), GaugePair(ref_a, ref_b, catalog))
+        fitted = cha_fit(series, ref_a, ref_b, catalog)
+        assert solved.weight == fitted.weight
+        assert solved.objective == fitted.objective
+        assert solved.solution.amplitudes.tobytes() == fitted.solution.amplitudes.tobytes()
+        assert solved.solution.phases.tobytes() == fitted.solution.phases.tobytes()
+
+    def test_states_are_read_only(self, gauges, catalog):
+        pair = GaugePair(*gauges, catalog)
+        assert pair.states.shape == (2 * catalog.n, pair.weights.size)
+        for array in (pair.states, pair.weights, pair.arc):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
 class TestValidation:
-    def test_misaligned_reference_rejected(self, gauges):
+    def test_misaligned_reference_rejected(self, gauges, monkeypatch):
         ref_a, ref_b = gauges
         other = ConstituentCatalog((Constituent("A", 1.0),))
         stranger = GaugeHarmonics(
@@ -127,8 +147,18 @@ class TestValidation:
             HarmonicSolution(0, 0, np.array([1.0]), np.array([0.0]), other),
         )
         series = synthesize_series(ref_a.solution, np.arange(0.0, 100.0, 0.5))
-        with pytest.raises(ValueError, match="not aligned"):
+        prepared = []
+        monkeypatch.setattr(relsha.cha, "prepare", lambda *args: prepared.append(args))
+        with pytest.raises(ValueError, match="'stranger' is not aligned"):
             cha_fit(series, stranger, ref_b, ref_a.solution.catalog)
+        assert prepared == []
+
+    def test_record_on_another_catalog_rejected(self, gauges, catalog):
+        ref_a, _ = gauges
+        other = ConstituentCatalog(tuple(reversed(catalog.constituents)))
+        record = prepare(synthesize_series(ref_a.solution, np.arange(0.0, 100.0, 0.5)), other)
+        with pytest.raises(ValueError, match="different catalogs"):
+            cha_solve(record, GaugePair(*gauges, catalog))
 
     def test_requires_two_samples(self, gauges, catalog):
         ref_a, ref_b = gauges

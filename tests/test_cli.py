@@ -95,6 +95,17 @@ class TestFit:
         assert code != 0
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, option", [
+        ("cha", "--reference-a and --reference-b"), ("relsha", "--reference"),
+    ])
+    def test_missing_reference_fails_before_reading_input(self, tmp_path, caplog, method, option):
+        # the input does not exist: the reference check must come first
+        code = run("fit", "--method", method, "--input", tmp_path / "missing.csv",
+                   "--output", tmp_path / "solution.csv")
+        assert code == 1
+        assert f"fit --method {method} requires {option}" in caplog.text
+        assert "missing.csv" not in caplog.text
+
     def test_cha_fits_weight(self, tmp_path, tiny_gauge, tiny_catalog, tiny_truth):
         ref_b = tmp_path / "ref_b.csv"
         ref_b.write_text(
@@ -428,10 +439,14 @@ class TestExperiment:
         assert not out.exists()
 
     def test_unknown_method_flag_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run("experiment", "--methods", "ha,spectral", "--output", tmp_path / "grid.csv")
-        assert excinfo.value.code == 2
-        assert "unknown method(s) spectral; expected some of ha, cha, relsha" in capsys.readouterr().err
+        for methods, message in [
+            ("ha,spectral", "unknown method(s) spectral; expected some of ha, cha, relsha"),
+            ("ha,ha", "repeated method in ha,ha"),
+        ]:
+            with pytest.raises(SystemExit) as excinfo:
+                run("experiment", "--methods", methods, "--output", tmp_path / "grid.csv")
+            assert excinfo.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_missing_output_dir_fails_before_the_grid(self, tmp_path, monkeypatch, caplog):
         def no_grid(*args, **kwargs):

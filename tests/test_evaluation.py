@@ -117,9 +117,31 @@ class TestRunGrid:
         assert resampled == []
 
     def test_unknown_method_rejected(self, base_series, truth, catalog):
-        with pytest.raises(ValueError, match="unknown method"):
-            run_grid(base_series, truth.amplitudes, catalog,
-                     intervals=[1.0], lengths=[720.0], methods=("fourier",))
+        for methods, message in [(("fourier",), "unknown method 'fourier'"),
+                                 (("ha", "ha"), "repeated method")]:
+            with pytest.raises(ValueError, match=message):
+                run_grid(base_series, truth.amplitudes, catalog,
+                         intervals=[1.0], lengths=[720.0], methods=methods)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_gauge_pair_per_grid(self, base_series, truth, catalog, monkeypatch,
+                                     reference_nearby, reference_offshore, threads):
+        pairs = []
+
+        class CountedPair(evaluation.GaugePair):
+            def __init__(self, *args):
+                super().__init__(*args)
+                pairs.append(self)
+
+        monkeypatch.setattr(evaluation, "GaugePair", CountedPair)
+        grid = run_grid(
+            base_series, truth.amplitudes, catalog, intervals=[1.0, 237.6],
+            lengths=[720.0, 2190.0], methods=("cha",), threads=threads,
+            cha_ref_a=GaugeHarmonics("a", reference_nearby),
+            cha_ref_b=GaugeHarmonics("b", reference_offshore),
+        )
+        assert len(pairs) == 1
+        assert all(cell.rrmse_percent is not None for cell in grid.rows())
 
     def test_all_methods_vanish_when_truth_is_gauge_a(self, catalog, reference_nearby,
                                                       reference_offshore):
