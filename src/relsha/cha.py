@@ -103,7 +103,7 @@ def cha_solve(record: PreparedRecord, pair: GaugePair) -> ChaResult:
     if record.catalog.names != pair.catalog.names:
         raise ValueError("record and gauge pair are on different catalogs")
     # Gram form keeps the w scan cheap: ||Hx - h||^2 = x'Gx - 2b'x + c.
-    gram = record.a.T @ record.a
+    gram = record.gram
     b = record.a.T @ record.b
     c = float(record.b @ record.b) + record.rest
 

@@ -203,9 +203,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     relsha_config = RelshaConfig(lam=args.lam)
     catalog = load_catalog(args.catalog)
     truth, _ = ingest.load_harmonics(args.truth, catalog)
-    reference, _ = ingest.load_harmonics(args.reference, catalog)
-    ref_a = _gauge(args.reference_a, catalog)
-    ref_b = _gauge(args.reference_b, catalog)
+    # Only the methods asked for read their inputs.
+    reference = ref_a = ref_b = None
+    if "relsha" in args.methods:
+        reference = ingest.load_harmonics(args.reference, catalog)[0].amplitudes
+    if "cha" in args.methods:
+        ref_a = _gauge(args.reference_a, catalog)
+        ref_b = _gauge(args.reference_b, catalog)
 
     # Dense base record, 5% longer than the longest cut so the random
     # start offset has room to vary.
@@ -223,7 +227,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         lengths=args.lengths,
         methods=args.methods,
         base_seed=args.seed,
-        relsha_reference=reference.amplitudes,
+        relsha_reference=reference,
         relsha_config=relsha_config,
         cha_ref_a=ref_a,
         cha_ref_b=ref_b,

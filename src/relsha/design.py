@@ -25,16 +25,22 @@ themselves (rest = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dpotrf, dtrcon, dtrtrs
 
 from .constituents import TWO_PI, ConstituentCatalog
-from .series import HarmonicSolution, WaterLevelSeries, detrend
+from .series import HarmonicSolution, WaterLevelSeries, _in_blocks, detrend
 
 OVERDETERMINED = "overdetermined"
 UNDERDETERMINED = "underdetermined"
+
+# Singular values below RANK_RCOND * (largest singular value) are treated
+# as zero; near-resonant sampling (~12 h, ~24 h intervals) genuinely
+# collapses the rank and must yield the minimum-norm solution, not a crash.
+RANK_RCOND = 1e-10
 
 # compress_design takes the Gram-Cholesky path only below this estimated
 # cond(R): its relative error eps * cond^2 then stays under about 2e-8,
@@ -58,12 +64,18 @@ def build_design_matrix(times, catalog: ConstituentCatalog) -> np.ndarray:
 def _fill_transposed_design(times: np.ndarray, catalog: ConstituentCatalog, rows: np.ndarray) -> None:
     """Write H^T into the C-contiguous 2n x m array rows: row k holds
     cos(w_k t) and row n+k sin(w_k t). The phase arguments are formed in
-    the cosine rows, so no m x n temporary is allocated."""
+    the cosine rows, so no m x n temporary is allocated. The columns are
+    filled in blocks of samples (series._in_blocks)."""
     if times.size == 0:
         raise ValueError("design matrix requires at least one sample time")
-    arg = np.outer(catalog.speeds, times, out=rows[: catalog.n])
-    np.sin(arg, out=rows[catalog.n :])
-    np.cos(arg, out=arg)
+    n = catalog.n
+
+    def fill(start: int, stop: int) -> None:
+        arg = np.outer(catalog.speeds, times[start:stop], out=rows[:n, start:stop])
+        np.sin(arg, out=rows[n:, start:stop])
+        np.cos(arg, out=arg)
+
+    _in_blocks(times.size, fill)
 
 
 def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.ndarray, np.ndarray, float]:
@@ -128,6 +140,8 @@ class PreparedRecord:
 
     ||H x - h||^2 = ||a x - b||^2 + rest for every state x, h being the
     detrended heights; sample_count is the m of the original record.
+    The least-squares state and a^T a, which several methods read, are
+    computed on first use and kept, read-only.
     """
 
     catalog: ConstituentCatalog
@@ -138,6 +152,22 @@ class PreparedRecord:
     a: np.ndarray
     b: np.ndarray
     rest: float
+
+    @cached_property
+    def least_squares(self) -> tuple[np.ndarray, int]:
+        """The minimum-norm x of min ||a x - b|| and the rank of a, by SVD
+        with singular values below RANK_RCOND times the largest cut. a has
+        the singular values of H, so the rank and x are H's own."""
+        x, _, rank, _ = np.linalg.lstsq(self.a, self.b, rcond=RANK_RCOND)
+        x.setflags(write=False)
+        return x, int(rank)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """a^T a, equal to H^T H up to rounding."""
+        gram = self.a.T @ self.a
+        gram.setflags(write=False)
+        return gram
 
     def solution(self, amplitudes, phases) -> HarmonicSolution:
         """A fitted solution carrying this record's mean and trend."""

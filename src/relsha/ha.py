@@ -4,16 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constituents import ConstituentCatalog
-from .design import PreparedRecord, classify_regime, prepare, unpack_state
+# RANK_RCOND is HA's rank cut-off; it lives with the solve in design.
+from .design import RANK_RCOND, PreparedRecord, classify_regime, prepare, unpack_state  # noqa: F401
 from .series import HarmonicSolution, WaterLevelSeries
-
-# Singular values below RANK_RCOND * (largest singular value) are treated
-# as zero; near-resonant sampling (~12 h, ~24 h intervals) genuinely
-# collapses the rank and must yield the minimum-norm solution, not a crash.
-RANK_RCOND = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,16 +30,12 @@ def ha_fit(series: WaterLevelSeries, catalog: ConstituentCatalog) -> HaResult:
 
 
 def ha_solve(record: PreparedRecord) -> HaResult:
-    """ha_fit on a prepared record.
-
-    The SVD runs on the compressed (a, b), whose singular values are those
-    of H, so the rank cut and the minimum-norm solution are H's own.
-    """
-    x, _, rank, _ = np.linalg.lstsq(record.a, record.b, rcond=RANK_RCOND)
+    """ha_fit on a prepared record: its least-squares state and rank."""
+    x, rank = record.least_squares
     catalog = record.catalog
     return HaResult(
         solution=record.solution(*unpack_state(x, catalog)),
         regime=classify_regime(record.sample_count, catalog.n),
         sample_count=record.sample_count,
-        rank=int(rank),
+        rank=rank,
     )

@@ -48,7 +48,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .constituents import ConstituentCatalog
 from .design import PreparedRecord, _pair_squares, classify_regime, prepare, unpack_state
-from .ha import RANK_RCOND
 from .series import HarmonicSolution, WaterLevelSeries
 
 # A step is taken when J falls by more than _ACCEPT of the model's
@@ -158,16 +157,16 @@ def _hessian(
     return hess
 
 
-def _initial_state(a: np.ndarray, b: np.ndarray, target_magnitude: np.ndarray) -> np.ndarray:
+def _initial_state(x0: np.ndarray, target_magnitude: np.ndarray) -> np.ndarray:
     """Starting state with pair magnitudes set to the reference amplitudes.
 
     The penalty pulls each pair magnitude A_k f_k to the reference A_0k,
     so the start puts it there: it keeps the phases of the minimum-norm
-    least-squares solution and rescales each (cos, sin) pair to magnitude
-    A_0k. A pair that solution leaves at zero starts at phase zero.
+    least-squares state x0 (PreparedRecord.least_squares) and rescales
+    each (cos, sin) pair to magnitude A_0k. A pair that state leaves at
+    zero starts at phase zero.
     """
-    n = a.shape[1] // 2
-    x0, _, _, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
+    n = x0.size // 2
     magnitude = np.hypot(x0[:n], x0[n:])
     nonzero = magnitude > 0
     scale = np.where(nonzero, target_magnitude / np.where(nonzero, magnitude, 1.0), 0.0)
@@ -242,7 +241,7 @@ def relsha_solve(
     a, b, rest = record.a, record.b, record.rest
     w_data, w_reg = 1.0 - config.lam, config.lam
 
-    gram = a.T @ a
+    gram = record.gram
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
         return _value_and_gradient(x, a, b, ref_squares, w_data, w_reg, rest)
@@ -250,7 +249,7 @@ def relsha_solve(
     def hessian(x: np.ndarray) -> np.ndarray:
         return _hessian(x, gram, ref_squares, w_data, w_reg)
 
-    x = _initial_state(a, b, reference)
+    x = _initial_state(record.least_squares[0], reference)
     j0, g0 = fg(x)
     tolerance = _GRADIENT_TOLERANCE * (1.0 + abs(j0))
     x, final_objective, final_gradient, iterations, factorizations = _newton(

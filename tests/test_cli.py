@@ -490,6 +490,19 @@ class TestExperiment:
         assert (rows[1][1], rows[1][5] != "") == ("2000", True)
         assert "1 of 2 cells missing" in caplog.text
 
+    @pytest.mark.parametrize("methods, unread", [
+        ("ha", ("--reference", "--reference-a", "--reference-b")),
+        ("ha,cha", ("--reference",)),
+        ("ha,relsha", ("--reference-a", "--reference-b")),
+    ])
+    def test_reads_only_the_inputs_its_methods_use(self, tmp_path, methods, unread):
+        out = tmp_path / "grid.csv"
+        missing = [x for option in unread for x in (option, tmp_path / "missing.csv")]
+        assert run("experiment", "--methods", methods, "--intervals", "264", "--lengths", "8784",
+                   *missing, "--output", out) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [row.split(",")[2] for row in rows] == methods.split(",")
+
     def test_verbose_run_ends_with_a_summary(self, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="relsha")
         assert run("-v", "experiment", "--intervals", "264", "--lengths", "100,2000",

@@ -229,7 +229,7 @@ def _problem(record, reference, lam=0.5):
     def hessian(x):
         return _hessian(x, gram, ref_squares, 1.0 - lam, lam)
 
-    x0 = _initial_state(record.a, record.b, reference)
+    x0 = _initial_state(record.least_squares[0], reference)
     f0, g0 = fg(x0)
     return fg, hessian, x0, f0, g0, _GRADIENT_TOLERANCE * (1.0 + abs(f0))
 
@@ -332,7 +332,7 @@ class TestHessianBits:
         gram = record.a.T @ record.a
         for scale in (1.0, 10.0):
             reference = scale * reference_nearby.amplitudes
-            x0 = _initial_state(record.a, record.b, reference)
+            x0 = _initial_state(record.least_squares[0], reference)
             noisy = x0 + np.random.default_rng(3).normal(scale=0.05, size=x0.size)
             for x in (x0, 1e-3 * x0, noisy, np.zeros_like(x0)):
                 args = (x, gram, reference**2, 1.0 - lam, lam)
