@@ -25,14 +25,13 @@ themselves (rest = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dpotrf, dtrcon, dtrtrs
 
 from .constituents import TWO_PI, ConstituentCatalog
-from .series import HarmonicSolution, WaterLevelSeries, _in_blocks, detrend
+from .series import HarmonicSolution, WaterLevelSeries, detrend
 
 OVERDETERMINED = "overdetermined"
 UNDERDETERMINED = "underdetermined"
@@ -64,18 +63,12 @@ def build_design_matrix(times, catalog: ConstituentCatalog) -> np.ndarray:
 def _fill_transposed_design(times: np.ndarray, catalog: ConstituentCatalog, rows: np.ndarray) -> None:
     """Write H^T into the C-contiguous 2n x m array rows: row k holds
     cos(w_k t) and row n+k sin(w_k t). The phase arguments are formed in
-    the cosine rows, so no m x n temporary is allocated. The columns are
-    filled in blocks of samples (series._in_blocks)."""
+    the cosine rows, so no m x n temporary is allocated."""
     if times.size == 0:
         raise ValueError("design matrix requires at least one sample time")
-    n = catalog.n
-
-    def fill(start: int, stop: int) -> None:
-        arg = np.outer(catalog.speeds, times[start:stop], out=rows[:n, start:stop])
-        np.sin(arg, out=rows[n:, start:stop])
-        np.cos(arg, out=arg)
-
-    _in_blocks(times.size, fill)
+    arg = np.outer(catalog.speeds, times, out=rows[: catalog.n])
+    np.sin(arg, out=rows[catalog.n :])
+    np.cos(arg, out=arg)
 
 
 def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.ndarray, np.ndarray, float]:
@@ -134,6 +127,28 @@ def _gram_compress(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
     return a, b, float(residual @ residual)
 
 
+class _computed_once:
+    """An attribute computed on first read and kept in the instance's
+    __dict__. functools.cached_property before Python 3.12 holds one lock
+    for every instance of the class while it computes, so grid threads
+    solving different records would wait for each other. Two threads
+    reading one record's attribute at once may both compute it; one
+    result is kept."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class PreparedRecord:
     """A detrended record reduced to what HA, CHA and ReLSHA read from it.
@@ -153,7 +168,7 @@ class PreparedRecord:
     b: np.ndarray
     rest: float
 
-    @cached_property
+    @_computed_once
     def least_squares(self) -> tuple[np.ndarray, int]:
         """The minimum-norm x of min ||a x - b|| and the rank of a, by SVD
         with singular values below RANK_RCOND times the largest cut. a has
@@ -162,7 +177,7 @@ class PreparedRecord:
         x.setflags(write=False)
         return x, int(rank)
 
-    @cached_property
+    @_computed_once
     def gram(self) -> np.ndarray:
         """a^T a, equal to H^T H up to rounding."""
         gram = self.a.T @ self.a

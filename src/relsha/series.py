@@ -7,13 +7,9 @@ All operations are pure functions on immutable inputs.
 from __future__ import annotations
 
 import math
-import os
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -21,46 +17,10 @@ from .constituents import TWO_PI, ConstituentCatalog
 
 DEFAULT_EPOCH = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
-# The cos/sin tables (the dense record here, the design matrix in
-# design.py) are evaluated this many samples at a time. A block's element
-# values do not depend on where it starts or on which thread runs it.
+# synthesize evaluates its cos table this many samples at a time, so its
+# scratch stays small. A block's element values do not depend on where it
+# starts.
 _BLOCK = 4096
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@cache
-def _block_pool() -> ThreadPoolExecutor:
-    """The one pool for table blocks, one worker per CPU, created on first
-    use; only the main thread submits to it."""
-    return ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="relsha-block")
-
-
-def _in_blocks(size: int, fill) -> None:
-    """Call fill(start, stop) on consecutive blocks of _BLOCK samples
-    covering range(size); fill writes only into arrays its caller allocated.
-
-    On the main thread, more than one block runs on the block pool, in
-    parallel, since numpy's sin and cos release the GIL. Any other thread
-    runs its blocks itself, in order: it is one of several threads at
-    work, as in run_grid with threads > 1, and there a pooled block waited
-    for the GIL after each numpy call, which made the default lattice at
-    --threads 2 slower. Pool workers never reach the pool: no deadlock.
-    """
-    blocks = [(start, min(start + _BLOCK, size)) for start in range(0, size, _BLOCK)]
-    if len(blocks) <= 1 or threading.current_thread() is not threading.main_thread():
-        for start, stop in blocks:
-            fill(start, stop)
-        return
-    futures = [_block_pool().submit(fill, start, stop) for start, stop in blocks]
-    wait(futures)  # no block still writes when an error is raised
-    for future in futures:
-        future.result()
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -187,29 +147,23 @@ def detrend(series: WaterLevelSeries) -> tuple[WaterLevelSeries, float, float]:
 def synthesize(solution: HarmonicSolution, times) -> np.ndarray:
     """Evaluate mean + trend*(t - t_ref) + sum_k A_k f_k cos(w_k t + theta_k).
 
-    The sum runs in blocks of samples (_in_blocks). A block forms its
-    cos(w_k t + theta_k) table in scratch this call allocated and writes
-    the table times A_k f_k into its slice of the sum, so no m x n array
-    is formed. The bits do not depend on the core or BLAS thread count.
+    The sum runs in blocks of _BLOCK samples. Each block forms its
+    cos(w_k t + theta_k) table in one scratch array and writes the table
+    times A_k f_k into its slice of the sum, so no m x n array is formed
+    and the bits do not depend on the BLAS thread count.
     """
     t = np.asarray(times, dtype=float)
+    flat = t.ravel()
     cat = solution.catalog
     weights = solution.amplitudes * cat.nodal_factors
-    harmonics = np.empty(t.size)
-    # One scratch table per block that can run at once, lent to each block.
-    tables = queue.SimpleQueue()
-    for _ in range(min(math.ceil(t.size / _BLOCK), _cpu_count())):
-        tables.put(np.empty((min(t.size, _BLOCK), cat.n)))
-
-    def fill(start: int, stop: int) -> None:
-        table = tables.get()
-        arg = np.outer(t[start:stop], cat.speeds, out=table[: stop - start])
+    harmonics = np.empty(flat.size)
+    table = np.empty((min(flat.size, _BLOCK), cat.n))
+    for start in range(0, flat.size, _BLOCK):
+        stop = min(start + _BLOCK, flat.size)
+        arg = np.outer(flat[start:stop], cat.speeds, out=table[: stop - start])
         arg += solution.phases
         np.cos(arg, out=arg)
         np.dot(arg, weights, out=harmonics[start:stop])
-        tables.put(table)
-
-    _in_blocks(t.size, fill)
     return solution.mean + solution.trend * (t - solution.time_reference) + harmonics
 
 

@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -185,6 +187,36 @@ class TestPreparedRecord:
     def test_prepare_rejects_a_single_sample(self, catalog):
         with pytest.raises(ValueError, match="at least 2"):
             prepare(WaterLevelSeries([0.0], [1.0]), catalog)
+
+    def test_least_squares_and_gram_computed_once_per_record(self, hourly_year, catalog, monkeypatch):
+        record = prepare(hourly_year, catalog)
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: calls.append(1) or lstsq(*args, **kwargs))
+        state, gram = record.least_squares, record.gram
+        assert record.least_squares is state and record.gram is gram and len(calls) == 1
+        assert not state[0].flags.writeable and not gram.flags.writeable
+        assert np.array_equal(gram, record.a.T @ record.a)
+
+    def test_records_compute_their_state_without_waiting_for_each_other(self, hourly_year, catalog, monkeypatch):
+        first, second = prepare(hourly_year, catalog), prepare(hourly_year, catalog)
+        entered, release = threading.Event(), threading.Event()
+        lstsq = np.linalg.lstsq
+
+        def held(a, *args, **kwargs):
+            if a is first.a:  # first's solve waits until second's is done
+                entered.set()
+                release.wait(timeout=60)
+            return lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", held)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pending = pool.submit(lambda: first.least_squares)
+            try:
+                assert entered.wait(timeout=60)
+                second_state = pool.submit(lambda: second.least_squares).result(timeout=10)
+            finally:
+                release.set()
+            assert np.array_equal(pending.result()[0], second_state[0])
 
 
 class TestGramPath:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relsha import evaluation, series
+from relsha import evaluation
 from relsha.cha import GaugeHarmonics
 from relsha.constituents import Constituent, ConstituentCatalog
 from relsha.evaluation import (
@@ -77,20 +77,6 @@ class TestRunGrid:
         second = run_grid(base_series, truth.amplitudes, catalog, threads=1, **kwargs)
         threaded = run_grid(base_series, truth.amplitudes, catalog, threads=4, **kwargs)
         assert grid_to_text(first) == grid_to_text(second) == grid_to_text(threaded)
-
-    def test_records_of_several_blocks_give_one_grid_at_any_thread_count(
-        self, base_series, truth, catalog, reference_nearby, reference_offshore
-    ):
-        kwargs = dict(
-            intervals=[0.5, 1.0], lengths=[8784.0], base_seed=3,
-            relsha_reference=reference_nearby.amplitudes,
-            cha_ref_a=GaugeHarmonics("a", reference_nearby),
-            cha_ref_b=GaugeHarmonics("b", reference_offshore),
-        )
-        serial = run_grid(base_series, truth.amplitudes, catalog, threads=1, **kwargs)
-        threaded = run_grid(base_series, truth.amplitudes, catalog, threads=2, **kwargs)
-        assert min(cell.sample_count for cell in serial.rows()) > 2 * series._BLOCK
-        assert grid_to_text(threaded) == grid_to_text(serial)
 
     def test_failed_cells_recorded_as_missing(self, base_series, truth, catalog):
         # record_length below one interval violates the sampling plan

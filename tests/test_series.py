@@ -1,6 +1,4 @@
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -151,6 +149,11 @@ class TestSynthesize:
             synthesize(combined, t), synthesize(a, t) + synthesize(b, t), atol=1e-12
         )
 
+    def test_scalar_time_gives_one_value(self):
+        solution = HarmonicSolution(0.5, 0.1, np.array([1.0, 0.5]), np.array([0.3, 1.1]), CAT2)
+        assert synthesize(solution, 5.0).tobytes() == synthesize(solution, [5.0]).tobytes()
+        assert build_design_matrix(5.0, CAT2).tobytes() == build_design_matrix([5.0], CAT2).tobytes()
+
 
 @contextmanager
 def blas_threads(count):
@@ -169,8 +172,8 @@ def blas_threads(count):
 
 
 class TestBlocks:
-    """The cos/sin tables are evaluated in blocks of samples, on a pool
-    from the main thread; the blocks must not move a bit."""
+    """synthesize evaluates its cos table in blocks of samples; the blocks
+    must not move a bit."""
 
     # three whole blocks and a ragged tail
     TIMES = 0.1 * np.arange(3 * series._BLOCK + 123)
@@ -182,18 +185,6 @@ class TestBlocks:
             one_shot = truth.mean + truth.trend * (t - truth.time_reference) + harmonics
             assert synthesize(truth, t).tobytes() == one_shot.tobytes()
 
-    def test_design_matrix_equals_the_one_shot_formula(self, catalog):
-        arg = np.outer(catalog.speeds, self.TIMES)
-        one_shot = np.ascontiguousarray(np.vstack([np.cos(arg), np.sin(arg)]).T)
-        assert build_design_matrix(self.TIMES, catalog).tobytes() == one_shot.tobytes()
-
-    def test_main_thread_runs_blocks_on_the_pool(self, truth, catalog, monkeypatch):
-        pool, used = series._block_pool(), []
-        monkeypatch.setattr(series, "_block_pool", lambda: used.append(pool) or pool)
-        build_design_matrix(self.TIMES, catalog)
-        synthesize(truth, self.TIMES)
-        assert len(used) == 2 * 4
-
     def test_synthesize_bits_do_not_depend_on_blas_threads(self, truth):
         # the dense base record of the default experiment
         t = 0.1 * np.arange(92_233)
@@ -202,31 +193,6 @@ class TestBlocks:
         with evaluation._one_blas_thread():
             at_one = synthesize(truth, t)
         assert at_two.tobytes() == at_one.tobytes()
-
-    def test_concurrent_callers_get_their_own_tables(self, truth, catalog, monkeypatch):
-        """More callers than cores, switching threads often: each gets the
-        tables of its own times, and none but the main thread uses the pool."""
-        def tables(k):
-            return synthesize(truth, self.TIMES + k), build_design_matrix(self.TIMES + k, catalog)
-
-        offsets = range(4 * series._cpu_count())
-        expected = [tables(k) for k in offsets]
-
-        def no_pool():
-            raise AssertionError("a thread other than the main one used the block pool")
-
-        monkeypatch.setattr(series, "_block_pool", no_pool)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=len(offsets)) as callers:
-                futures = [callers.submit(tables, k) for k in offsets]
-                results = [future.result(timeout=120) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for (got_s, got_h), (want_s, want_h) in zip(results, expected):
-            assert got_s.tobytes() == want_s.tobytes()
-            assert got_h.tobytes() == want_h.tobytes()
 
 
 class TestResample:
