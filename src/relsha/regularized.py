@@ -23,12 +23,15 @@ then costs O(n^2) whatever the record length m.
 
 The minimization is _newton, a trust-region Newton method on the exact
 Hessian B (Nocedal & Wright, Numerical Optimization, ch. 4). Each step
-is p = -(B + mu I)^-1 g, factored by Cholesky, with mu >= 0 found by
-More and Sorensen's method (1983): Newton's method on the secular
-equation ||p(mu)|| = radius inside a safeguarded bracket, started from
-the previous step's mu. Where the quartic penalty makes B indefinite,
-mu shifts the model to a positive-definite one inside the radius, so
-negative curvature bends the step instead of stalling the solver. In
+is p = -(B + mu I)^-1 g, with B + mu I = L L^T by the lower Cholesky
+factor and mu >= 0 found by More and Sorensen's method (1983): Newton's
+method on the secular equation ||p(mu)|| = radius inside a safeguarded
+bracket, started from the previous step's mu. A factorization that
+fails at pivot k raises the bracket's lower end to mu + delta/||v||^2,
+with delta the failed pivot and v from the leading k x k block (section
+3). Where the quartic penalty makes B indefinite, mu shifts the model
+to a positive-definite one inside the radius, so negative curvature
+bends the step instead of stalling the solver. In
 the hard case, where p stays inside the radius as mu falls to
 -lambda_min(B), inverse iteration with the factor gives a near-lowest
 eigenvector z and the step is p + tau z on the radius. A step is taken
@@ -54,13 +57,15 @@ from .series import HarmonicSolution, WaterLevelSeries
 # predicted fall; the radius shrinks below _SHRINK and grows above _GROW
 # (Nocedal & Wright, Algorithm 4.1).
 _ACCEPT, _SHRINK, _GROW = 0.15, 0.25, 0.75
-# Cholesky factorizations one trust-region step may try.
+# Shifts mu one trust-region step may try, each a Cholesky factorization
+# of hess + mu I; refactoring the leading block of a failed one is extra.
 _MAX_FACTORIZATIONS = 20
 # A step ends within this fraction of the radius (More and Sorensen's sigma_1).
 _RADIUS_TOLERANCE = 0.1
 # A fit has converged when the gradient infinity norm is at most this
 # times 1 + |J0|, J0 being the objective at the starting point.
 _GRADIENT_TOLERANCE = 1e-8
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -143,18 +148,22 @@ def _hessian(
     """
     s = _pair_squares(x) - ref_squares
     n = s.size
-    hess = (2.0 * w_data) * gram
+    flat = (2.0 * w_data) * gram.ravel()
     # -0.0 + 0.0 is 0.0: every entry keeps the bits of the full-matrix sum
     # 2 w_data gram + diag(4 w_reg expand(s)) + 8 w_reg P(x x^T).
-    hess += 0.0
-    diagonal, pair = np.arange(2 * n), np.arange(n)
-    hess[diagonal, diagonal] += (4.0 * w_reg) * np.concatenate([s, s])
+    flat += 0.0
+    # Strided views of the flat matrix: its diagonal here, and below the
+    # (k, k + n) and (k + n, k) diagonals of the cross block.
+    diagonal = flat[:: 2 * n + 1]
+    curvature = (4.0 * w_reg) * s
+    diagonal[:n] += curvature
+    diagonal[n:] += curvature
     coupling = 8.0 * w_reg
-    hess[diagonal, diagonal] += coupling * (x * x)
+    diagonal += coupling * (x * x)
     cross = coupling * (x[:n] * x[n:])
-    hess[pair, pair + n] += cross
-    hess[pair + n, pair] += cross
-    return hess
+    flat[n : 2 * n * n : 2 * n + 1] += cross
+    flat[2 * n * n :: 2 * n + 1] += cross
+    return flat.reshape(2 * n, 2 * n)
 
 
 def _initial_state(x0: np.ndarray, target_magnitude: np.ndarray) -> np.ndarray:
@@ -183,7 +192,9 @@ class RelshaDiagnostics:
     gradient_tolerance: float
     iterations: int
     restarts: int  # always 0: the trust-region loop never restarts; kept for its readers
-    factorizations: int  # Cholesky factorizations tried, failed ones included
+    # Cholesky factorizations tried, failed ones and the leading blocks
+    # refactored after a failure included
+    factorizations: int
     converged: bool
     regime: str
     sample_count: int
@@ -277,66 +288,102 @@ def _step(hess, g, radius, mu=0.0):
 
     Returns (p, mu, factorizations): p = -(hess + mu I)^-1 g with mu >= 0,
     or p + tau z on the hard case, or None; mu to start the next step's
-    search from; and the Cholesky factorizations tried. The search starts
-    at the given mu, clamped into More and Sorensen's bracket [low, high],
-    which each factorization narrows: Newton's method on 1/||p(mu)|| =
-    1/radius proposes the next mu, a failed factorization raises low, and
-    a proposal outside the bracket is replaced by its safeguard, except
-    that mu = 0 is tried once when Newton goes below 0 with low = 0.
+    search from; and the Cholesky factorizations tried, the refactored
+    leading blocks of failed ones included. The search starts at the given
+    mu, clamped into More and Sorensen's bracket [low, high], which each
+    factorization narrows: Newton's method on 1/||p(mu)|| = 1/radius
+    proposes the next mu, a failed factorization raises low past mu by
+    _failed_pivot_gap, and a proposal outside the bracket is replaced by
+    its safeguard, except that mu = 0 is tried once when Newton goes below
+    0 with low = 0. hess must be symmetric bit for bit.
 
     p is returned when mu = 0 with p inside the radius, or when ||p|| is
     within 10% of it. When p falls inside at mu > 0, two inverse
     iterations with the factor give z, a unit vector near the lowest
-    eigenvector of hess, which raises low to mu - ||u z||^2; p + tau z,
+    eigenvector of hess, which raises low to mu - ||l^T z||^2; p + tau z,
     on the radius, is returned when its model value is within the same
     tolerance of the optimum. When the factorizations run out, the last
     p found, cut back to the radius.
     """
     size = g.size
-    diagonal = hess.diagonal().copy()
+    minus_g = -g
+    diagonal = hess.diagonal()
     bound = np.abs(hess).sum(axis=0).max()
     scale = math.sqrt(g @ g) / radius
     low, high = max(0.0, -diagonal.min(), scale - bound), scale + bound
     mu = min(max(mu, low), high)
     zero_tried = mu == 0.0
+    # hess is symmetric bit for bit, so its transpose fills the Fortran-order
+    # work matrix by a plain copy; the shifted diagonal is a strided view.
     shifted = np.empty((size, size), order="F")
-    best = None
-    for tries in range(1, _MAX_FACTORIZATIONS + 1):
-        shifted[...] = hess
-        np.fill_diagonal(shifted, diagonal + mu)
-        u, info = dpotrf(shifted, overwrite_a=1)
+    shifted_diagonal = shifted.reshape(-1, order="F")[:: size + 1]
+    best, factorizations = None, 0
+    for _ in range(_MAX_FACTORIZATIONS):
+        factorizations += 1
+        shifted[...] = hess.T
+        np.add(diagonal, mu, out=shifted_diagonal)
+        l, info = dpotrf(shifted, lower=1, overwrite_a=1)
         if info == 0:
-            p = dpotrs(u, -g)[0]
+            p = dpotrs(l, minus_g, lower=1)[0]
             norm = math.sqrt(p @ p)
             if (mu == 0.0 and norm <= radius) or abs(norm - radius) <= _RADIUS_TOLERANCE * radius:
-                return p, mu, tries
+                return p, mu, factorizations
             if norm < radius:
                 high = min(high, mu)
                 # Inverse iteration from p, which carries on the sequence
                 # (hess + mu I)^-k g, plus a constant vector of the same
                 # norm for a lowest eigenvector orthogonal to g.
-                z = dpotrs(u, dpotrs(u, p / norm + 1.0 / math.sqrt(size))[0])[0]
+                z = dpotrs(l, dpotrs(l, p / norm + 1.0 / math.sqrt(size), lower=1)[0], lower=1)[0]
                 z /= math.sqrt(z @ z)
-                uz, up = u @ z, u @ p
-                curvature = uz @ uz
+                # z l is (l^T z)^T: dpotrf's clean=1 zeroes l's upper triangle
+                lz, lp = z @ l, p @ l
+                curvature = lz @ lz
                 low = max(low, mu - curvature)
                 tau = _to_boundary(p, z, norm, radius)
                 sigma = _RADIUS_TOLERANCE
-                if tau * tau * curvature <= sigma * (2.0 - sigma) * (up @ up + mu * radius * radius):
-                    return p + tau * z, mu, tries
+                if tau * tau * curvature <= sigma * (2.0 - sigma) * (lp @ lp + mu * radius * radius):
+                    return p + tau * z, mu, factorizations
             else:
                 low = max(low, mu)
             best = p * min(1.0, radius / norm)
-            q = dtrtrs(u, p, trans=1)[0]
+            q = dtrtrs(l, p, lower=1)[0]
             mu += (norm * norm / (q @ q)) * (norm - radius) / radius
             if mu <= 0.0 and low == 0.0 and not zero_tried:
                 mu, zero_tried = 0.0, True
                 continue
         else:
-            low = max(low, mu)
+            gap, refactored = _failed_pivot_gap(hess, diagonal, mu, info)
+            factorizations += refactored
+            low = max(low, mu + gap)
         if not low < mu < high:
             mu = max(math.sqrt(low * high), 1e-3 * high)
-    return best, mu, _MAX_FACTORIZATIONS
+    return best, mu, factorizations
+
+
+def _failed_pivot_gap(hess, diagonal, mu, k):
+    """delta / ||v||^2 >= 0 for a Cholesky factorization of hess + mu I
+    that failed at pivot k (LAPACK's info), and the factorizations it took.
+
+    The leading k x k block of hess + mu I is [[A, a], [a^T, d]] with A
+    positive definite and d - a^T A^-1 a = -delta <= 0, so v = (A^-1 a, -1)
+    has v^T (hess + mu I) v = -delta, and -lambda_min(hess) is at least
+    mu + delta / ||v||^2 (More and Sorensen 1983, section 3). LAPACK leaves
+    the array undocumented after a failure, so A is factored again as
+    L L^T: w = L^-1 a gives delta = w^T w - d, and A^-1 a = L^-T w.
+    """
+    j = k - 1
+    if j == 0:
+        return max(0.0, -(diagonal[0] + mu)), 0
+    # hess is symmetric: its transpose copies by rows into Fortran order
+    head = np.array(hess[:j, :j].T, order="F")
+    head.reshape(-1, order="F")[:: j + 1] = diagonal[:j] + mu
+    l, info = dpotrf(head, lower=1, overwrite_a=1)
+    if info != 0:
+        return 0.0, 1
+    w = dtrtrs(l, hess[:j, j], lower=1)[0]
+    delta = w @ w - (diagonal[j] + mu)
+    y = dtrtrs(l, w, lower=1, trans=1)[0]
+    return max(0.0, delta / (1.0 + y @ y)), 1
 
 
 def _to_boundary(p, z, norm, radius):
@@ -364,7 +411,7 @@ def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback):
     iterations, factorizations, mu = 0, 0, 0.0
     # Short first steps keep the fit near its start; from a radius of the
     # start's full size, more sparse records ended at a higher J.
-    radius = 0.1 * max(np.linalg.norm(x), 1.0)
+    radius = 0.1 * max(math.sqrt(x @ x), 1.0)
     b = hessian(x)
     while np.abs(g).max() > tolerance and iterations < max_iterations:
         p, mu, tries = _step(b, g, radius, mu)
@@ -372,18 +419,19 @@ def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback):
         if p is None:
             break
         length = math.sqrt(p @ p)
-        if length <= np.finfo(float).eps * np.linalg.norm(x):
+        if length <= _EPS * math.sqrt(x @ x):
             break
         predicted = -(g @ p + 0.5 * (p @ b @ p))
-        f_new, g_new = fg(x + p)
-        floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f))
-        ratio = (f - f_new + floor) / (predicted + floor) if predicted > 0 and np.isfinite(f_new) else 0.0
+        trial = x + p
+        f_new, g_new = fg(trial)
+        floor = 10.0 * _EPS * max(1.0, abs(f))
+        ratio = (f - f_new + floor) / (predicted + floor) if predicted > 0 and math.isfinite(f_new) else 0.0
         if ratio < _SHRINK:
             radius = _SHRINK * length
         elif ratio > _GROW and length >= 0.9 * radius:
             radius = 2.0 * radius
         if ratio > _ACCEPT:
-            x, f, g = x + p, f_new, g_new
+            x, f, g = trial, f_new, g_new
             b = hessian(x)
             iterations += 1
             if callback is not None:

@@ -514,6 +514,23 @@ class TestExperiment:
         )
         assert "did not converge" not in caplog.text
 
+    def test_verbose_summary_scores_the_prior(self, tmp_path, caplog, truth, reference_nearby):
+        caplog.set_level(logging.INFO, logger="relsha")
+        out = tmp_path / "grid.csv"
+        for methods in ("ha", "ha,relsha"):
+            assert run("-v", "experiment", "--intervals", "237.6,264", "--lengths", "8784,2000",
+                       "--methods", methods, "--output", out) == 0
+        summaries = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert len(summaries) == 2
+        # without ReLSHA there is no prior to score
+        assert "prior" not in summaries[0]
+        prior = format_number(evaluation.rrmse(reference_nearby.amplitudes, truth.amplitudes))
+        rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
+        above = sum(float(row[5]) > float(prior) for row in rows if row[2] == "relsha")
+        assert 0 < above < 4
+        assert (f", 0 ReLSHA not converged, {above} of 4 ReLSHA cells above the prior's "
+                f"RRMSE {prior}%, ") in summaries[1]
+
     def test_nonconverged_relsha_cells_warn(self, tmp_path, monkeypatch, caplog):
         solve = evaluation.relsha_solve
 

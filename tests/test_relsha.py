@@ -375,6 +375,38 @@ class TestStep:
         assert mu == 0.0
         assert np.allclose(p, -g / np.diag(b), rtol=1e-14, atol=0.0)
 
+    def test_failed_pivot_raises_low_by_the_rayleigh_quotient_and_no_further(self, monkeypatch):
+        # a factorization of B + mu I that fails at pivot k raises low to
+        # mu - v^T (B + mu I) v / ||v||^2 for v = (A^-1 a, -1) on the leading
+        # k x k block [[A, a], [a^T, d]], a bound on -lambda_min(B)
+        gap = relsha.regularized._failed_pivot_gap
+        raised = []
+
+        def recording(hess, diagonal, mu, k):
+            value, refactored = gap(hess, diagonal, mu, k)
+            raised.append((mu, mu + value, k))
+            return value, refactored
+
+        monkeypatch.setattr(relsha.regularized, "_failed_pivot_gap", recording)
+        rng = np.random.default_rng(5)
+        failures = gained = 0
+        for _ in range(200):
+            q = np.linalg.qr(rng.normal(size=(74, 74)))[0]
+            b = (q * rng.uniform(-10.0, 10.0, 74)) @ q.T
+            b = 0.5 * (b + b.T)  # symmetric bit for bit, as the Hessian is
+            top = -np.linalg.eigvalsh(b)[0]
+            norm = np.abs(b).sum(axis=0).max()
+            raised.clear()
+            _step(b, rng.normal(size=74), rng.uniform(0.1, 10.0))
+            for mu, low, k in raised:
+                block = b[:k, :k] + mu * np.eye(k)
+                v = np.append(np.linalg.solve(block[:-1, :-1], block[:-1, -1]), -1.0)
+                assert low == pytest.approx(mu - v @ block @ v / (v @ v), abs=1e-10 * norm)
+                assert low <= top + 1e-12 * norm
+            failures += len(raised)
+            gained += sum(low > mu for mu, low, _ in raised)
+        assert failures >= 200 and gained >= 0.9 * failures
+
 
 class TestConvergence:
     @pytest.mark.parametrize("seed, i, j", [(0, 28, 6), (1, 26, 10)])
