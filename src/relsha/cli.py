@@ -31,7 +31,7 @@ from .evaluation import MARK_INTERVALS, grid_to_text, interval_slice, run_grid, 
 from .ha import ha_fit
 from .ingest import format_number as fmt
 from .regularized import RelshaConfig, relsha_fit
-from .series import SamplingPlan, apply_noise, resample, synthesize_series
+from .series import SamplingPlan, SynthesizedSeries, apply_noise, resample, synthesize_series
 
 log = logging.getLogger("relsha")
 
@@ -212,12 +212,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         ref_b = _gauge(args.reference_b, catalog)
 
     # Dense base record, 5% longer than the longest cut so the random
-    # start offset has room to vary.
+    # start offset has room to vary. Only the samples the cells keep are
+    # synthesized, with the bits of the whole record's.
     span = 1.05 * max(args.lengths)
     times = np.arange(0.0, span + args.base_interval / 2, args.base_interval)
-    base = synthesize_series(truth, times)
-    if args.noise > 0:
-        base = apply_noise(base, args.noise, seed=evaluation.cell_seed(args.seed, 999_983, 0))
+    noise_seed = evaluation.cell_seed(args.seed, 999_983, 0)
+    base = SynthesizedSeries(truth, times, args.noise, noise_seed)
 
     grid = run_grid(
         base,
@@ -259,8 +259,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         scores = [c.rrmse_percent for c in cells if c.method == evaluation.METHOD_RELSHA]
         above = sum(score is not None and float(fmt(score)) > float(prior) for score in scores)
         prior_note = f"{above} of {len(scores)} ReLSHA cells above the prior's RRMSE {prior}%, "
-    log.info("experiment: %d cells, %d missing, %d ReLSHA not converged, %s%.2f s",
-             len(cells), missing, nonconverged, prior_note, time.perf_counter() - start)
+    log.info("experiment: %d cells, %d missing, %d ReLSHA not converged, %s"
+             "%d of %d base samples synthesized, %.2f s", len(cells), missing, nonconverged,
+             prior_note, base.synthesized, len(base), time.perf_counter() - start)
     return EXIT_OK
 
 

@@ -169,12 +169,12 @@ def run_grid(
 ) -> ErrorGrid:
     """Evaluate each method on every (interval, length) cell.
 
-    Each cell resamples the base series once with its derived seed,
-    prepares (detrends and factors) that record once, and runs all
-    requested methods on it. A repeated method, a bad prior or a
-    misaligned gauge fails before the first cell; per-cell errors are
-    recorded as missing cells (rrmse None plus the error message), never
-    fabricated.
+    Each cell resamples the base series (a WaterLevelSeries or a
+    SynthesizedSeries) once with its derived seed, prepares (detrends and
+    factors) that record once, and runs all requested methods on it. A
+    repeated method, a bad prior or a misaligned gauge fails before the
+    first cell; per-cell errors are recorded as missing cells (rrmse None
+    plus the error message), never fabricated.
     Output is identical for any thread count. The cells run with each
     bundled OpenBLAS on one thread, its own and any pool worker's alike,
     and the old thread counts are restored on return.

@@ -282,7 +282,14 @@ def relsha_solve(
     return RelshaResult(solution=record.solution(*unpack_state(x, catalog)), diagnostics=diagnostics)
 
 
-def _step(hess, g, radius, mu=0.0):
+def _bracket(hess):
+    """The parts of _step's bracket on mu that hess alone fixes, formed
+    once per Hessian: -min(diag(hess)) and the bound ||hess||_1 on its
+    spectral radius."""
+    return -hess.diagonal().min(), np.abs(hess).sum(axis=0).max()
+
+
+def _step(hess, g, radius, mu=0.0, bracket=None):
     """A trust-region step for the model g^T p + p^T hess p / 2 in
     ||p|| <= radius, by More and Sorensen's algorithm (1983, sections 3-4).
 
@@ -303,14 +310,15 @@ def _step(hess, g, radius, mu=0.0):
     eigenvector of hess, which raises low to mu - ||l^T z||^2; p + tau z,
     on the radius, is returned when its model value is within the same
     tolerance of the optimum. When the factorizations run out, the last
-    p found, cut back to the radius.
+    p found, cut back to the radius. bracket is _bracket(hess), formed
+    here when not given.
     """
     size = g.size
     minus_g = -g
     diagonal = hess.diagonal()
-    bound = np.abs(hess).sum(axis=0).max()
+    lowest, bound = _bracket(hess) if bracket is None else bracket
     scale = math.sqrt(g @ g) / radius
-    low, high = max(0.0, -diagonal.min(), scale - bound), scale + bound
+    low, high = max(0.0, lowest, scale - bound), scale + bound
     mu = min(max(mu, low), high)
     zero_tried = mu == 0.0
     # hess is symmetric bit for bit, so its transpose fills the Fortran-order
@@ -413,8 +421,9 @@ def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback):
     # start's full size, more sparse records ended at a higher J.
     radius = 0.1 * max(math.sqrt(x @ x), 1.0)
     b = hessian(x)
+    bracket = _bracket(b)
     while np.abs(g).max() > tolerance and iterations < max_iterations:
-        p, mu, tries = _step(b, g, radius, mu)
+        p, mu, tries = _step(b, g, radius, mu, bracket)
         factorizations += tries
         if p is None:
             break
@@ -433,6 +442,7 @@ def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback):
         if ratio > _ACCEPT:
             x, f, g = trial, f_new, g_new
             b = hessian(x)
+            bracket = _bracket(b)
             iterations += 1
             if callback is not None:
                 callback(x)

@@ -1,12 +1,14 @@
 """Water-level time series: detrending, resampling, and tide synthesis.
 
 Times are hours since the series epoch throughout; heights are meters.
-All operations are pure functions on immutable inputs.
+All operations are pure functions on immutable inputs; SynthesizedSeries
+alone fills a memo as it is read.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -18,12 +20,10 @@ from .constituents import TWO_PI, ConstituentCatalog
 DEFAULT_EPOCH = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
 # synthesize evaluates its cos table this many samples at a time, so its
-# scratch stays small. The blocks start at multiples of _BLOCK from the
-# first sample, and on that fixed grid the sum equals the one-shot product
-# at one OpenBLAS thread bit for bit (tests/test_series.py::TestBlocks).
-# Where a block starts can move a bit: synthesize(sol, t[2:]) differs from
-# synthesize(sol, t)[2:] by 1 ulp in 2 of the 92 231 values of the 0.1-h
-# experiment base.
+# scratch stays small. Each value is formed from its own time alone, with
+# no BLAS call, so a sample has the same bits in any block at any position:
+# synthesize(sol, t)[idx] equals synthesize(sol, t[idx])
+# (tests/test_series.py::TestBlocks).
 _BLOCK = 4096
 
 
@@ -33,31 +33,22 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class WaterLevelSeries:
-    """Irregularly sampled water levels: strictly increasing times, finite heights."""
+def _checked_times(values) -> np.ndarray:
+    t = _frozen_array(values)
+    if t.ndim != 1:
+        raise ValueError("times must be one-dimensional")
+    if t.size == 0:
+        raise ValueError("series must contain at least one sample")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
+    if t.size > 1 and not np.all(np.diff(t) > 0):
+        raise ValueError("times must be strictly increasing")
+    return t
 
-    times: np.ndarray
-    heights: np.ndarray
-    epoch: datetime = DEFAULT_EPOCH
 
-    def __post_init__(self) -> None:
-        t = _frozen_array(self.times)
-        h = _frozen_array(self.heights)
-        if t.ndim != 1 or h.ndim != 1:
-            raise ValueError("times and heights must be one-dimensional")
-        if t.size != h.size:
-            raise ValueError(f"times ({t.size}) and heights ({h.size}) must have equal length")
-        if t.size == 0:
-            raise ValueError("series must contain at least one sample")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("times must be finite")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("heights must be finite")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "heights", h)
+class _Sampled:
+    """A record's length and spacing, from its ``times``: strictly
+    increasing hours, set by the subclass."""
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -71,6 +62,30 @@ class WaterLevelSeries:
         if len(self) < 2:
             raise ValueError("native spacing undefined for a single sample")
         return float(np.median(np.diff(self.times)))
+
+
+@dataclass(frozen=True, eq=False)
+class WaterLevelSeries(_Sampled):
+    """Irregularly sampled water levels: strictly increasing times, finite heights."""
+
+    times: np.ndarray
+    heights: np.ndarray
+    epoch: datetime = DEFAULT_EPOCH
+
+    def __post_init__(self) -> None:
+        t = _checked_times(self.times)
+        h = _frozen_array(self.heights)
+        if h.ndim != 1:
+            raise ValueError("times and heights must be one-dimensional")
+        if t.size != h.size:
+            raise ValueError(f"times ({t.size}) and heights ({h.size}) must have equal length")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("heights must be finite")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "heights", h)
+
+    def heights_at(self, indices) -> np.ndarray:
+        return self.heights[indices]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,22 +167,29 @@ def synthesize(solution: HarmonicSolution, times) -> np.ndarray:
     """Evaluate mean + trend*(t - t_ref) + sum_k A_k f_k cos(w_k t + theta_k).
 
     The sum runs in blocks of _BLOCK samples. Each block forms its
-    cos(w_k t + theta_k) table in one scratch array and writes the table
-    times A_k f_k into its slice of the sum, so no m x n array is formed
-    and the bits do not depend on the BLAS thread count.
+    w_k t + theta_k table, n rows of block samples, in one scratch array,
+    takes its cosine in place, and adds the rows times A_k f_k one
+    constituent after another, k = 0 first. So no m x n array is formed,
+    and each value depends on its own time alone: not on the block, where
+    the block starts, or the BLAS thread count.
     """
     t = np.asarray(times, dtype=float)
     flat = t.ravel()
     cat = solution.catalog
-    weights = solution.amplitudes * cat.nodal_factors
+    weights = (solution.amplitudes * cat.nodal_factors)[:, None]
+    phases = solution.phases[:, None]
     harmonics = np.empty(flat.size)
-    table = np.empty((min(flat.size, _BLOCK), cat.n))
+    table = np.empty((cat.n, min(flat.size, _BLOCK)))
     for start in range(0, flat.size, _BLOCK):
         stop = min(start + _BLOCK, flat.size)
-        arg = np.outer(flat[start:stop], cat.speeds, out=table[: stop - start])
-        arg += solution.phases
-        np.cos(arg, out=arg)
-        np.dot(arg, weights, out=harmonics[start:stop])
+        terms = np.multiply.outer(cat.speeds, flat[start:stop], out=table[:, : stop - start])
+        terms += phases
+        np.cos(terms, out=terms)
+        terms *= weights
+        total = harmonics[start:stop]
+        total[...] = terms[0]
+        for row in terms[1:]:
+            total += row
     return solution.mean + solution.trend * (t - solution.time_reference) + harmonics
 
 
@@ -177,9 +199,57 @@ def synthesize_series(
     return WaterLevelSeries(np.asarray(times, dtype=float), synthesize(solution, times), epoch)
 
 
-def resample(series: WaterLevelSeries, plan: SamplingPlan) -> WaterLevelSeries:
+class SynthesizedSeries(_Sampled):
+    """A solution's water levels at given times, plus apply_noise's draw
+    when sigma > 0, each sample synthesized the first time heights_at asks
+    for it.
+
+    heights_at(i) has the bits of heights[i] of the record that
+    synthesize_series and then apply_noise(sigma, seed) would build whole,
+    since synthesize forms each value from its own time alone. The
+    experiment's 6-min base record is resampled at cadences of up to 11
+    days, so most of its samples are never read. Safe to share between
+    threads: one lock guards the memo.
+    """
+
+    def __init__(
+        self,
+        solution: HarmonicSolution,
+        times,
+        sigma: float = 0.0,
+        seed: int = 0,
+        epoch: datetime = DEFAULT_EPOCH,
+    ) -> None:
+        self.times = _checked_times(times)
+        self.epoch = epoch
+        self._solution = solution
+        self._noise = _noise(sigma, seed, self.times.size) if sigma != 0 else None
+        self._heights = np.empty(self.times.size)
+        self._known = np.zeros(self.times.size, dtype=bool)
+        self._lock = threading.Lock()
+
+    @property
+    def synthesized(self) -> int:
+        """How many samples heights_at has synthesized so far."""
+        with self._lock:
+            return int(np.count_nonzero(self._known))
+
+    def heights_at(self, indices) -> np.ndarray:
+        with self._lock:
+            new = indices[~self._known[indices]]
+            if new.size:
+                heights = synthesize(self._solution, self.times[new])
+                if self._noise is not None:
+                    heights += self._noise[new]
+                self._heights[new] = heights
+                self._known[new] = True
+            return self._heights[indices]
+
+
+def resample(series: WaterLevelSeries | SynthesizedSeries, plan: SamplingPlan) -> WaterLevelSeries:
     """Cut a record of plan.record_length starting at a seeded random offset
-    and keep the existing sample nearest each target time.
+    and keep the existing sample nearest each target time, reading only the
+    kept samples' heights.
 
     Target times are offset + j*interval for j = 0..floor(record_length /
     interval). A target is dropped when no sample lies within half the
@@ -204,13 +274,16 @@ def resample(series: WaterLevelSeries, plan: SamplingPlan) -> WaterLevelSeries:
             f"resampling selected no samples (interval={plan.interval}, "
             f"record_length={plan.record_length}, offset={offset:.3f})"
         )
-    return WaterLevelSeries(t[selected], series.heights[selected], series.epoch)
+    return WaterLevelSeries(t[selected], series.heights_at(selected), series.epoch)
+
+
+def _noise(sigma: float, seed: int, count: int) -> np.ndarray:
+    if sigma < 0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    return np.random.default_rng(seed).normal(0.0, sigma, count)
 
 
 def apply_noise(series: WaterLevelSeries, sigma: float, seed: int = 0) -> WaterLevelSeries:
     """Add zero-mean Gaussian noise of standard deviation sigma (meters)."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    rng = np.random.default_rng(seed)
-    noisy = series.heights + rng.normal(0.0, sigma, len(series))
+    noisy = series.heights + _noise(sigma, seed, len(series))
     return WaterLevelSeries(series.times, noisy, series.epoch)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import relsha
-from relsha import cli, evaluation
+from relsha import cli, evaluation, series
 from relsha.cli import main
 from relsha.constituents import load_catalog
 from relsha.ingest import (
@@ -427,7 +427,7 @@ class TestExperiment:
         def no_record(*args, **kwargs):
             raise AssertionError("the base record was synthesized")
 
-        monkeypatch.setattr(cli, "synthesize_series", no_record)
+        monkeypatch.setattr(cli, "SynthesizedSeries", no_record)
         config = tmp_path / "config.json"
         config.write_text("{" + entry + "}", encoding="utf-8")
         out = tmp_path / "grid.csv"
@@ -470,7 +470,7 @@ class TestExperiment:
         def no_record(*args, **kwargs):
             raise AssertionError("the base record was synthesized")
 
-        monkeypatch.setattr(cli, "synthesize_series", no_record)
+        monkeypatch.setattr(cli, "SynthesizedSeries", no_record)
         out = tmp_path / "grid.csv"
         # the bad value takes the place of the option's good one
         argv = {"--intervals": "237.6", "--lengths": "2000", option: value}
@@ -530,6 +530,64 @@ class TestExperiment:
         assert 0 < above < 4
         assert (f", 0 ReLSHA not converged, {above} of 4 ReLSHA cells above the prior's "
                 f"RRMSE {prior}%, ") in summaries[1]
+
+    # a sparse lattice, as the paper's altimetry cadences give, plus one
+    # cadence whose cells overlap on the base record
+    INTERVALS, LENGTHS = (1.5, 48.0, 237.6, 264.0), (720.0, 2000.0)
+
+    def lattice(self):
+        return ("--intervals", ",".join(map(str, self.INTERVALS)),
+                "--lengths", ",".join(map(str, self.LENGTHS)), "--seed", 7)
+
+    def eager_base(self, truth, noise=0.0):
+        """relsha experiment's base record, every sample synthesized up front."""
+        times = np.arange(0.0, 1.05 * max(self.LENGTHS) + 0.1 / 2, 0.1)
+        base = relsha.synthesize_series(truth, times)
+        if noise > 0:
+            base = relsha.apply_noise(base, noise, seed=evaluation.cell_seed(7, 999_983, 0))
+        return base
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_grid_equals_run_grid_on_the_eager_base(self, tmp_path, truth, reference_nearby,
+                                                    noise, threads):
+        out = tmp_path / "grid.csv"
+        assert run("experiment", *self.lattice(), "--noise", noise, "--threads", threads,
+                   "--output", out) == 0
+        data = relsha.default_catalog_path().parent
+        grid = relsha.run_grid(
+            self.eager_base(truth, noise), truth.amplitudes, truth.catalog,
+            self.INTERVALS, self.LENGTHS, base_seed=7,
+            relsha_reference=reference_nearby.amplitudes,
+            cha_ref_a=cli._gauge(data / "reference_nearby.csv", truth.catalog),
+            cha_ref_b=cli._gauge(data / "reference_offshore.csv", truth.catalog),
+            threads=threads,
+        )
+        assert out.read_text() == evaluation.grid_to_text(grid)
+
+    def test_sparse_lattice_synthesizes_each_kept_sample_once(self, tmp_path, monkeypatch,
+                                                              caplog, truth):
+        eager = self.eager_base(truth)
+        kept = set()
+        for i, interval in enumerate(self.INTERVALS):
+            for j, length in enumerate(self.LENGTHS):
+                plan = relsha.SamplingPlan(interval, length, seed=evaluation.cell_seed(7, i, j))
+                kept.update(relsha.resample(eager, plan).times.tolist())
+        synthesized = []
+        synthesize = series.synthesize
+
+        def counted(solution, times):
+            synthesized.extend(np.asarray(times).tolist())
+            return synthesize(solution, times)
+
+        monkeypatch.setattr(series, "synthesize", counted)
+        caplog.set_level(logging.INFO, logger="relsha")
+        assert run("-v", "experiment", *self.lattice(), "--threads", 2,
+                   "--output", tmp_path / "grid.csv") == 0
+        assert len(synthesized) == len(set(synthesized))
+        assert set(synthesized) == kept
+        assert len(kept) < len(eager) // 10
+        assert f", {len(kept)} of {len(eager)} base samples synthesized, " in caplog.text
 
     def test_nonconverged_relsha_cells_warn(self, tmp_path, monkeypatch, caplog):
         solve = evaluation.relsha_solve

@@ -1,9 +1,11 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relsha import evaluation, series
 from relsha.constituents import Constituent, ConstituentCatalog
@@ -11,11 +13,13 @@ from relsha.design import build_design_matrix
 from relsha.series import (
     HarmonicSolution,
     SamplingPlan,
+    SynthesizedSeries,
     WaterLevelSeries,
     apply_noise,
     detrend,
     resample,
     synthesize,
+    synthesize_series,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -178,12 +182,24 @@ class TestBlocks:
     # three whole blocks and a ragged tail
     TIMES = 0.1 * np.arange(3 * series._BLOCK + 123)
 
-    def test_synthesize_equals_the_one_shot_formula(self, truth):
+    def test_synthesize_equals_the_fixed_order_formula(self, truth):
         t, cat = self.TIMES, truth.catalog
-        with blas_threads(1):
-            harmonics = np.cos(np.outer(t, cat.speeds) + truth.phases) @ (truth.amplitudes * cat.nodal_factors)
-            one_shot = truth.mean + truth.trend * (t - truth.time_reference) + harmonics
-            assert synthesize(truth, t).tobytes() == one_shot.tobytes()
+        weights = truth.amplitudes * cat.nodal_factors
+        # the sum over constituents in catalog order, on the whole record at once
+        harmonics = weights[0] * np.cos(cat.speeds[0] * t + truth.phases[0])
+        for k in range(1, cat.n):
+            harmonics = harmonics + weights[k] * np.cos(cat.speeds[k] * t + truth.phases[k])
+        expected = truth.mean + truth.trend * (t - truth.time_reference) + harmonics
+        assert synthesize(truth, t).tobytes() == expected.tobytes()
+
+    @given(start=st.floats(0.0, 1e4), length=st.integers(1, 3 * series._BLOCK + 123),
+           fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_a_sample_has_the_same_bits_at_any_position(self, truth, start, length, fraction, seed):
+        rng = np.random.default_rng(seed)
+        t = start + np.cumsum(rng.uniform(0.01, 3.0, length))
+        idx = np.flatnonzero(rng.random(length) < fraction)
+        assert synthesize(truth, t)[idx].tobytes() == synthesize(truth, t[idx]).tobytes()
 
     def test_synthesize_bits_do_not_depend_on_blas_threads(self, truth):
         # the dense base record of the default experiment
@@ -245,6 +261,53 @@ class TestResample:
             SamplingPlan(interval=0.0, record_length=1.0)
         with pytest.raises(ValueError, match="record_length"):
             SamplingPlan(interval=2.0, record_length=1.0)
+
+
+class TestSynthesizedSeries:
+    TIMES = 0.1 * np.arange(20_000)
+
+    def test_heights_are_the_eager_records(self, truth):
+        lazy = SynthesizedSeries(truth, self.TIMES, 0.02, seed=3)
+        eager = apply_noise(synthesize_series(truth, self.TIMES), 0.02, seed=3)
+        picked = np.array([7, 8, 4096, 19_999])
+        assert lazy.heights_at(picked).tobytes() == eager.heights[picked].tobytes()
+        assert lazy.synthesized == 4
+        every = np.arange(len(lazy))
+        assert lazy.heights_at(every).tobytes() == eager.heights.tobytes()
+        assert lazy.synthesized == len(eager)
+        assert lazy.native_spacing == eager.native_spacing
+
+    def test_negative_sigma_rejected(self, truth):
+        with pytest.raises(ValueError, match="sigma"):
+            SynthesizedSeries(truth, self.TIMES, -0.01)
+
+    def test_threads_synthesize_each_sample_once(self, truth, monkeypatch):
+        synthesized = []
+        synthesize = series.synthesize
+
+        def counted(solution, times):
+            synthesized.append(np.array(times))
+            return synthesize(solution, times)
+
+        monkeypatch.setattr(series, "synthesize", counted)
+        lazy = SynthesizedSeries(truth, self.TIMES)
+        rng = np.random.default_rng(5)
+        subsets = [np.flatnonzero(rng.random(len(lazy)) < 0.2) for _ in range(32)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lazy.heights_at, subset) for subset in subsets]
+                heights = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        kept = np.unique(np.concatenate(subsets))
+        times = np.concatenate(synthesized)
+        assert times.size == kept.size
+        assert np.array_equal(np.sort(times), self.TIMES[kept])
+        eager = synthesize(truth, self.TIMES)
+        for subset, values in zip(subsets, heights):
+            assert values.tobytes() == eager[subset].tobytes()
 
 
 class TestApplyNoise:
