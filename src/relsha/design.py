@@ -46,6 +46,16 @@ RANK_RCOND = 1e-10
 # and every singular value stays far above the rank cut-off of HA's solve.
 GRAM_MAX_CONDITION = 1e4
 
+# The design of an evenly spaced record (gauge records; the experiment's
+# cuts at multiples of its base interval) is filled by angle addition in
+# blocks of _ROTATION_BLOCK samples, whose tables stay in cache. Times may
+# stray from the even lattice by _SPACING_ULPS ulp of max|t|, which is
+# what decimal hours rounded to doubles do. Below _ROTATION_MIN_SAMPLES,
+# forming the table costs more than the rotation saves.
+_ROTATION_BLOCK = 512
+_ROTATION_MIN_SAMPLES = 2 * _ROTATION_BLOCK
+_SPACING_ULPS = 4
+
 
 def classify_regime(sample_count: int, n_constituents: int) -> str:
     """Underdetermined when there are fewer samples than the 2n unknowns."""
@@ -62,13 +72,72 @@ def build_design_matrix(times, catalog: ConstituentCatalog) -> np.ndarray:
 
 def _fill_transposed_design(times: np.ndarray, catalog: ConstituentCatalog, rows: np.ndarray) -> None:
     """Write H^T into the C-contiguous 2n x m array rows: row k holds
-    cos(w_k t) and row n+k sin(w_k t). The phase arguments are formed in
-    the cosine rows, so no m x n temporary is allocated."""
+    cos(w_k t) and row n+k sin(w_k t). Evenly spaced records are filled
+    by _fill_by_rotation; for every other record the phase arguments are
+    formed in the cosine rows. Neither allocates an m x n temporary."""
     if times.size == 0:
         raise ValueError("design matrix requires at least one sample time")
+    if _fill_by_rotation(times.ravel(), catalog.speeds, rows):
+        return
     arg = np.outer(catalog.speeds, times, out=rows[: catalog.n])
     np.sin(arg, out=rows[catalog.n :])
     np.cos(arg, out=arg)
+
+
+def _fill_by_rotation(times: np.ndarray, speeds: np.ndarray, rows: np.ndarray) -> bool:
+    """Fill rows as _fill_transposed_design does and return True when
+    _lattice_offsets finds the times evenly spaced; otherwise return False
+    with rows untouched.
+
+    Sample j of the block that starts at t_s is taken at t_s + j d. Then
+    cos(w_k t) + i sin(w_k t) is the product (C + iS)(ca + i sa) of the
+    record's one n x _ROTATION_BLOCK table C + iS = exp(i w_k j d) and the
+    block's anchor ca + i sa = exp(i w_k t_s), whose parts are
+    C ca - S sa and S ca + C sa. Each anchor comes from its block's own
+    first time, so an error in d never carries past a block.
+    """
+    offsets = _lattice_offsets(times)
+    if offsets is None:
+        return False
+    table = _unit_phasors(np.multiply.outer(speeds, offsets))
+    anchors = _unit_phasors(np.multiply.outer(speeds, times[::_ROTATION_BLOCK]))
+    product = np.empty_like(table)
+    n, m = speeds.size, times.size
+    for i, start in enumerate(range(0, m, _ROTATION_BLOCK)):
+        width = min(_ROTATION_BLOCK, m - start)
+        block = np.multiply(table[:, :width], anchors[:, i : i + 1], out=product[:, :width])
+        rows[:n, start : start + width] = block.real
+        rows[n:, start : start + width] = block.imag
+    return True
+
+
+def _lattice_offsets(times: np.ndarray) -> np.ndarray | None:
+    """j d for j < _ROTATION_BLOCK, with d = (t[-1] - t[0]) / (m - 1), when
+    there are at least _ROTATION_MIN_SAMPLES times and sample j of every
+    block of _ROTATION_BLOCK samples lies within _SPACING_ULPS ulp of
+    max|t| of the block's first time plus j d; None otherwise, NaN times
+    included."""
+    m = times.size
+    if m < _ROTATION_MIN_SAMPLES:
+        return None
+    offsets = (times[-1] - times[0]) / (m - 1) * np.arange(_ROTATION_BLOCK)
+    tolerance = _SPACING_ULPS * np.spacing(max(times.max(), -times.min()))
+    whole = m - m % _ROTATION_BLOCK
+    blocks = times[:whole].reshape(-1, _ROTATION_BLOCK)
+    deviation = blocks - blocks[:, :1]
+    deviation -= offsets
+    tail = times[whole:] - times[whole : whole + 1] - offsets[: m - whole]
+    if np.abs(deviation, out=deviation).max() <= tolerance and np.abs(tail).max(initial=0.0) <= tolerance:
+        return offsets
+    return None
+
+
+def _unit_phasors(arg: np.ndarray) -> np.ndarray:
+    """cos(arg) + i sin(arg), each part from numpy's real cos and sin."""
+    phasors = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phasors.real)
+    np.sin(arg, out=phasors.imag)
+    return phasors
 
 
 def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.ndarray, np.ndarray, float]:

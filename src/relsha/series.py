@@ -190,7 +190,7 @@ def synthesize(solution: HarmonicSolution, times) -> np.ndarray:
         total[...] = terms[0]
         for row in terms[1:]:
             total += row
-    return solution.mean + solution.trend * (t - solution.time_reference) + harmonics
+    return solution.mean + solution.trend * (t - solution.time_reference) + harmonics.reshape(t.shape)
 
 
 def synthesize_series(
@@ -268,7 +268,10 @@ def resample(series: WaterLevelSeries | SynthesizedSeries, plan: SamplingPlan) -
     left = right - 1
     pick = np.where(np.abs(t[right] - targets) < np.abs(t[left] - targets), right, left)
     within = np.abs(t[pick] - targets) <= 0.5 * native
-    selected = np.unique(pick[within])
+    # pick never decreases, since the targets increase, so a sample two
+    # targets snap to appears twice in a row and np.unique's sort is not needed
+    kept = pick[within]
+    selected = kept[np.diff(kept, prepend=-1) != 0]
     if selected.size == 0:
         raise ValueError(
             f"resampling selected no samples (interval={plan.interval}, "

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
 
 from relsha import design
@@ -291,3 +291,119 @@ class TestGramPath:
         x, _, _, _ = np.linalg.lstsq(r[:two_n, :two_n], r[:two_n, two_n], rcond=RANK_RCOND)
         expected, _ = unpack_state(x, catalog)
         assert np.abs(amplitudes - expected).max() < 1e-9
+
+
+def sin_cos_fill(times, catalog):
+    """The design as the plain np.outer + sin + cos fill forms it."""
+    arg = np.outer(times, catalog.speeds)
+    return np.hstack([np.cos(arg), np.sin(arg)])
+
+
+def exact_fill(times, catalog):
+    """cos/sin(w t) of the stored times and speeds in np.longdouble."""
+    arg = np.multiply.outer(times.astype(np.longdouble), catalog.speeds.astype(np.longdouble))
+    return np.hstack([np.cos(arg), np.sin(arg)])
+
+
+def rotation_error_bound(times, catalog):
+    """How far the rotation may stray from cos/sin(w t): w_max times the
+    check's tolerance on a time, plus the rounding of the anchor's w t_s
+    and of the table's w j d, plus that of the product."""
+    eps = np.finfo(float).eps
+    span = catalog.speeds.max() * np.abs(times).max()
+    return (design._SPACING_ULPS + 2) * eps * span + 8 * eps
+
+
+class TestRotationFill:
+    """Evenly spaced records of at least _ROTATION_MIN_SAMPLES samples are
+    filled by angle addition; every other record by np.outer + sin + cos.
+    Which one ran is seen by spying on design._fill_by_rotation."""
+
+    BLOCK = design._ROTATION_BLOCK
+    CUT_OFF = design._ROTATION_MIN_SAMPLES
+
+    @pytest.fixture
+    def rotated(self, monkeypatch):
+        results, fill = [], design._fill_by_rotation
+
+        def spy(times, speeds, rows):
+            results.append(fill(times, speeds, rows))
+            return results[-1]
+
+        monkeypatch.setattr(design, "_fill_by_rotation", spy)
+        return results
+
+    EVEN = {
+        "hourly year": lambda: 1.0 * np.arange(8785),
+        # hours as the gauge reader forms them from 6-min stamps
+        "6-min stamps": lambda: (np.arange(20_000) * 360_000_000) / 1e6 / 3600.0,
+        # a 0.2-h cut of the experiment's 6-min base record
+        "0.2-h cut": lambda: np.arange(0.0, 9223.3, 0.1)[1234 : 1234 + 2 * 22_000 : 2],
+        "at the cut-off": lambda: 0.5 * np.arange(TestRotationFill.CUT_OFF),
+        "one sample past whole blocks": lambda: 3.0 * np.arange(4 * TestRotationFill.BLOCK + 1),
+        "negative, decreasing times": lambda: -100.0 - 0.25 * np.arange(3000),
+    }
+
+    @pytest.mark.parametrize("name", EVEN)
+    def test_evenly_spaced_records_take_the_rotation(self, catalog, rotated, name):
+        times = self.EVEN[name]()
+        error = np.abs(build_design_matrix(times, catalog) - exact_fill(times, catalog)).max()
+        assert rotated == [True]
+        assert error <= rotation_error_bound(times, catalog)
+        assert error < 1e-11
+
+    @given(
+        start=st.floats(-1e4, 1e4),
+        step=st.floats(1e-3, 50.0),
+        extra=st.integers(0, 2 * design._ROTATION_BLOCK),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_lattice_is_rotated_within_the_bound(self, catalog, start, step, extra):
+        times = start + step * np.arange(self.CUT_OFF + extra)
+        rows = np.empty((2 * catalog.n, times.size))
+        assert design._fill_by_rotation(times, catalog.speeds, rows)
+        assert np.abs(rows.T - exact_fill(times, catalog)).max() <= rotation_error_bound(times, catalog)
+
+    @staticmethod
+    def _jittered(index):
+        times = 1.0 * np.arange(8785)
+        times[index] += 2 * design._SPACING_ULPS * np.spacing(times[-1])
+        return times
+
+    DECLINED = {
+        "irregular": lambda: np.sort(np.random.default_rng(3).uniform(0.0, 8784.0, 5000)),
+        "jittered past the tolerance": lambda: TestRotationFill._jittered(5000),
+        "jittered in the last, partial block": lambda: TestRotationFill._jittered(8783),
+        "short": lambda: 0.5 * np.arange(TestRotationFill.CUT_OFF - 1),
+        "1.206-h cut of a 6-min record": lambda: np.round(np.arange(0.0, 8784.0, 1.206) * 10) / 10,
+    }
+
+    @pytest.mark.parametrize("name", DECLINED)
+    def test_other_records_keep_the_sin_cos_fill_bit_for_bit(self, catalog, rotated, name):
+        times = self.DECLINED[name]()
+        assert build_design_matrix(times, catalog).tobytes() == sin_cos_fill(times, catalog).tobytes()
+        assert rotated == [False]
+
+    @pytest.mark.parametrize("name", [*DECLINED, "a NaN time"])
+    def test_a_declined_check_leaves_rows_untouched(self, catalog, name):
+        if name == "a NaN time":
+            times = 1.0 * np.arange(4000)
+            times[3999] = np.nan
+        else:
+            times = self.DECLINED[name]()
+        rows = np.full((2 * catalog.n, times.size), -7.0)
+        assert not design._fill_by_rotation(times, catalog.speeds, rows)
+        assert np.all(rows == -7.0)
+
+    def test_compressed_misfit_of_a_rotated_record(self, catalog, rotated):
+        rng = np.random.default_rng(11)
+        times = 0.5 * np.arange(6000)
+        heights = rng.normal(size=times.size)
+        a, b, rest = compress_design(times, heights, catalog)
+        assert rotated == [True]
+        expected = sin_cos_fill(times, catalog)
+        for _ in range(5):
+            x = rng.normal(size=2 * catalog.n)
+            raw = expected @ x - heights
+            compressed = a @ x - b
+            assert compressed @ compressed + rest == pytest.approx(raw @ raw, rel=1e-10)

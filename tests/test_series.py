@@ -182,6 +182,13 @@ class TestBlocks:
     # three whole blocks and a ragged tail
     TIMES = 0.1 * np.arange(3 * series._BLOCK + 123)
 
+    def test_times_of_any_shape_give_values_of_that_shape(self, truth):
+        t = 0.7 * np.arange(12.0)
+        flat = synthesize(truth, t)
+        assert synthesize(truth, t.reshape(3, 4)).tobytes() == flat.tobytes()
+        assert synthesize(truth, t.reshape(3, 4)).shape == (3, 4)
+        assert np.shape(synthesize(truth, 5.0)) == ()
+
     def test_synthesize_equals_the_fixed_order_formula(self, truth):
         t, cat = self.TIMES, truth.catalog
         weights = truth.amplitudes * cat.nodal_factors
@@ -255,6 +262,29 @@ class TestResample:
         assert np.all(np.isin(picked.times, t))
         assert len(picked) <= math.floor(length / interval) + 1
         assert np.all(np.diff(picked.times) > 0)
+
+    @given(seed=st.integers(0, 1000), interval=st.floats(0.05, 60.0),
+           length=st.floats(1.0, 150.0))
+    @settings(max_examples=60)
+    def test_keeps_what_np_unique_of_the_snapped_samples_keeps(self, seed, interval, length):
+        # intervals below the 0.25-h native spacing snap several targets
+        # to one sample
+        t = 0.25 * np.arange(480) + np.random.default_rng(seed).uniform(-0.05, 0.05, 480)
+        series = WaterLevelSeries(t, np.cos(0.5 * t))
+        plan = SamplingPlan(interval=interval, record_length=max(length, interval), seed=seed)
+        rng = np.random.default_rng(plan.seed)
+        start_max = max(t[0], t[-1] - plan.record_length)
+        offset = float(rng.uniform(t[0], start_max)) if start_max > t[0] else float(t[0])
+        targets = offset + plan.interval * np.arange(math.floor(plan.record_length / plan.interval) + 1)
+        nearest = np.abs(t[:, None] - targets[None, :]).argmin(axis=0)
+        within = np.abs(t[nearest] - targets) <= 0.5 * series.native_spacing
+        expected = np.unique(nearest[within])
+        try:
+            picked = resample(series, plan)
+        except ValueError:
+            assert expected.size == 0
+        else:
+            assert picked.times.tobytes() == t[expected].tobytes()
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="interval"):
