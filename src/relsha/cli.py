@@ -199,6 +199,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _check_values("--lengths", args.lengths)
     _check_values("--noise", (args.noise,), allow_zero=True)
     _check_values("--base-interval", (args.base_interval,))
+    _check_values("--threads", (args.threads,))
     _check_output_dir(args.output)
     relsha_config = RelshaConfig(lam=args.lam)
     catalog = load_catalog(args.catalog)

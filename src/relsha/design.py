@@ -10,16 +10,18 @@ sin(theta)sin(wt); amplitudes are unaffected by the choice.
 Every fit reads the data only through the misfit ||H x - h||^2 of the
 detrended heights h. ``prepare`` computes, once per record, a triple
 (a, b, rest) with ||H x - h||^2 = ||a x - b||^2 + rest for every x. For
-m > 2n + 1 samples it compresses the augmented m x (2n+1) matrix [H | h]
-by Gram-Cholesky, with QR as the fallback: with [H | h] = Q [[R, c],
-[0, d], [0, 0]], a = R is 2n x 2n, b = c and rest = d^2, so every later
-solve costs O(n^2) whatever m is. A well-conditioned H gets R and c from
-the Cholesky factor of the Gram matrix [H | h]^T [H | h], one BLAS-3 pass
-over the data; an ill-conditioned one (near-resonant sampling, short
-records) is QR-factored by dgeqrf. R has the singular values of H, so
-rank decisions and minimum-norm solutions carry over. For m <= 2n + 1
-the factorization would not shrink anything, and a, b are H and h
-themselves (rest = 0).
+m > 2n + 1 samples a = R is the 2n x 2n triangle of H = Q R, b = Q^T h
+and rest = ||H x* - h||^2 at the least-squares x*, so every later solve
+costs O(n^2) whatever m is. A well-conditioned H gets R and b from the
+Cholesky factor of its Gram matrix H^T H and from H^T h. On an evenly
+spaced record H^T H has a closed form and H^T h and the residual come
+from angle-addition tables, so H is never built. Any other record fills
+the augmented m x (2n+1) matrix [H | h] and forms its Gram matrix in one
+BLAS-3 pass. An ill-conditioned H (near-resonant sampling, short
+records) has [H | h] QR-factored by dgeqrf instead. R has the singular
+values of H, so rank decisions and minimum-norm solutions carry over.
+For m <= 2n + 1 the factorization would not shrink anything, and a, b
+are H and h themselves (rest = 0).
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ RANK_RCOND = 1e-10
 GRAM_MAX_CONDITION = 1e4
 
 # The design of an evenly spaced record (gauge records; the experiment's
-# cuts at multiples of its base interval) is filled by angle addition in
-# blocks of _ROTATION_BLOCK samples, whose tables stay in cache. Times may
+# cuts at multiples of its base interval) is filled, and its H^T h and
+# residual formed, by angle addition in blocks of _ROTATION_BLOCK
+# samples, whose tables stay in cache. Times may
 # stray from the even lattice by _SPACING_ULPS ulp of max|t|, which is
 # what decimal hours rounded to doubles do. Below _ROTATION_MIN_SAMPLES,
 # forming the table costs more than the rotation saves.
@@ -77,38 +80,55 @@ def _fill_transposed_design(times: np.ndarray, catalog: ConstituentCatalog, rows
     formed in the cosine rows. Neither allocates an m x n temporary."""
     if times.size == 0:
         raise ValueError("design matrix requires at least one sample time")
-    if _fill_by_rotation(times.ravel(), catalog.speeds, rows):
-        return
-    arg = np.outer(catalog.speeds, times, out=rows[: catalog.n])
-    np.sin(arg, out=rows[catalog.n :])
+    if not _fill_by_rotation(times.ravel(), catalog.speeds, rows):
+        _fill_by_sin_cos(times, catalog.speeds, rows)
+
+
+def _fill_by_sin_cos(times: np.ndarray, speeds: np.ndarray, rows: np.ndarray) -> None:
+    """Fill rows as _fill_transposed_design does, by np.outer, sin and cos."""
+    arg = np.outer(speeds, times, out=rows[: speeds.size])
+    np.sin(arg, out=rows[speeds.size :])
     np.cos(arg, out=arg)
 
 
 def _fill_by_rotation(times: np.ndarray, speeds: np.ndarray, rows: np.ndarray) -> bool:
     """Fill rows as _fill_transposed_design does and return True when
-    _lattice_offsets finds the times evenly spaced; otherwise return False
-    with rows untouched.
+    _rotation finds the times evenly spaced; otherwise return False with
+    rows untouched."""
+    rotation = _rotation(times, speeds)
+    if rotation is None:
+        return False
+    _rotate(*rotation, rows)
+    return True
 
-    Sample j of the block that starts at t_s is taken at t_s + j d. Then
-    cos(w_k t) + i sin(w_k t) is the product (C + iS)(ca + i sa) of the
-    record's one n x _ROTATION_BLOCK table C + iS = exp(i w_k j d) and the
-    block's anchor ca + i sa = exp(i w_k t_s), whose parts are
-    C ca - S sa and S ca + C sa. Each anchor comes from its block's own
-    first time, so an error in d never carries past a block.
-    """
+
+def _rotation(times: np.ndarray, speeds: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The angle-addition tables of an evenly spaced record, or None when
+    _lattice_offsets finds the times are not: the record's one
+    n x _ROTATION_BLOCK table exp(i w_k j d) and the n x blocks anchors
+    exp(i w_k t_s), one per block of _ROTATION_BLOCK samples from its own
+    first time t_s. Sample j of that block, taken at t_s + j d, has
+    cos(w_k t) + i sin(w_k t) = table[k, j] anchors[k, block]; since each
+    anchor comes from its block's own first time, an error in d never
+    carries past a block."""
     offsets = _lattice_offsets(times)
     if offsets is None:
-        return False
+        return None
     table = _unit_phasors(np.multiply.outer(speeds, offsets))
-    anchors = _unit_phasors(np.multiply.outer(speeds, times[::_ROTATION_BLOCK]))
+    return table, _unit_phasors(np.multiply.outer(speeds, times[::_ROTATION_BLOCK]))
+
+
+def _rotate(table: np.ndarray, anchors: np.ndarray, rows: np.ndarray) -> None:
+    """Write the cos and sin rows of each block from one complex product
+    (C + iS)(ca + i sa) of the table and the block's anchor, whose parts
+    are C ca - S sa and S ca + C sa."""
     product = np.empty_like(table)
-    n, m = speeds.size, times.size
+    n, m = table.shape[0], rows.shape[1]
     for i, start in enumerate(range(0, m, _ROTATION_BLOCK)):
         width = min(_ROTATION_BLOCK, m - start)
         block = np.multiply(table[:, :width], anchors[:, i : i + 1], out=product[:, :width])
         rows[:n, start : start + width] = block.real
         rows[n:, start : start + width] = block.imag
-    return True
 
 
 def _lattice_offsets(times: np.ndarray) -> np.ndarray | None:
@@ -144,22 +164,33 @@ def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.nda
     """(a, b, rest) with ||H x - heights||^2 = ||a x - b||^2 + rest for all x.
 
     H is build_design_matrix(times, catalog). Up to 2n + 1 samples, a and
-    b are H and heights. Beyond that, [H | heights] is built in Fortran
-    order and compressed by Gram-Cholesky (_gram_compress), with QR as the
-    fallback: when the Gram path declines, LAPACK dgeqrf factors the same
-    matrix in place. Either way a is the 2n x 2n upper triangle R.
+    b are H and heights. Beyond that, a is the 2n x 2n upper triangle R of
+    H = Q R. An evenly spaced record (_rotation) first tries
+    _lattice_compress, which forms H^T H in closed form and never builds
+    H. Any other record has [H | heights] built in Fortran order and
+    compressed by Gram-Cholesky (_gram_compress). When either Gram path
+    declines, LAPACK dgeqrf factors [H | heights] in place.
     """
     h = np.asarray(heights, dtype=float)
     two_n = 2 * catalog.n
     if h.size <= two_n + 1:
         return build_design_matrix(times, catalog), h, 0.0
+    t = np.asarray(times, dtype=float).ravel()
+    rotation = _rotation(t, catalog.speeds)
+    if rotation is not None:
+        compressed = _lattice_compress(t, h, catalog.speeds, *rotation)
+        if compressed is not None:
+            return compressed
     # Column-major [H | h]: dsyrk and dgeqrf read it without a copy.
     augmented = np.empty((h.size, two_n + 1), order="F")
-    _fill_transposed_design(np.asarray(times, dtype=float), catalog, augmented[:, :two_n].T)
     augmented[:, two_n] = h
-    compressed = _gram_compress(augmented)
-    if compressed is not None:
-        return compressed
+    if rotation is not None:  # its closed-form Gram declined: no second try
+        _rotate(*rotation, augmented[:, :two_n].T)
+    else:
+        _fill_by_sin_cos(t, catalog.speeds, augmented[:, :two_n].T)
+        compressed = _gram_compress(augmented)
+        if compressed is not None:
+            return compressed
     lwork, _ = dgeqrf_lwork(*augmented.shape)
     qr, _, _, info = dgeqrf(augmented, lwork=int(lwork), overwrite_a=True)
     if info != 0:
@@ -169,31 +200,107 @@ def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.nda
 
 def _gram_compress(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
     """(a, b, rest) of the m x (2n+1) Fortran-order [H | h] from its Gram
-    matrix, or None, leaving augmented untouched, when H is too
-    ill-conditioned for it.
+    matrix, or None, leaving augmented untouched, when _cholesky_solve
+    declines it.
 
-    G = [H | h]^T [H | h] (one dsyrk) gives H^T H = R^T R (dpotrf of its
-    leading 2n x 2n block) and b = R^-T H^T h, the R and Q^T h of a QR
-    factorization up to rounding: the first pass of CholeskyQR (Fukaya,
-    Nakatsukasa et al. 2014). Its relative error grows like
-    eps cond(H)^2, so the path is taken only when dpotrf succeeds and
-    dtrcon estimates cond(R) below GRAM_MAX_CONDITION. rest is
+    G = [H | h]^T [H | h] (one dsyrk) holds H^T H and H^T h. rest is
     ||H x* - h||^2 at x* = R^-1 b, formed in place of the h column. G's
     last pivot would give it as ||h||^2 - ||b||^2, which cancels to noise
     on records that H fits almost exactly, so that pivot is never formed.
     """
     two_n = augmented.shape[1] - 1
     gram = dsyrk(1.0, augmented, trans=1)
-    a, info = dpotrf(gram[:two_n, :two_n])
+    solved = _cholesky_solve(gram[:two_n, :two_n], gram[:two_n, two_n])
+    if solved is None:
+        return None
+    a, b, x = solved
+    residual = dgemv(1.0, augmented[:, :two_n], x, beta=-1.0, y=augmented[:, two_n], overwrite_y=1)
+    return a, b, float(residual @ residual)
+
+
+def _lattice_compress(
+    times: np.ndarray, heights: np.ndarray, speeds: np.ndarray, table: np.ndarray, anchors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(a, b, rest) of an evenly spaced record from the closed-form H^T H
+    (_lattice_gram), or None when _cholesky_solve declines it.
+
+    H^T h and the residual H x* - h are small real matrix products with
+    the rotation's table and anchors (_rotation), with no trig per sample
+    and no m x 2n array. Sample j of block s has
+    exp(i w_k t) = T_kj A_ks, so sum_t h_t exp(i w_k t) is
+    sum_s A_ks (T h_s)_k, and (H x)_t = Re sum_k (x_k - i x_{n+k}) A_ks T_kj.
+    As in _gram_compress, rest is ||H x* - h||^2, never ||h||^2 - ||b||^2.
+    """
+    n, m = speeds.size, heights.size
+    blocks = anchors.shape[1]
+    padded = np.zeros(blocks * _ROTATION_BLOCK)
+    padded[:m] = heights
+    real_table = np.concatenate([table.real, table.imag])
+    sums = real_table @ padded.reshape(blocks, _ROTATION_BLOCK).T
+    projection = np.einsum("ks,ks->k", anchors, sums[:n] + 1j * sums[n:])
+    solved = _cholesky_solve(_lattice_gram(times, speeds), np.concatenate([projection.real, projection.imag]))
+    if solved is None:
+        return None
+    a, b, x = solved
+    weights = (x[:n] - 1j * x[n:])[:, None] * anchors
+    fitted = np.concatenate([weights.real, -weights.imag]).T @ real_table
+    residual = fitted.ravel()[:m] - heights
+    return a, b, float(residual @ residual)
+
+
+def _lattice_gram(times: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """H^T H of an evenly spaced record in closed form. With
+    U_kl = S(w_k - w_l) and V_kl = S(w_k + w_l) (_lattice_sums), the
+    cos-cos block is Re(U + V) / 2, the sin-sin block Re(U - V) / 2 and
+    the cos-sin block Im(V - U) / 2, by the product-to-sum identities."""
+    m = times.size
+    step = (times[-1] - times[0]) / (m - 1)
+    middle = 0.5 * (times[0] + times[-1])
+    difference = _lattice_sums(np.subtract.outer(speeds, speeds), step, middle, m)
+    total = _lattice_sums(np.add.outer(speeds, speeds), step, middle, m)
+    cos_sin = 0.5 * (total.imag - difference.imag)
+    return np.block([
+        [0.5 * (difference.real + total.real), cos_sin],
+        [cos_sin.T, 0.5 * (difference.real - total.real)],
+    ])
+
+
+def _lattice_sums(omega: np.ndarray, step: float, middle: float, count: int) -> np.ndarray:
+    """S(w) = sum_j exp(i w t_j) over count times t_j evenly spaced by
+    step about middle: the Dirichlet sum
+    exp(i w middle) sin(count w step / 2) / sin(w step / 2).
+
+    w step / 2 is first reduced by its nearest multiple p pi, which turns
+    the quotient into (-1)^(p (count - 1)) sin(count r) / sin(r) with
+    |r| <= pi / 2; at r = 0 (w = 0, or a speed the spacing aliases to
+    zero) it is count, not 0 / 0.
+    """
+    half = 0.5 * step * omega
+    turns = np.round(half / np.pi)
+    reduced = half - np.pi * turns
+    ratio = np.full(half.shape, float(count))
+    np.divide(np.sin(count * reduced), np.sin(reduced), out=ratio, where=reduced != 0)
+    ratio[turns * (count - 1) % 2 == 1] *= -1.0
+    phase = omega * middle
+    return ratio * (np.cos(phase) + 1j * np.sin(phase))
+
+
+def _cholesky_solve(gram: np.ndarray, projection: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(R, b, x*) from H^T H = R^T R (dpotrf), b = R^-T H^T h and
+    x* = R^-1 b, the R and Q^T h of a QR factorization up to rounding: the
+    first pass of CholeskyQR (Fukaya, Nakatsukasa et al. 2014). Its
+    relative error grows like eps cond(H)^2, so it returns None unless
+    dpotrf succeeds and dtrcon estimates cond(R) below GRAM_MAX_CONDITION.
+    """
+    a, info = dpotrf(gram)
     if info != 0:
         return None
     rcond, info = dtrcon(a)
     if info != 0 or rcond * GRAM_MAX_CONDITION <= 1.0:
         return None
-    b, _ = dtrtrs(a, gram[:two_n, two_n], trans=1)
+    b, _ = dtrtrs(a, projection, trans=1)
     x, _ = dtrtrs(a, b)
-    residual = dgemv(1.0, augmented[:, :two_n], x, beta=-1.0, y=augmented[:, two_n], overwrite_y=1)
-    return a, b, float(residual @ residual)
+    return a, b, x
 
 
 class _computed_once:

@@ -463,6 +463,7 @@ class TestExperiment:
         ("--intervals", "237.6,-5"), ("--intervals", "nan"),
         ("--lengths", "0"), ("--lengths", "2000,inf"), ("--noise", "-1"),
         ("--base-interval", "0"), ("--base-interval", "-1"),
+        ("--threads", "0"), ("--threads", "-3"),
     ])
     def test_bad_lattice_or_noise_fails_before_the_base_record(
         self, tmp_path, monkeypatch, caplog, option, value
@@ -480,6 +481,21 @@ class TestExperiment:
         assert f"{option} must be finite and" in caplog.text
         assert "missing.csv" not in caplog.text
         assert list(tmp_path.iterdir()) == []
+
+    def test_threads_below_one_in_config_fail_before_the_base_record(self, tmp_path, monkeypatch, caplog):
+        def no_record(*args, **kwargs):
+            raise AssertionError("the base record was synthesized")
+
+        monkeypatch.setattr(cli, "SynthesizedSeries", no_record)
+        config = tmp_path / "config.json"
+        config.write_text('{"threads": -3}', encoding="utf-8")
+        out = tmp_path / "grid.csv"
+        code = run("experiment", "--config", config, "--intervals", "237.6", "--lengths", "2000",
+                   "--truth", tmp_path / "missing.csv", "--output", out)
+        assert code == 1
+        assert "--threads must be finite and positive, got -3" in caplog.text
+        assert "missing.csv" not in caplog.text
+        assert not out.exists()
 
     def test_cell_shorter_than_its_interval_stays_missing(self, tmp_path, caplog):
         out = tmp_path / "grid.csv"

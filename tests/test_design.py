@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -238,20 +239,44 @@ class TestGramPath:
     def _augmented(residual, catalog):
         return np.column_stack([build_design_matrix(residual.times, catalog), residual.heights])
 
-    @pytest.mark.parametrize("interval, length", [
-        (12.0, 8766.0),  # aliases the semidiurnal band: cond(H) ~ 1e16, dpotrf fails
-        (1.0, 720.0),  # 30 days: dpotrf succeeds, dtrcon estimates cond(R) ~ 2e6
+    @pytest.mark.parametrize("interval, length, count, declines", [
+        # aliases the semidiurnal band: cond(H) ~ 1e16, dpotrf fails
+        pytest.param(12.0, 8766.0, None, True, id="12.0-8766.0"),
+        # 30 days: dpotrf succeeds, dtrcon estimates cond(R) ~ 2e6
+        pytest.param(1.0, 720.0, None, True, id="1.0-720.0"),
+        # evenly spaced records long enough for the closed-form Gram
+        pytest.param(12.0, None, 1463, True, id="even 12 h x 1463"),
+        pytest.param(12.0, None, 2000, True, id="even 12 h x 2000"),
+        pytest.param(24.0, None, 1100, True, id="even 24 h x 1100"),
+        pytest.param(6.0, None, 4000, True, id="even 6 h x 4000"),
+        pytest.param(23.934, None, 1500, True, id="even 23.934 h x 1500"),  # cond(R) >= 1e4
+        pytest.param(0.5, None, 3000, False, id="even 0.5 h x 3000"),
+        pytest.param(0.1, None, 20_000, False, id="even 0.1 h x 20000"),
     ])
     def test_ill_conditioned_record_falls_back_to_dgeqrf_bit_for_bit(
-        self, base_series, catalog, qr_calls, interval, length
+        self, base_series, truth, catalog, qr_calls, interval, length, count, declines
     ):
-        residual, _, _ = detrend(resample(base_series, SamplingPlan(interval, length, seed=0)))
+        """compress_design declines exactly when a dsyrk Gram of the filled
+        [H | h] declines, and then equals a dgeqrf of it bit for bit."""
+        if count is None:
+            record = resample(base_series, SamplingPlan(interval, length, seed=0))
+        else:
+            times = interval * np.arange(count)
+            noise = 0.02 * np.random.default_rng(count).normal(size=count)
+            record = WaterLevelSeries(times, synthesize(truth, times) + noise)
+        residual, _, _ = detrend(record)
         a, b, rest = compress_design(residual.times, residual.heights, catalog)
-        assert len(qr_calls) == 1
         augmented = np.asfortranarray(self._augmented(residual, catalog))
+        gram = design._gram_compress(augmented.copy(order="F"))
+        assert (gram is None) == declines
+        assert len(qr_calls) == declines
+        two_n = 2 * catalog.n
+        if not declines:
+            assert np.abs(a.T @ a - gram[0].T @ gram[0]).max() < 1e-10 * count
+            assert rest == pytest.approx(gram[2], rel=1e-10)
+            return
         lwork, _ = dgeqrf_lwork(*augmented.shape)
         qr, _, _, info = dgeqrf(augmented, lwork=int(lwork))
-        two_n = 2 * catalog.n
         assert info == 0
         assert np.array_equal(a, np.triu(qr[:two_n, :two_n]))
         assert np.array_equal(b, qr[:two_n, two_n])
@@ -287,6 +312,67 @@ class TestGramPath:
         assert qr_calls == []
         residual, _, _ = detrend(hourly_year)
         r = scipy.linalg.qr(self._augmented(residual, catalog), mode="r")[0]
+        two_n = 2 * catalog.n
+        x, _, _, _ = np.linalg.lstsq(r[:two_n, :two_n], r[:two_n, two_n], rcond=RANK_RCOND)
+        expected, _ = unpack_state(x, catalog)
+        assert np.abs(amplitudes - expected).max() < 1e-9
+
+
+class TestDsyrkGramPath:
+    """The dsyrk Gram-Cholesky path of records that are not evenly
+    spaced: the hourly year with a seeded 1% of its samples dropped. The
+    tests twin TestGramPath's, whose evenly spaced hourly year takes the
+    closed-form Gram."""
+
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        calls, gram_compress = [], design._gram_compress
+
+        def spy(augmented):
+            compressed = gram_compress(augmented)
+            calls.append(compressed is not None)
+            return compressed
+
+        monkeypatch.setattr(design, "_gram_compress", spy)
+        return calls
+
+    @pytest.fixture
+    def gapped_year(self, hourly_year):
+        size = len(hourly_year)
+        keep = np.delete(np.arange(size), np.random.default_rng(17).choice(size, size // 100, replace=False))
+        return WaterLevelSeries(hourly_year.times[keep], hourly_year.heights[keep])
+
+    def test_gapped_year_takes_the_dsyrk_gram_path(self, gapped_year, catalog, gram_calls):
+        record = prepare(gapped_year, catalog)
+        assert gram_calls == [True]
+        assert np.array_equal(record.a, np.triu(record.a))
+
+    def test_gram_rest_matches_qr_rest_on_noise_free_heights(self, gapped_year, catalog, gram_calls):
+        residual, _, _ = detrend(gapped_year)
+        _, _, rest = compress_design(residual.times, residual.heights, catalog)
+        assert gram_calls == [True]
+        r = scipy.linalg.qr(TestGramPath._augmented(residual, catalog), mode="r")[0]
+        two_n = 2 * catalog.n
+        assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
+
+    def test_gram_rest_survives_a_near_exact_fit(self, catalog, gram_calls):
+        # ||h||^2 - ||Q^T h||^2 would cancel to ~1e-4 relative error here
+        rng = np.random.default_rng(5)
+        times = np.arange(0.0, 8766.0, 1.0)
+        times = np.delete(times, rng.choice(times.size, size=times.size // 100, replace=False))
+        design_matrix = build_design_matrix(times, catalog)
+        heights = design_matrix @ rng.normal(size=2 * catalog.n) + 1e-6 * rng.normal(size=times.size)
+        _, _, rest = compress_design(times, heights, catalog)
+        assert gram_calls == [True]
+        r = scipy.linalg.qr(np.column_stack([design_matrix, heights]), mode="r")[0]
+        two_n = 2 * catalog.n
+        assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
+
+    def test_gram_ha_amplitudes_match_a_qr_of_the_full_design(self, gapped_year, catalog, gram_calls):
+        amplitudes = ha_fit(gapped_year, catalog).solution.amplitudes
+        assert gram_calls == [True]
+        residual, _, _ = detrend(gapped_year)
+        r = scipy.linalg.qr(TestGramPath._augmented(residual, catalog), mode="r")[0]
         two_n = 2 * catalog.n
         x, _, _, _ = np.linalg.lstsq(r[:two_n, :two_n], r[:two_n, two_n], rcond=RANK_RCOND)
         expected, _ = unpack_state(x, catalog)
@@ -395,7 +481,15 @@ class TestRotationFill:
         assert not design._fill_by_rotation(times, catalog.speeds, rows)
         assert np.all(rows == -7.0)
 
-    def test_compressed_misfit_of_a_rotated_record(self, catalog, rotated):
+    def test_compressed_misfit_of_a_rotated_record(self, catalog, monkeypatch):
+        rotated, lattice_compress = [], design._lattice_compress
+
+        def spy(*args):
+            compressed = lattice_compress(*args)
+            rotated.append(compressed is not None)
+            return compressed
+
+        monkeypatch.setattr(design, "_lattice_compress", spy)
         rng = np.random.default_rng(11)
         times = 0.5 * np.arange(6000)
         heights = rng.normal(size=times.size)
@@ -407,3 +501,60 @@ class TestRotationFill:
             raw = expected @ x - heights
             compressed = a @ x - b
             assert compressed @ compressed + rest == pytest.approx(raw @ raw, rel=1e-10)
+
+
+class TestLatticeGram:
+    """compress_design of an evenly spaced record forms H^T H from the
+    closed-form Dirichlet sums of design._lattice_sums and never builds H."""
+
+    @given(
+        start=st.floats(-1e4, 1e4),
+        step=st.floats(1e-3, 50.0),
+        extra=st.integers(0, 2 * design._ROTATION_BLOCK),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_lattice_keeps_the_misfit_identity(self, catalog, start, step, extra, seed):
+        rng = np.random.default_rng(seed)
+        times = start + step * np.arange(design._ROTATION_MIN_SAMPLES + extra)
+        heights = rng.normal(size=times.size)
+        a, b, rest = compress_design(times, heights, catalog)
+        exact = exact_fill(times, catalog)
+        tolerance = times.size * rotation_error_bound(times, catalog)
+        assert np.abs(a.T @ a - (exact.T @ exact).astype(float)).max() <= tolerance
+        for _ in range(3):
+            x = rng.normal(size=2 * catalog.n)
+            raw = exact @ x - heights
+            compressed = a @ x - b
+            assert compressed @ compressed + rest == pytest.approx(float(raw @ raw), rel=1e-10)
+
+    @pytest.mark.parametrize("step, start, count", [
+        (12.0, 37.0, 1463),  # count - 1 even
+        (0.1, -500.0, 20_000),  # count - 1 odd: the sign of an odd turn flips
+        (23.934, 1000.0, 1500),
+    ])
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12])
+    def test_dirichlet_sum_at_and_near_aliased_speeds(self, step, start, count, offset):
+        # w step = 2 pi k (1 + offset): at offset 0 the quotient is 0 / 0
+        # unless w step / 2 is reduced first
+        omega = TWO_PI * np.arange(-3, 4) / step * (1.0 + offset)
+        times = start + step * np.arange(count)
+        sums = design._lattice_sums(omega, step, 0.5 * (times[0] + times[-1]), count)
+        arg = np.multiply.outer(omega.astype(np.longdouble), start + step * np.arange(count, dtype=np.longdouble))
+        direct = np.cos(arg).sum(axis=1).astype(float) + 1j * np.sin(arg).sum(axis=1).astype(float)
+        eps = np.finfo(float).eps
+        bound = 4 * eps * count * (np.abs(omega) * np.abs(times).max() + count)
+        assert np.all(np.abs(sums - direct) <= bound)
+        assert np.abs(sums).min() == pytest.approx(count, rel=1e-9)
+
+    def test_prepare_of_a_6_min_year_stays_small(self, truth, catalog):
+        series = WaterLevelSeries(0.1 * np.arange(87_841), synthesize(truth, 0.1 * np.arange(87_841)))
+        prepare(series, catalog)
+        tracemalloc.start()
+        try:
+            prepare(series, catalog)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 87 841 x 75 [H | h] alone would take 52.7 MB
+        assert peak < 8e6
