@@ -133,20 +133,23 @@ def _rotate(table: np.ndarray, anchors: np.ndarray, rows: np.ndarray) -> None:
 
 def _lattice_offsets(times: np.ndarray) -> np.ndarray | None:
     """j d for j < _ROTATION_BLOCK, with d = (t[-1] - t[0]) / (m - 1), when
-    there are at least _ROTATION_MIN_SAMPLES times and sample j of every
-    block of _ROTATION_BLOCK samples lies within _SPACING_ULPS ulp of
-    max|t| of the block's first time plus j d; None otherwise, NaN times
-    included."""
+    there are at least _ROTATION_MIN_SAMPLES times and every time t_j lies
+    within _SPACING_ULPS ulp of max|t| of t_0 + j d; None otherwise, NaN
+    times included. Checking each block against t_0 + s _ROTATION_BLOCK d
+    rather than against its own first time keeps out records whose blocks
+    are evenly spaced but sit off one lattice, which the closed-form H^T H
+    of _lattice_gram would get wrong."""
     m = times.size
     if m < _ROTATION_MIN_SAMPLES:
         return None
-    offsets = (times[-1] - times[0]) / (m - 1) * np.arange(_ROTATION_BLOCK)
+    step = (times[-1] - times[0]) / (m - 1)
+    offsets = step * np.arange(_ROTATION_BLOCK)
+    starts = times[0] + step * np.arange(0, m, _ROTATION_BLOCK)
     tolerance = _SPACING_ULPS * np.spacing(max(times.max(), -times.min()))
     whole = m - m % _ROTATION_BLOCK
-    blocks = times[:whole].reshape(-1, _ROTATION_BLOCK)
-    deviation = blocks - blocks[:, :1]
+    deviation = times[:whole].reshape(-1, _ROTATION_BLOCK) - starts[: whole // _ROTATION_BLOCK, None]
     deviation -= offsets
-    tail = times[whole:] - times[whole : whole + 1] - offsets[: m - whole]
+    tail = times[whole:] - starts[-1] - offsets[: m - whole]
     if np.abs(deviation, out=deviation).max() <= tolerance and np.abs(tail).max(initial=0.0) <= tolerance:
         return offsets
     return None

@@ -222,7 +222,12 @@ class TestPreparedRecord:
 
 class TestGramPath:
     """compress_design takes Gram-Cholesky on well-conditioned records and
-    dgeqrf otherwise; which one ran is seen by spying on design.dgeqrf."""
+    dgeqrf otherwise; which one ran is seen by spying on design.dgeqrf.
+
+    The hourly-year tests run two records: the evenly spaced year, whose
+    H^T H has a closed form, and the year with a seeded 1% of its samples
+    dropped, whose filled [H | h] goes through dsyrk. A spy on
+    design._gram_compress sees the latter alone."""
 
     @pytest.fixture
     def qr_calls(self, monkeypatch):
@@ -234,6 +239,29 @@ class TestGramPath:
 
         monkeypatch.setattr(design, "dgeqrf", spy)
         return calls
+
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        calls, gram_compress = [], design._gram_compress
+
+        def spy(augmented):
+            compressed = gram_compress(augmented)
+            calls.append(compressed is not None)
+            return compressed
+
+        monkeypatch.setattr(design, "_gram_compress", spy)
+        return calls
+
+    @staticmethod
+    def _kept(size):
+        """The indices of size samples less a seeded 1% of them."""
+        dropped = np.random.default_rng(17).choice(size, size // 100, replace=False)
+        return np.delete(np.arange(size), dropped)
+
+    @pytest.fixture
+    def hourly_years(self, hourly_year):
+        keep = self._kept(len(hourly_year))
+        return hourly_year, WaterLevelSeries(hourly_year.times[keep], hourly_year.heights[keep])
 
     @staticmethod
     def _augmented(residual, catalog):
@@ -282,101 +310,48 @@ class TestGramPath:
         assert np.array_equal(b, qr[:two_n, two_n])
         assert rest == qr[two_n, two_n] ** 2
 
-    def test_hourly_year_takes_the_gram_path(self, hourly_year, catalog, qr_calls):
-        record = prepare(hourly_year, catalog)
+    def test_hourly_year_takes_the_gram_path(self, hourly_years, catalog, qr_calls, gram_calls):
+        for year in hourly_years:
+            record = prepare(year, catalog)
+            assert np.array_equal(record.a, np.triu(record.a))
         assert qr_calls == []
-        assert np.array_equal(record.a, np.triu(record.a))
+        assert gram_calls == [True]
 
-    def test_gram_rest_matches_qr_rest_on_noise_free_heights(self, hourly_year, catalog, qr_calls):
-        residual, _, _ = detrend(hourly_year)
-        _, _, rest = compress_design(residual.times, residual.heights, catalog)
+    def test_gram_rest_matches_qr_rest_on_noise_free_heights(self, hourly_years, catalog, qr_calls, gram_calls):
+        for year in hourly_years:
+            residual, _, _ = detrend(year)
+            _, _, rest = compress_design(residual.times, residual.heights, catalog)
+            r = scipy.linalg.qr(self._augmented(residual, catalog), mode="r")[0]
+            two_n = 2 * catalog.n
+            assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
         assert qr_calls == []
-        r = scipy.linalg.qr(self._augmented(residual, catalog), mode="r")[0]
-        two_n = 2 * catalog.n
-        assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
+        assert gram_calls == [True]
 
-    def test_gram_rest_survives_a_near_exact_fit(self, catalog, qr_calls):
+    def test_gram_rest_survives_a_near_exact_fit(self, catalog, qr_calls, gram_calls):
         # ||h||^2 - ||Q^T h||^2 would cancel to ~1e-4 relative error here
         rng = np.random.default_rng(5)
-        times = np.arange(0.0, 8766.0, 1.0)
-        design_matrix = build_design_matrix(times, catalog)
-        heights = design_matrix @ rng.normal(size=2 * catalog.n) + 1e-6 * rng.normal(size=times.size)
-        _, _, rest = compress_design(times, heights, catalog)
+        even = np.arange(0.0, 8766.0, 1.0)
+        for times in (even, even[self._kept(even.size)]):
+            design_matrix = build_design_matrix(times, catalog)
+            heights = design_matrix @ rng.normal(size=2 * catalog.n) + 1e-6 * rng.normal(size=times.size)
+            _, _, rest = compress_design(times, heights, catalog)
+            r = scipy.linalg.qr(np.column_stack([design_matrix, heights]), mode="r")[0]
+            two_n = 2 * catalog.n
+            assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
         assert qr_calls == []
-        r = scipy.linalg.qr(np.column_stack([design_matrix, heights]), mode="r")[0]
-        two_n = 2 * catalog.n
-        assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
+        assert gram_calls == [True]
 
-    def test_gram_ha_amplitudes_match_a_qr_of_the_full_design(self, hourly_year, catalog, qr_calls):
-        amplitudes = ha_fit(hourly_year, catalog).solution.amplitudes
+    def test_gram_ha_amplitudes_match_a_qr_of_the_full_design(self, hourly_years, catalog, qr_calls, gram_calls):
+        for year in hourly_years:
+            amplitudes = ha_fit(year, catalog).solution.amplitudes
+            residual, _, _ = detrend(year)
+            r = scipy.linalg.qr(self._augmented(residual, catalog), mode="r")[0]
+            two_n = 2 * catalog.n
+            x, _, _, _ = np.linalg.lstsq(r[:two_n, :two_n], r[:two_n, two_n], rcond=RANK_RCOND)
+            expected, _ = unpack_state(x, catalog)
+            assert np.abs(amplitudes - expected).max() < 1e-9
         assert qr_calls == []
-        residual, _, _ = detrend(hourly_year)
-        r = scipy.linalg.qr(self._augmented(residual, catalog), mode="r")[0]
-        two_n = 2 * catalog.n
-        x, _, _, _ = np.linalg.lstsq(r[:two_n, :two_n], r[:two_n, two_n], rcond=RANK_RCOND)
-        expected, _ = unpack_state(x, catalog)
-        assert np.abs(amplitudes - expected).max() < 1e-9
-
-
-class TestDsyrkGramPath:
-    """The dsyrk Gram-Cholesky path of records that are not evenly
-    spaced: the hourly year with a seeded 1% of its samples dropped. The
-    tests twin TestGramPath's, whose evenly spaced hourly year takes the
-    closed-form Gram."""
-
-    @pytest.fixture
-    def gram_calls(self, monkeypatch):
-        calls, gram_compress = [], design._gram_compress
-
-        def spy(augmented):
-            compressed = gram_compress(augmented)
-            calls.append(compressed is not None)
-            return compressed
-
-        monkeypatch.setattr(design, "_gram_compress", spy)
-        return calls
-
-    @pytest.fixture
-    def gapped_year(self, hourly_year):
-        size = len(hourly_year)
-        keep = np.delete(np.arange(size), np.random.default_rng(17).choice(size, size // 100, replace=False))
-        return WaterLevelSeries(hourly_year.times[keep], hourly_year.heights[keep])
-
-    def test_gapped_year_takes_the_dsyrk_gram_path(self, gapped_year, catalog, gram_calls):
-        record = prepare(gapped_year, catalog)
         assert gram_calls == [True]
-        assert np.array_equal(record.a, np.triu(record.a))
-
-    def test_gram_rest_matches_qr_rest_on_noise_free_heights(self, gapped_year, catalog, gram_calls):
-        residual, _, _ = detrend(gapped_year)
-        _, _, rest = compress_design(residual.times, residual.heights, catalog)
-        assert gram_calls == [True]
-        r = scipy.linalg.qr(TestGramPath._augmented(residual, catalog), mode="r")[0]
-        two_n = 2 * catalog.n
-        assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
-
-    def test_gram_rest_survives_a_near_exact_fit(self, catalog, gram_calls):
-        # ||h||^2 - ||Q^T h||^2 would cancel to ~1e-4 relative error here
-        rng = np.random.default_rng(5)
-        times = np.arange(0.0, 8766.0, 1.0)
-        times = np.delete(times, rng.choice(times.size, size=times.size // 100, replace=False))
-        design_matrix = build_design_matrix(times, catalog)
-        heights = design_matrix @ rng.normal(size=2 * catalog.n) + 1e-6 * rng.normal(size=times.size)
-        _, _, rest = compress_design(times, heights, catalog)
-        assert gram_calls == [True]
-        r = scipy.linalg.qr(np.column_stack([design_matrix, heights]), mode="r")[0]
-        two_n = 2 * catalog.n
-        assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
-
-    def test_gram_ha_amplitudes_match_a_qr_of_the_full_design(self, gapped_year, catalog, gram_calls):
-        amplitudes = ha_fit(gapped_year, catalog).solution.amplitudes
-        assert gram_calls == [True]
-        residual, _, _ = detrend(gapped_year)
-        r = scipy.linalg.qr(TestGramPath._augmented(residual, catalog), mode="r")[0]
-        two_n = 2 * catalog.n
-        x, _, _, _ = np.linalg.lstsq(r[:two_n, :two_n], r[:two_n, two_n], rcond=RANK_RCOND)
-        expected, _ = unpack_state(x, catalog)
-        assert np.abs(amplitudes - expected).max() < 1e-9
 
 
 def sin_cos_fill(times, catalog):
@@ -456,12 +431,21 @@ class TestRotationFill:
         times[index] += 2 * design._SPACING_ULPS * np.spacing(times[-1])
         return times
 
+    @staticmethod
+    def _shifted_block():
+        # every block is evenly spaced and d = 1 exactly, but the gaps of
+        # 1.5 and 0.5 around the second block put it on the half hours
+        times = np.arange(17.0 * design._ROTATION_BLOCK)
+        times[design._ROTATION_BLOCK : 2 * design._ROTATION_BLOCK] += 0.5
+        return times
+
     DECLINED = {
         "irregular": lambda: np.sort(np.random.default_rng(3).uniform(0.0, 8784.0, 5000)),
         "jittered past the tolerance": lambda: TestRotationFill._jittered(5000),
         "jittered in the last, partial block": lambda: TestRotationFill._jittered(8783),
         "short": lambda: 0.5 * np.arange(TestRotationFill.CUT_OFF - 1),
         "1.206-h cut of a 6-min record": lambda: np.round(np.arange(0.0, 8784.0, 1.206) * 10) / 10,
+        "blocks off one lattice": lambda: TestRotationFill._shifted_block(),
     }
 
     @pytest.mark.parametrize("name", DECLINED)
@@ -522,6 +506,27 @@ class TestLatticeGram:
         exact = exact_fill(times, catalog)
         tolerance = times.size * rotation_error_bound(times, catalog)
         assert np.abs(a.T @ a - (exact.T @ exact).astype(float)).max() <= tolerance
+        for _ in range(3):
+            x = rng.normal(size=2 * catalog.n)
+            raw = exact @ x - heights
+            compressed = a @ x - b
+            assert compressed @ compressed + rest == pytest.approx(float(raw @ raw), rel=1e-10)
+
+    def test_blocks_off_one_lattice_keep_the_dsyrk_gram(self, catalog, monkeypatch):
+        gram_calls, gram_compress = [], design._gram_compress
+
+        def spy(augmented):
+            compressed = gram_compress(augmented)
+            gram_calls.append(compressed is not None)
+            return compressed
+
+        monkeypatch.setattr(design, "_gram_compress", spy)
+        times = TestRotationFill.DECLINED["blocks off one lattice"]()
+        rng = np.random.default_rng(23)
+        heights = rng.normal(size=times.size)
+        a, b, rest = compress_design(times, heights, catalog)
+        assert gram_calls == [True]
+        exact = exact_fill(times, catalog)
         for _ in range(3):
             x = rng.normal(size=2 * catalog.n)
             raw = exact @ x - heights
