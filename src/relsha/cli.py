@@ -174,7 +174,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             **{"lambda": fit_config.lam},
             iterations=d.iterations,
             factorizations=d.factorizations,
-            restarts=d.restarts,
             initial_objective=d.initial_objective,
             final_objective=d.objective,
             gradient_norm=d.gradient_norm,

@@ -15,11 +15,12 @@ and rest = ||H x* - h||^2 at the least-squares x*, so every later solve
 costs O(n^2) whatever m is. A well-conditioned H gets R and b from the
 Cholesky factor of its Gram matrix H^T H and from H^T h. On an evenly
 spaced record H^T H has a closed form and H^T h and the residual come
-from angle-addition tables, so H is never built. Any other record fills
-the augmented m x (2n+1) matrix [H | h] and forms its Gram matrix in one
-BLAS-3 pass. An ill-conditioned H (near-resonant sampling, short
-records) has [H | h] QR-factored by dgeqrf instead. R has the singular
-values of H, so rank decisions and minimum-norm solutions carry over.
+from angle-addition tables, so H is never built. Any other record, or
+one whose closed form declines, fills the augmented m x (2n+1) matrix
+[H | h] by sin and cos and forms its Gram matrix in one BLAS-3 pass. An
+ill-conditioned H (near-resonant sampling, short records) has [H | h]
+QR-factored by dgeqrf instead. R has the singular values of H, so rank
+decisions and minimum-norm solutions carry over.
 For m <= 2n + 1 the factorization would not shrink anything, and a, b
 are H and h themselves (rest = 0).
 """
@@ -48,15 +49,14 @@ RANK_RCOND = 1e-10
 # and every singular value stays far above the rank cut-off of HA's solve.
 GRAM_MAX_CONDITION = 1e4
 
-# The design of an evenly spaced record (gauge records; the experiment's
-# cuts at multiples of its base interval) is filled, and its H^T h and
-# residual formed, by angle addition in blocks of _ROTATION_BLOCK
-# samples, whose tables stay in cache. Times may
-# stray from the even lattice by _SPACING_ULPS ulp of max|t|, which is
-# what decimal hours rounded to doubles do. Below _ROTATION_MIN_SAMPLES,
-# forming the table costs more than the rotation saves.
-_ROTATION_BLOCK = 512
-_ROTATION_MIN_SAMPLES = 2 * _ROTATION_BLOCK
+# An evenly spaced record (gauge records; the experiment's cuts at
+# multiples of its base interval) is compressed in closed form, in blocks
+# of _LATTICE_BLOCK samples whose tables stay in cache. Its times may
+# stray from the lattice by _SPACING_ULPS ulp of max|t|, as decimal hours
+# rounded to doubles do. Below _LATTICE_MIN_SAMPLES, the tables cost more
+# than the closed form saves.
+_LATTICE_BLOCK = 512
+_LATTICE_MIN_SAMPLES = 2 * _LATTICE_BLOCK
 _SPACING_ULPS = 4
 
 
@@ -68,86 +68,39 @@ def classify_regime(sample_count: int, n_constituents: int) -> str:
 def build_design_matrix(times, catalog: ConstituentCatalog) -> np.ndarray:
     """m x 2n matrix [cos(w_k t_i) | sin(w_k t_i)] at the given sample times."""
     t = np.asarray(times, dtype=float)
+    if t.size == 0:
+        raise ValueError("design matrix requires at least one sample time")
     rows = np.empty((2 * catalog.n, t.size))
-    _fill_transposed_design(t, catalog, rows)
+    _fill_by_sin_cos(t, catalog.speeds, rows)
     return np.ascontiguousarray(rows.T)
 
 
-def _fill_transposed_design(times: np.ndarray, catalog: ConstituentCatalog, rows: np.ndarray) -> None:
-    """Write H^T into the C-contiguous 2n x m array rows: row k holds
-    cos(w_k t) and row n+k sin(w_k t). Evenly spaced records are filled
-    by _fill_by_rotation; for every other record the phase arguments are
-    formed in the cosine rows. Neither allocates an m x n temporary."""
-    if times.size == 0:
-        raise ValueError("design matrix requires at least one sample time")
-    if not _fill_by_rotation(times.ravel(), catalog.speeds, rows):
-        _fill_by_sin_cos(times, catalog.speeds, rows)
-
-
 def _fill_by_sin_cos(times: np.ndarray, speeds: np.ndarray, rows: np.ndarray) -> None:
-    """Fill rows as _fill_transposed_design does, by np.outer, sin and cos."""
+    """Write H^T into the C-contiguous 2n x m array rows: row k holds
+    cos(w_k t) and row n+k sin(w_k t). The phase arguments are formed in
+    the cosine rows, so no m x n temporary is allocated."""
     arg = np.outer(speeds, times, out=rows[: speeds.size])
     np.sin(arg, out=rows[speeds.size :])
     np.cos(arg, out=arg)
 
 
-def _fill_by_rotation(times: np.ndarray, speeds: np.ndarray, rows: np.ndarray) -> bool:
-    """Fill rows as _fill_transposed_design does and return True when
-    _rotation finds the times evenly spaced; otherwise return False with
-    rows untouched."""
-    rotation = _rotation(times, speeds)
-    if rotation is None:
-        return False
-    _rotate(*rotation, rows)
-    return True
-
-
-def _rotation(times: np.ndarray, speeds: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The angle-addition tables of an evenly spaced record, or None when
-    _lattice_offsets finds the times are not: the record's one
-    n x _ROTATION_BLOCK table exp(i w_k j d) and the n x blocks anchors
-    exp(i w_k t_s), one per block of _ROTATION_BLOCK samples from its own
-    first time t_s. Sample j of that block, taken at t_s + j d, has
-    cos(w_k t) + i sin(w_k t) = table[k, j] anchors[k, block]; since each
-    anchor comes from its block's own first time, an error in d never
-    carries past a block."""
-    offsets = _lattice_offsets(times)
-    if offsets is None:
-        return None
-    table = _unit_phasors(np.multiply.outer(speeds, offsets))
-    return table, _unit_phasors(np.multiply.outer(speeds, times[::_ROTATION_BLOCK]))
-
-
-def _rotate(table: np.ndarray, anchors: np.ndarray, rows: np.ndarray) -> None:
-    """Write the cos and sin rows of each block from one complex product
-    (C + iS)(ca + i sa) of the table and the block's anchor, whose parts
-    are C ca - S sa and S ca + C sa."""
-    product = np.empty_like(table)
-    n, m = table.shape[0], rows.shape[1]
-    for i, start in enumerate(range(0, m, _ROTATION_BLOCK)):
-        width = min(_ROTATION_BLOCK, m - start)
-        block = np.multiply(table[:, :width], anchors[:, i : i + 1], out=product[:, :width])
-        rows[:n, start : start + width] = block.real
-        rows[n:, start : start + width] = block.imag
-
-
 def _lattice_offsets(times: np.ndarray) -> np.ndarray | None:
-    """j d for j < _ROTATION_BLOCK, with d = (t[-1] - t[0]) / (m - 1), when
-    there are at least _ROTATION_MIN_SAMPLES times and every time t_j lies
+    """j d for j < _LATTICE_BLOCK, with d = (t[-1] - t[0]) / (m - 1), when
+    there are at least _LATTICE_MIN_SAMPLES times and every time t_j lies
     within _SPACING_ULPS ulp of max|t| of t_0 + j d; None otherwise, NaN
-    times included. Checking each block against t_0 + s _ROTATION_BLOCK d
+    times included. Checking each block against t_0 + s _LATTICE_BLOCK d
     rather than against its own first time keeps out records whose blocks
     are evenly spaced but sit off one lattice, which the closed-form H^T H
     of _lattice_gram would get wrong."""
     m = times.size
-    if m < _ROTATION_MIN_SAMPLES:
+    if m < _LATTICE_MIN_SAMPLES:
         return None
     step = (times[-1] - times[0]) / (m - 1)
-    offsets = step * np.arange(_ROTATION_BLOCK)
-    starts = times[0] + step * np.arange(0, m, _ROTATION_BLOCK)
+    offsets = step * np.arange(_LATTICE_BLOCK)
+    starts = times[0] + step * np.arange(0, m, _LATTICE_BLOCK)
     tolerance = _SPACING_ULPS * np.spacing(max(times.max(), -times.min()))
-    whole = m - m % _ROTATION_BLOCK
-    deviation = times[:whole].reshape(-1, _ROTATION_BLOCK) - starts[: whole // _ROTATION_BLOCK, None]
+    whole = m - m % _LATTICE_BLOCK
+    deviation = times[:whole].reshape(-1, _LATTICE_BLOCK) - starts[: whole // _LATTICE_BLOCK, None]
     deviation -= offsets
     tail = times[whole:] - starts[-1] - offsets[: m - whole]
     if np.abs(deviation, out=deviation).max() <= tolerance and np.abs(tail).max(initial=0.0) <= tolerance:
@@ -168,32 +121,27 @@ def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.nda
 
     H is build_design_matrix(times, catalog). Up to 2n + 1 samples, a and
     b are H and heights. Beyond that, a is the 2n x 2n upper triangle R of
-    H = Q R. An evenly spaced record (_rotation) first tries
-    _lattice_compress, which forms H^T H in closed form and never builds
-    H. Any other record has [H | heights] built in Fortran order and
-    compressed by Gram-Cholesky (_gram_compress). When either Gram path
-    declines, LAPACK dgeqrf factors [H | heights] in place.
+    H = Q R, from the first of three steps that does not decline:
+    _lattice_compress, which forms H^T H of an evenly spaced record in
+    closed form and never builds H; _gram_compress, a Gram-Cholesky of
+    [H | heights] filled in Fortran order by sin and cos; and LAPACK
+    dgeqrf, which factors that [H | heights] in place.
     """
     h = np.asarray(heights, dtype=float)
     two_n = 2 * catalog.n
     if h.size <= two_n + 1:
         return build_design_matrix(times, catalog), h, 0.0
     t = np.asarray(times, dtype=float).ravel()
-    rotation = _rotation(t, catalog.speeds)
-    if rotation is not None:
-        compressed = _lattice_compress(t, h, catalog.speeds, *rotation)
-        if compressed is not None:
-            return compressed
+    compressed = _lattice_compress(t, h, catalog.speeds)
+    if compressed is not None:
+        return compressed
     # Column-major [H | h]: dsyrk and dgeqrf read it without a copy.
     augmented = np.empty((h.size, two_n + 1), order="F")
     augmented[:, two_n] = h
-    if rotation is not None:  # its closed-form Gram declined: no second try
-        _rotate(*rotation, augmented[:, :two_n].T)
-    else:
-        _fill_by_sin_cos(t, catalog.speeds, augmented[:, :two_n].T)
-        compressed = _gram_compress(augmented)
-        if compressed is not None:
-            return compressed
+    _fill_by_sin_cos(t, catalog.speeds, augmented[:, :two_n].T)
+    compressed = _gram_compress(augmented)
+    if compressed is not None:
+        return compressed
     lwork, _ = dgeqrf_lwork(*augmented.shape)
     qr, _, _, info = dgeqrf(augmented, lwork=int(lwork), overwrite_a=True)
     if info != 0:
@@ -222,24 +170,30 @@ def _gram_compress(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
 
 
 def _lattice_compress(
-    times: np.ndarray, heights: np.ndarray, speeds: np.ndarray, table: np.ndarray, anchors: np.ndarray
+    times: np.ndarray, heights: np.ndarray, speeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """(a, b, rest) of an evenly spaced record from the closed-form H^T H
-    (_lattice_gram), or None when _cholesky_solve declines it.
+    (_lattice_gram); None off a lattice or when _cholesky_solve declines.
 
-    H^T h and the residual H x* - h are small real matrix products with
-    the rotation's table and anchors (_rotation), with no trig per sample
-    and no m x 2n array. Sample j of block s has
-    exp(i w_k t) = T_kj A_ks, so sum_t h_t exp(i w_k t) is
-    sum_s A_ks (T h_s)_k, and (H x)_t = Re sum_k (x_k - i x_{n+k}) A_ks T_kj.
+    H^T h and the residual come from angle addition, with no trig per
+    sample and no m x 2n array: sample j of block s, at t_s + j d, has
+    exp(i w_k t) = T_kj A_ks, with one table T_kj = exp(i w_k j d) and an
+    anchor A_ks = exp(i w_k t_s) from each block's own first time, so an
+    error in d never carries past a block. Then sum_t h_t exp(i w_k t) is
+    sum_s A_ks (T h_s)_k and (H x)_t = Re sum_k (x_k - i x_{n+k}) A_ks T_kj.
     As in _gram_compress, rest is ||H x* - h||^2, never ||h||^2 - ||b||^2.
     """
+    offsets = _lattice_offsets(times)
+    if offsets is None:
+        return None
+    table = _unit_phasors(np.multiply.outer(speeds, offsets))
+    anchors = _unit_phasors(np.multiply.outer(speeds, times[::_LATTICE_BLOCK]))
     n, m = speeds.size, heights.size
     blocks = anchors.shape[1]
-    padded = np.zeros(blocks * _ROTATION_BLOCK)
+    padded = np.zeros(blocks * _LATTICE_BLOCK)
     padded[:m] = heights
     real_table = np.concatenate([table.real, table.imag])
-    sums = real_table @ padded.reshape(blocks, _ROTATION_BLOCK).T
+    sums = real_table @ padded.reshape(blocks, _LATTICE_BLOCK).T
     projection = np.einsum("ks,ks->k", anchors, sums[:n] + 1j * sums[n:])
     solved = _cholesky_solve(_lattice_gram(times, speeds), np.concatenate([projection.real, projection.imag]))
     if solved is None:

@@ -84,7 +84,7 @@ class TestFit:
         reference = load_harmonics(tiny_truth, catalog)[0].amplitudes
         d = relsha_fit(load_water_levels(tiny_gauge), reference, catalog).diagnostics
         _, metadata = load_harmonics(out, catalog)
-        assert metadata["restarts"] == str(d.restarts)
+        assert "restarts" not in metadata
         assert metadata["factorizations"] == str(d.factorizations)
         assert metadata["initial_objective"] == format_number(d.initial_objective)
 

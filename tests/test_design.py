@@ -354,12 +354,6 @@ class TestGramPath:
         assert gram_calls == [True]
 
 
-def sin_cos_fill(times, catalog):
-    """The design as the plain np.outer + sin + cos fill forms it."""
-    arg = np.outer(times, catalog.speeds)
-    return np.hstack([np.cos(arg), np.sin(arg)])
-
-
 def exact_fill(times, catalog):
     """cos/sin(w t) of the stored times and speeds in np.longdouble."""
     arg = np.multiply.outer(times.astype(np.longdouble), catalog.speeds.astype(np.longdouble))
@@ -367,7 +361,7 @@ def exact_fill(times, catalog):
 
 
 def rotation_error_bound(times, catalog):
-    """How far the rotation may stray from cos/sin(w t): w_max times the
+    """How far angle addition may stray from cos/sin(w t): w_max times the
     check's tolerance on a time, plus the rounding of the anchor's w t_s
     and of the table's w j d, plus that of the product."""
     eps = np.finfo(float).eps
@@ -375,24 +369,15 @@ def rotation_error_bound(times, catalog):
     return (design._SPACING_ULPS + 2) * eps * span + 8 * eps
 
 
-class TestRotationFill:
-    """Evenly spaced records of at least _ROTATION_MIN_SAMPLES samples are
-    filled by angle addition; every other record by np.outer + sin + cos.
-    Which one ran is seen by spying on design._fill_by_rotation."""
+class TestLatticeCheck:
+    """_lattice_offsets accepts a record of at least _LATTICE_MIN_SAMPLES
+    times on one even lattice, and _lattice_compress then tries the closed
+    form; every other record gets None from both and is left to the
+    sin/cos fill. Whether the closed form was tried is seen by spying on
+    design._lattice_gram."""
 
-    BLOCK = design._ROTATION_BLOCK
-    CUT_OFF = design._ROTATION_MIN_SAMPLES
-
-    @pytest.fixture
-    def rotated(self, monkeypatch):
-        results, fill = [], design._fill_by_rotation
-
-        def spy(times, speeds, rows):
-            results.append(fill(times, speeds, rows))
-            return results[-1]
-
-        monkeypatch.setattr(design, "_fill_by_rotation", spy)
-        return results
+    BLOCK = design._LATTICE_BLOCK
+    CUT_OFF = design._LATTICE_MIN_SAMPLES
 
     EVEN = {
         "hourly year": lambda: 1.0 * np.arange(8785),
@@ -400,30 +385,10 @@ class TestRotationFill:
         "6-min stamps": lambda: (np.arange(20_000) * 360_000_000) / 1e6 / 3600.0,
         # a 0.2-h cut of the experiment's 6-min base record
         "0.2-h cut": lambda: np.arange(0.0, 9223.3, 0.1)[1234 : 1234 + 2 * 22_000 : 2],
-        "at the cut-off": lambda: 0.5 * np.arange(TestRotationFill.CUT_OFF),
-        "one sample past whole blocks": lambda: 3.0 * np.arange(4 * TestRotationFill.BLOCK + 1),
+        "at the cut-off": lambda: 0.5 * np.arange(TestLatticeCheck.CUT_OFF),
+        "one sample past whole blocks": lambda: 3.0 * np.arange(4 * TestLatticeCheck.BLOCK + 1),
         "negative, decreasing times": lambda: -100.0 - 0.25 * np.arange(3000),
     }
-
-    @pytest.mark.parametrize("name", EVEN)
-    def test_evenly_spaced_records_take_the_rotation(self, catalog, rotated, name):
-        times = self.EVEN[name]()
-        error = np.abs(build_design_matrix(times, catalog) - exact_fill(times, catalog)).max()
-        assert rotated == [True]
-        assert error <= rotation_error_bound(times, catalog)
-        assert error < 1e-11
-
-    @given(
-        start=st.floats(-1e4, 1e4),
-        step=st.floats(1e-3, 50.0),
-        extra=st.integers(0, 2 * design._ROTATION_BLOCK),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_any_lattice_is_rotated_within_the_bound(self, catalog, start, step, extra):
-        times = start + step * np.arange(self.CUT_OFF + extra)
-        rows = np.empty((2 * catalog.n, times.size))
-        assert design._fill_by_rotation(times, catalog.speeds, rows)
-        assert np.abs(rows.T - exact_fill(times, catalog)).max() <= rotation_error_bound(times, catalog)
 
     @staticmethod
     def _jittered(index):
@@ -435,56 +400,47 @@ class TestRotationFill:
     def _shifted_block():
         # every block is evenly spaced and d = 1 exactly, but the gaps of
         # 1.5 and 0.5 around the second block put it on the half hours
-        times = np.arange(17.0 * design._ROTATION_BLOCK)
-        times[design._ROTATION_BLOCK : 2 * design._ROTATION_BLOCK] += 0.5
+        times = np.arange(17.0 * design._LATTICE_BLOCK)
+        times[design._LATTICE_BLOCK : 2 * design._LATTICE_BLOCK] += 0.5
+        return times
+
+    @staticmethod
+    def _nan_time():
+        times = 1.0 * np.arange(4000)
+        times[3999] = np.nan
         return times
 
     DECLINED = {
         "irregular": lambda: np.sort(np.random.default_rng(3).uniform(0.0, 8784.0, 5000)),
-        "jittered past the tolerance": lambda: TestRotationFill._jittered(5000),
-        "jittered in the last, partial block": lambda: TestRotationFill._jittered(8783),
-        "short": lambda: 0.5 * np.arange(TestRotationFill.CUT_OFF - 1),
+        "jittered past the tolerance": lambda: TestLatticeCheck._jittered(5000),
+        "jittered in the last, partial block": lambda: TestLatticeCheck._jittered(8783),
+        "short": lambda: 0.5 * np.arange(TestLatticeCheck.CUT_OFF - 1),
         "1.206-h cut of a 6-min record": lambda: np.round(np.arange(0.0, 8784.0, 1.206) * 10) / 10,
-        "blocks off one lattice": lambda: TestRotationFill._shifted_block(),
+        "blocks off one lattice": lambda: TestLatticeCheck._shifted_block(),
+        "a NaN time": lambda: TestLatticeCheck._nan_time(),
     }
 
-    @pytest.mark.parametrize("name", DECLINED)
-    def test_other_records_keep_the_sin_cos_fill_bit_for_bit(self, catalog, rotated, name):
-        times = self.DECLINED[name]()
-        assert build_design_matrix(times, catalog).tobytes() == sin_cos_fill(times, catalog).tobytes()
-        assert rotated == [False]
+    @pytest.mark.parametrize("name", [*EVEN, *DECLINED])
+    def test_lattice_check(self, catalog, monkeypatch, name):
+        grams, lattice_gram = [], design._lattice_gram
 
-    @pytest.mark.parametrize("name", [*DECLINED, "a NaN time"])
-    def test_a_declined_check_leaves_rows_untouched(self, catalog, name):
-        if name == "a NaN time":
-            times = 1.0 * np.arange(4000)
-            times[3999] = np.nan
+        def spy(times, speeds):
+            grams.append(times.size)
+            return lattice_gram(times, speeds)
+
+        monkeypatch.setattr(design, "_lattice_gram", spy)
+        times = {**self.EVEN, **self.DECLINED}[name]()
+        heights = np.random.default_rng(7).normal(size=times.size)
+        offsets = design._lattice_offsets(times)
+        compressed = design._lattice_compress(times, heights, catalog.speeds)
+        if name in self.EVEN:
+            step = (times[-1] - times[0]) / (times.size - 1)
+            assert np.array_equal(offsets, step * np.arange(self.BLOCK))
+            assert grams == [times.size]
         else:
-            times = self.DECLINED[name]()
-        rows = np.full((2 * catalog.n, times.size), -7.0)
-        assert not design._fill_by_rotation(times, catalog.speeds, rows)
-        assert np.all(rows == -7.0)
-
-    def test_compressed_misfit_of_a_rotated_record(self, catalog, monkeypatch):
-        rotated, lattice_compress = [], design._lattice_compress
-
-        def spy(*args):
-            compressed = lattice_compress(*args)
-            rotated.append(compressed is not None)
-            return compressed
-
-        monkeypatch.setattr(design, "_lattice_compress", spy)
-        rng = np.random.default_rng(11)
-        times = 0.5 * np.arange(6000)
-        heights = rng.normal(size=times.size)
-        a, b, rest = compress_design(times, heights, catalog)
-        assert rotated == [True]
-        expected = sin_cos_fill(times, catalog)
-        for _ in range(5):
-            x = rng.normal(size=2 * catalog.n)
-            raw = expected @ x - heights
-            compressed = a @ x - b
-            assert compressed @ compressed + rest == pytest.approx(raw @ raw, rel=1e-10)
+            assert offsets is None
+            assert compressed is None
+            assert grams == []
 
 
 class TestLatticeGram:
@@ -494,13 +450,13 @@ class TestLatticeGram:
     @given(
         start=st.floats(-1e4, 1e4),
         step=st.floats(1e-3, 50.0),
-        extra=st.integers(0, 2 * design._ROTATION_BLOCK),
+        extra=st.integers(0, 2 * design._LATTICE_BLOCK),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=30, deadline=None)
     def test_any_lattice_keeps_the_misfit_identity(self, catalog, start, step, extra, seed):
         rng = np.random.default_rng(seed)
-        times = start + step * np.arange(design._ROTATION_MIN_SAMPLES + extra)
+        times = start + step * np.arange(design._LATTICE_MIN_SAMPLES + extra)
         heights = rng.normal(size=times.size)
         a, b, rest = compress_design(times, heights, catalog)
         exact = exact_fill(times, catalog)
@@ -521,7 +477,7 @@ class TestLatticeGram:
             return compressed
 
         monkeypatch.setattr(design, "_gram_compress", spy)
-        times = TestRotationFill.DECLINED["blocks off one lattice"]()
+        times = TestLatticeCheck.DECLINED["blocks off one lattice"]()
         rng = np.random.default_rng(23)
         heights = rng.normal(size=times.size)
         a, b, rest = compress_design(times, heights, catalog)
