@@ -13,14 +13,16 @@ detrended heights h. ``prepare`` computes, once per record, a triple
 m > 2n + 1 samples a = R is the 2n x 2n triangle of H = Q R, b = Q^T h
 and rest = ||H x* - h||^2 at the least-squares x*, so every later solve
 costs O(n^2) whatever m is. A well-conditioned H gets R and b from the
-Cholesky factor of its Gram matrix H^T H and from H^T h. On an evenly
-spaced record H^T H has a closed form and H^T h and the residual come
-from angle-addition tables, so H is never built. Any other record, or
-one whose closed form declines, fills the augmented m x (2n+1) matrix
-[H | h] by sin and cos and forms its Gram matrix in one BLAS-3 pass. An
-ill-conditioned H (near-resonant sampling, short records) has [H | h]
-QR-factored by dgeqrf instead. R has the singular values of H, so rank
-decisions and minimum-norm solutions carry over.
+Cholesky factor of its Gram matrix H^T H and from H^T h. When the times
+lie on an integer lattice t_0 + k_j d, with or without gaps, H is never
+built: H^T h and the residual come from two phasor tables, and H^T H is
+a closed form on an evenly spaced record and is accumulated from the
+same tables block by block on one with gaps. Any other record fills the
+augmented m x (2n+1) matrix [H | h] by sin and cos and forms its Gram
+matrix in one BLAS-3 pass. An ill-conditioned H (near-resonant sampling,
+short records) has [H | h] QR-factored by dgeqrf instead. R has the
+singular values of H, so rank decisions and minimum-norm solutions carry
+over.
 For m <= 2n + 1 the factorization would not shrink anything, and a, b
 are H and h themselves (rest = 0).
 """
@@ -49,14 +51,17 @@ RANK_RCOND = 1e-10
 # and every singular value stays far above the rank cut-off of HA's solve.
 GRAM_MAX_CONDITION = 1e4
 
-# An evenly spaced record (gauge records; the experiment's cuts at
-# multiples of its base interval) is compressed in closed form, in blocks
-# of _LATTICE_BLOCK samples whose tables stay in cache. Its times may
-# stray from the lattice by _SPACING_ULPS ulp of max|t|, as decimal hours
-# rounded to doubles do. Below _LATTICE_MIN_SAMPLES, the tables cost more
-# than the closed form saves.
+# A record on an integer lattice t_0 + k_j d (gauge records, with or
+# without gaps; the experiment's cuts of its base record) is compressed
+# from phasor tables, in blocks of _LATTICE_BLOCK samples whose tables
+# stay in cache. Its times may stray from the lattice by _SPACING_ULPS ulp
+# of max|t|, as decimal hours rounded to doubles do. Below
+# _LATTICE_MIN_SAMPLES, the tables cost more than they save; past
+# _LATTICE_MAX_STRIDE lattice steps per sample, so do the products that
+# run over every lattice point.
 _LATTICE_BLOCK = 512
 _LATTICE_MIN_SAMPLES = 2 * _LATTICE_BLOCK
+_LATTICE_MAX_STRIDE = 32
 _SPACING_ULPS = 4
 
 
@@ -84,27 +89,38 @@ def _fill_by_sin_cos(times: np.ndarray, speeds: np.ndarray, rows: np.ndarray) ->
     np.cos(arg, out=arg)
 
 
-def _lattice_offsets(times: np.ndarray) -> np.ndarray | None:
-    """j d for j < _LATTICE_BLOCK, with d = (t[-1] - t[0]) / (m - 1), when
-    there are at least _LATTICE_MIN_SAMPLES times and every time t_j lies
-    within _SPACING_ULPS ulp of max|t| of t_0 + j d; None otherwise, NaN
-    times included. Checking each block against t_0 + s _LATTICE_BLOCK d
-    rather than against its own first time keeps out records whose blocks
-    are evenly spaced but sit off one lattice, which the closed-form H^T H
-    of _lattice_gram would get wrong."""
+def _lattice(times: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """(d, k) when there are at least _LATTICE_MIN_SAMPLES times and every
+    time t_j lies within _SPACING_ULPS ulp of max|t| of t_0 + k_j d, with
+    integers 0 = k_0 < k_1 < ... and k_{m-1} <= _LATTICE_MAX_STRIDE m;
+    None otherwise, NaN times included.
+
+    k is rounded against a rough step, the shortest gap or the smallest
+    change between consecutive gaps if that is shorter (a cut of q or q + 1
+    base steps), and d is refitted to the last time. Every time is then
+    checked against that one lattice: records whose blocks are each evenly
+    spaced but sit off one lattice must not pass. A change between
+    consecutive gaps, t_{j+2} - 2 t_{j+1} + t_j, counts only above four
+    times the tolerance, which the strays of its times can add up to.
+    """
     m = times.size
     if m < _LATTICE_MIN_SAMPLES:
         return None
-    step = (times[-1] - times[0]) / (m - 1)
-    offsets = step * np.arange(_LATTICE_BLOCK)
-    starts = times[0] + step * np.arange(0, m, _LATTICE_BLOCK)
-    tolerance = _SPACING_ULPS * np.spacing(max(times.max(), -times.min()))
-    whole = m - m % _LATTICE_BLOCK
-    deviation = times[:whole].reshape(-1, _LATTICE_BLOCK) - starts[: whole // _LATTICE_BLOCK, None]
-    deviation -= offsets
-    tail = times[whole:] - starts[-1] - offsets[: m - whole]
-    if np.abs(deviation, out=deviation).max() <= tolerance and np.abs(tail).max(initial=0.0) <= tolerance:
-        return offsets
+    tolerance = _SPACING_ULPS * np.spacing(np.abs(times).max())
+    gaps = np.diff(times)
+    shortest = gaps[np.argmin(np.abs(gaps))]
+    jumps = np.abs(np.diff(gaps))
+    step = np.copysign(jumps.min(where=jumps > 4 * tolerance, initial=abs(shortest)), shortest)
+    if not abs(step) > tolerance:
+        return None
+    k = np.rint((times - times[0]) / step)
+    if not (0 < k[-1] <= _LATTICE_MAX_STRIDE * m and (np.diff(k) > 0).all()):
+        return None
+    step = (times[-1] - times[0]) / k[-1]
+    deviation = times - times[0]
+    deviation -= k * step
+    if np.abs(deviation, out=deviation).max() <= tolerance:
+        return float(step), k.astype(np.intp)
     return None
 
 
@@ -121,27 +137,31 @@ def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.nda
 
     H is build_design_matrix(times, catalog). Up to 2n + 1 samples, a and
     b are H and heights. Beyond that, a is the 2n x 2n upper triangle R of
-    H = Q R, from the first of three steps that does not decline:
-    _lattice_compress, which forms H^T H of an evenly spaced record in
-    closed form and never builds H; _gram_compress, a Gram-Cholesky of
-    [H | heights] filled in Fortran order by sin and cos; and LAPACK
-    dgeqrf, which factors that [H | heights] in place.
+    H = Q R. A record on an integer lattice (_lattice) is compressed by
+    _lattice_compress, which never builds H. Any other record fills
+    [H | heights] in Fortran order by sin and cos and tries the Gram-Cholesky
+    of _gram_compress. When either Gram declines, LAPACK dgeqrf factors the
+    filled [H | heights] in place; a lattice record's declined Gram is
+    not formed a second time.
     """
     h = np.asarray(heights, dtype=float)
     two_n = 2 * catalog.n
     if h.size <= two_n + 1:
         return build_design_matrix(times, catalog), h, 0.0
     t = np.asarray(times, dtype=float).ravel()
-    compressed = _lattice_compress(t, h, catalog.speeds)
-    if compressed is not None:
-        return compressed
+    lattice = _lattice(t)
+    if lattice is not None:
+        compressed = _lattice_compress(t, h, catalog.speeds, *lattice)
+        if compressed is not None:
+            return compressed
     # Column-major [H | h]: dsyrk and dgeqrf read it without a copy.
     augmented = np.empty((h.size, two_n + 1), order="F")
     augmented[:, two_n] = h
     _fill_by_sin_cos(t, catalog.speeds, augmented[:, :two_n].T)
-    compressed = _gram_compress(augmented)
-    if compressed is not None:
-        return compressed
+    if lattice is None:
+        compressed = _gram_compress(augmented)
+        if compressed is not None:
+            return compressed
     lwork, _ = dgeqrf_lwork(*augmented.shape)
     qr, _, _, info = dgeqrf(augmented, lwork=int(lwork), overwrite_a=True)
     if info != 0:
@@ -170,39 +190,62 @@ def _gram_compress(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
 
 
 def _lattice_compress(
-    times: np.ndarray, heights: np.ndarray, speeds: np.ndarray
+    times: np.ndarray, heights: np.ndarray, speeds: np.ndarray, step: float, k: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(a, b, rest) of an evenly spaced record from the closed-form H^T H
-    (_lattice_gram); None off a lattice or when _cholesky_solve declines.
+    """(a, b, rest) of a record at t_0 + k_j d (_lattice) with no trig per
+    sample and no m x 2n array; None when _cholesky_solve declines.
 
-    H^T h and the residual come from angle addition, with no trig per
-    sample and no m x 2n array: sample j of block s, at t_s + j d, has
-    exp(i w_k t) = T_kj A_ks, with one table T_kj = exp(i w_k j d) and an
-    anchor A_ks = exp(i w_k t_s) from each block's own first time, so an
-    error in d never carries past a block. Then sum_t h_t exp(i w_k t) is
-    sum_s A_ks (T h_s)_k and (H x)_t = Re sum_k (x_k - i x_{n+k}) A_ks T_kj.
+    With k_j = _LATTICE_BLOCK a_j + b_j, exp(i w_k t_j) is C_ka F_kb, from
+    a coarse table C_ka = exp(i w_k (t_0 + _LATTICE_BLOCK a d)) and a fine
+    one F_kb = exp(i w_k b d). The heights scattered to the rows a and
+    columns b of a zero matrix Z give sum_t h_t exp(i w_k t) as
+    sum_a C_ka (F Z^T)_ka, and (H x)_t as Re sum_k (x_k - i x_{n+k}) C_ka
+    F_kb read back at (a_j, b_j): one real matrix product each. For
+    k_j = j, Z is the heights in rows of _LATTICE_BLOCK. H^T H is the
+    closed form of _lattice_gram for k_j = j and _blocked_gram otherwise.
     As in _gram_compress, rest is ||H x* - h||^2, never ||h||^2 - ||b||^2.
     """
-    offsets = _lattice_offsets(times)
-    if offsets is None:
-        return None
-    table = _unit_phasors(np.multiply.outer(speeds, offsets))
-    anchors = _unit_phasors(np.multiply.outer(speeds, times[::_LATTICE_BLOCK]))
     n, m = speeds.size, heights.size
-    blocks = anchors.shape[1]
-    padded = np.zeros(blocks * _LATTICE_BLOCK)
-    padded[:m] = heights
-    real_table = np.concatenate([table.real, table.imag])
-    sums = real_table @ padded.reshape(blocks, _LATTICE_BLOCK).T
-    projection = np.einsum("ks,ks->k", anchors, sums[:n] + 1j * sums[n:])
-    solved = _cholesky_solve(_lattice_gram(times, speeds), np.concatenate([projection.real, projection.imag]))
+    corners = times[0] + (_LATTICE_BLOCK * step) * np.arange(k[-1] // _LATTICE_BLOCK + 1)
+    coarse = _unit_phasors(np.multiply.outer(speeds, corners))
+    fine = _unit_phasors(np.multiply.outer(speeds, step * np.arange(_LATTICE_BLOCK)))
+    gram = _lattice_gram(times, speeds) if k[-1] == m - 1 else _blocked_gram(coarse, fine, k)
+    real_fine = np.concatenate([fine.real, fine.imag])
+    scattered = np.zeros((coarse.shape[1], _LATTICE_BLOCK))
+    scattered.ravel()[k] = heights
+    sums = real_fine @ scattered.T
+    projection = np.einsum("ka,ka->k", coarse, sums[:n] + 1j * sums[n:])
+    solved = _cholesky_solve(gram, np.concatenate([projection.real, projection.imag]))
     if solved is None:
         return None
     a, b, x = solved
-    weights = (x[:n] - 1j * x[n:])[:, None] * anchors
-    fitted = np.concatenate([weights.real, -weights.imag]).T @ real_table
-    residual = fitted.ravel()[:m] - heights
+    weights = (x[:n] - 1j * x[n:])[:, None] * coarse
+    fitted = np.matmul(np.concatenate([weights.real, -weights.imag]).T, real_fine, out=scattered)
+    residual = fitted.ravel()[k] - heights
     return a, b, float(residual @ residual)
+
+
+def _blocked_gram(coarse: np.ndarray, fine: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """H^T H (upper triangle) of a record at t_0 + k_j d from the tables
+    of _lattice_compress. Each block of _LATTICE_BLOCK samples takes its
+    columns of the coarse and fine tables, multiplies them into its
+    exp(i w_k t_j), writes the cosine and sine rows of H^T into one reused
+    2n x _LATTICE_BLOCK array and adds their Gram matrix by dsyrk."""
+    n = fine.shape[0]
+    gram = np.zeros((2 * n, 2 * n), order="F")
+    rows = np.empty((0, 0))
+    for start in range(0, k.size, _LATTICE_BLOCK):
+        offsets = k[start : start + _LATTICE_BLOCK]
+        if offsets.size != rows.shape[1]:  # the first block, and a short last one
+            phasors, factors = np.empty((2, n, offsets.size), dtype=complex)
+            rows = np.empty((2 * n, offsets.size))
+        np.take(coarse, offsets // _LATTICE_BLOCK, axis=1, out=phasors, mode="clip")
+        np.take(fine, offsets % _LATTICE_BLOCK, axis=1, out=factors, mode="clip")
+        phasors *= factors
+        rows[:n] = phasors.real
+        rows[n:] = phasors.imag
+        gram = dsyrk(1.0, rows.T, beta=1.0, c=gram, trans=1, overwrite_c=1)
+    return gram
 
 
 def _lattice_gram(times: np.ndarray, speeds: np.ndarray) -> np.ndarray:

@@ -224,10 +224,13 @@ class TestGramPath:
     """compress_design takes Gram-Cholesky on well-conditioned records and
     dgeqrf otherwise; which one ran is seen by spying on design.dgeqrf.
 
-    The hourly-year tests run two records: the evenly spaced year, whose
-    H^T H has a closed form, and the year with a seeded 1% of its samples
-    dropped, whose filled [H | h] goes through dsyrk. A spy on
-    design._gram_compress sees the latter alone."""
+    The hourly-year tests run three records: the evenly spaced year, whose
+    H^T H has a closed form; the year with a seeded 1% of its samples
+    dropped, on the same lattice with gaps, whose H^T H is accumulated
+    block by block from phasor tables; and the year with every time
+    jittered off the lattice, whose filled [H | h] goes through dsyrk.
+    Spies on design._blocked_gram and design._gram_compress see the second
+    and the third alone."""
 
     @pytest.fixture
     def qr_calls(self, monkeypatch):
@@ -252,16 +255,37 @@ class TestGramPath:
         monkeypatch.setattr(design, "_gram_compress", spy)
         return calls
 
+    @pytest.fixture
+    def blocked_calls(self, monkeypatch):
+        calls, blocked_gram = [], design._blocked_gram
+
+        def spy(coarse, fine, k):
+            calls.append(k.size)
+            return blocked_gram(coarse, fine, k)
+
+        monkeypatch.setattr(design, "_blocked_gram", spy)
+        return calls
+
     @staticmethod
     def _kept(size):
         """The indices of size samples less a seeded 1% of them."""
         dropped = np.random.default_rng(17).choice(size, size // 100, replace=False)
         return np.delete(np.arange(size), dropped)
 
+    @staticmethod
+    def _jittered(times):
+        """times each moved by a seeded draw of up to 0.01 h."""
+        return times + np.random.default_rng(19).uniform(-0.01, 0.01, times.size)
+
     @pytest.fixture
-    def hourly_years(self, hourly_year):
+    def hourly_years(self, hourly_year, truth):
         keep = self._kept(len(hourly_year))
-        return hourly_year, WaterLevelSeries(hourly_year.times[keep], hourly_year.heights[keep])
+        jittered = self._jittered(hourly_year.times)
+        return (
+            hourly_year,
+            WaterLevelSeries(hourly_year.times[keep], hourly_year.heights[keep]),
+            WaterLevelSeries(jittered, synthesize(truth, jittered)),
+        )
 
     @staticmethod
     def _augmented(residual, catalog):
@@ -310,14 +334,17 @@ class TestGramPath:
         assert np.array_equal(b, qr[:two_n, two_n])
         assert rest == qr[two_n, two_n] ** 2
 
-    def test_hourly_year_takes_the_gram_path(self, hourly_years, catalog, qr_calls, gram_calls):
+    def test_hourly_year_takes_the_gram_path(self, hourly_years, catalog, qr_calls, gram_calls, blocked_calls):
         for year in hourly_years:
             record = prepare(year, catalog)
             assert np.array_equal(record.a, np.triu(record.a))
         assert qr_calls == []
+        assert blocked_calls == [len(hourly_years[1])]
         assert gram_calls == [True]
 
-    def test_gram_rest_matches_qr_rest_on_noise_free_heights(self, hourly_years, catalog, qr_calls, gram_calls):
+    def test_gram_rest_matches_qr_rest_on_noise_free_heights(
+        self, hourly_years, catalog, qr_calls, gram_calls, blocked_calls
+    ):
         for year in hourly_years:
             residual, _, _ = detrend(year)
             _, _, rest = compress_design(residual.times, residual.heights, catalog)
@@ -325,13 +352,14 @@ class TestGramPath:
             two_n = 2 * catalog.n
             assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
         assert qr_calls == []
+        assert blocked_calls == [len(hourly_years[1])]
         assert gram_calls == [True]
 
-    def test_gram_rest_survives_a_near_exact_fit(self, catalog, qr_calls, gram_calls):
+    def test_gram_rest_survives_a_near_exact_fit(self, catalog, qr_calls, gram_calls, blocked_calls):
         # ||h||^2 - ||Q^T h||^2 would cancel to ~1e-4 relative error here
         rng = np.random.default_rng(5)
         even = np.arange(0.0, 8766.0, 1.0)
-        for times in (even, even[self._kept(even.size)]):
+        for times in (even, even[self._kept(even.size)], self._jittered(even)):
             design_matrix = build_design_matrix(times, catalog)
             heights = design_matrix @ rng.normal(size=2 * catalog.n) + 1e-6 * rng.normal(size=times.size)
             _, _, rest = compress_design(times, heights, catalog)
@@ -339,9 +367,12 @@ class TestGramPath:
             two_n = 2 * catalog.n
             assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
         assert qr_calls == []
+        assert blocked_calls == [even.size - even.size // 100]
         assert gram_calls == [True]
 
-    def test_gram_ha_amplitudes_match_a_qr_of_the_full_design(self, hourly_years, catalog, qr_calls, gram_calls):
+    def test_gram_ha_amplitudes_match_a_qr_of_the_full_design(
+        self, hourly_years, catalog, qr_calls, gram_calls, blocked_calls
+    ):
         for year in hourly_years:
             amplitudes = ha_fit(year, catalog).solution.amplitudes
             residual, _, _ = detrend(year)
@@ -351,6 +382,7 @@ class TestGramPath:
             expected, _ = unpack_state(x, catalog)
             assert np.abs(amplitudes - expected).max() < 1e-9
         assert qr_calls == []
+        assert blocked_calls == [len(hourly_years[1])]
         assert gram_calls == [True]
 
 
@@ -370,38 +402,60 @@ def rotation_error_bound(times, catalog):
 
 
 class TestLatticeCheck:
-    """_lattice_offsets accepts a record of at least _LATTICE_MIN_SAMPLES
-    times on one even lattice, and _lattice_compress then tries the closed
-    form; every other record gets None from both and is left to the
-    sin/cos fill. Whether the closed form was tried is seen by spying on
-    design._lattice_gram."""
+    """_lattice accepts a record of at least _LATTICE_MIN_SAMPLES times on
+    one integer lattice t_0 + k_j d and returns (d, k). compress_design
+    then forms H^T H in closed form when k_j = j, seen by a spy on
+    design._lattice_gram, and block by block otherwise, seen by a spy on
+    design._blocked_gram. Every other record gets None and is left to the
+    sin/cos fill, with neither spy called."""
 
     BLOCK = design._LATTICE_BLOCK
     CUT_OFF = design._LATTICE_MIN_SAMPLES
 
-    EVEN = {
-        "hourly year": lambda: 1.0 * np.arange(8785),
+    @staticmethod
+    def _even(times, step):
+        return times, step, np.arange(times.size)
+
+    @staticmethod
+    def _dropped():
+        # an hourly year less a seeded 5% of its samples, some in runs
+        dropped = np.random.default_rng(29).choice(8785, 439, replace=False)
+        kept = np.delete(np.arange(8785), np.concatenate([dropped, np.arange(4000, 4030)]))
+        return 1.0 * kept, 1.0, kept
+
+    @staticmethod
+    def _cut(interval):
+        # nearest picks from a 6-min record: gaps of q or q + 1 of its steps
+        k = np.round(np.arange(0.0, 8784.0, interval) * 10).astype(int)
+        return k / 10, 0.1, k
+
+    @staticmethod
+    def _shifted_block():
+        # every block is evenly spaced at 1 h, but the gaps of 1.5 and 0.5
+        # around the second block put it on the half hours: one lattice
+        # at d = 0.5 h with gaps of 2, 3 and 1 steps
+        k = 2 * np.arange(17 * design._LATTICE_BLOCK)
+        k[design._LATTICE_BLOCK : 2 * design._LATTICE_BLOCK] += 1
+        return 0.5 * k, 0.5, k
+
+    ACCEPTED = {
+        "hourly year": lambda: TestLatticeCheck._even(1.0 * np.arange(8785), 1.0),
         # hours as the gauge reader forms them from 6-min stamps
-        "6-min stamps": lambda: (np.arange(20_000) * 360_000_000) / 1e6 / 3600.0,
+        "6-min stamps": lambda: TestLatticeCheck._even((np.arange(20_000) * 360_000_000) / 1e6 / 3600.0, 0.1),
         # a 0.2-h cut of the experiment's 6-min base record
-        "0.2-h cut": lambda: np.arange(0.0, 9223.3, 0.1)[1234 : 1234 + 2 * 22_000 : 2],
-        "at the cut-off": lambda: 0.5 * np.arange(TestLatticeCheck.CUT_OFF),
-        "one sample past whole blocks": lambda: 3.0 * np.arange(4 * TestLatticeCheck.BLOCK + 1),
-        "negative, decreasing times": lambda: -100.0 - 0.25 * np.arange(3000),
+        "0.2-h cut": lambda: TestLatticeCheck._even(np.arange(0.0, 9223.3, 0.1)[1234 : 1234 + 2 * 22_000 : 2], 0.2),
+        "at the cut-off": lambda: TestLatticeCheck._even(0.5 * np.arange(TestLatticeCheck.CUT_OFF), 0.5),
+        "one sample past whole blocks": lambda: TestLatticeCheck._even(3.0 * np.arange(4 * TestLatticeCheck.BLOCK + 1), 3.0),
+        "negative, decreasing times": lambda: TestLatticeCheck._even(-100.0 - 0.25 * np.arange(3000), -0.25),
+        "1.206-h cut of a 6-min record": lambda: TestLatticeCheck._cut(1.206),
+        "hourly year with dropped samples": lambda: TestLatticeCheck._dropped(),
+        "blocks off one lattice": lambda: TestLatticeCheck._shifted_block(),
     }
 
     @staticmethod
     def _jittered(index):
         times = 1.0 * np.arange(8785)
         times[index] += 2 * design._SPACING_ULPS * np.spacing(times[-1])
-        return times
-
-    @staticmethod
-    def _shifted_block():
-        # every block is evenly spaced and d = 1 exactly, but the gaps of
-        # 1.5 and 0.5 around the second block put it on the half hours
-        times = np.arange(17.0 * design._LATTICE_BLOCK)
-        times[design._LATTICE_BLOCK : 2 * design._LATTICE_BLOCK] += 0.5
         return times
 
     @staticmethod
@@ -415,37 +469,38 @@ class TestLatticeCheck:
         "jittered past the tolerance": lambda: TestLatticeCheck._jittered(5000),
         "jittered in the last, partial block": lambda: TestLatticeCheck._jittered(8783),
         "short": lambda: 0.5 * np.arange(TestLatticeCheck.CUT_OFF - 1),
-        "1.206-h cut of a 6-min record": lambda: np.round(np.arange(0.0, 8784.0, 1.206) * 10) / 10,
-        "blocks off one lattice": lambda: TestLatticeCheck._shifted_block(),
         "a NaN time": lambda: TestLatticeCheck._nan_time(),
+        # an hourly year with gaps of 41 to 60 h: past _LATTICE_MAX_STRIDE
+        "sparser than the stride cut-off": lambda: 1.0 * np.cumsum(np.random.default_rng(5).integers(41, 61, 1500)),
     }
 
-    @pytest.mark.parametrize("name", [*EVEN, *DECLINED])
+    @pytest.mark.parametrize("name", [*ACCEPTED, *DECLINED])
     def test_lattice_check(self, catalog, monkeypatch, name):
-        grams, lattice_gram = [], design._lattice_gram
-
-        def spy(times, speeds):
-            grams.append(times.size)
-            return lattice_gram(times, speeds)
-
-        monkeypatch.setattr(design, "_lattice_gram", spy)
-        times = {**self.EVEN, **self.DECLINED}[name]()
-        heights = np.random.default_rng(7).normal(size=times.size)
-        offsets = design._lattice_offsets(times)
-        compressed = design._lattice_compress(times, heights, catalog.speeds)
-        if name in self.EVEN:
-            step = (times[-1] - times[0]) / (times.size - 1)
-            assert np.array_equal(offsets, step * np.arange(self.BLOCK))
-            assert grams == [times.size]
+        grams = []
+        for spied in ("_lattice_gram", "_blocked_gram"):
+            original = getattr(design, spied)
+            monkeypatch.setattr(design, spied, lambda *args, _f=original, _n=spied: grams.append(_n) or _f(*args))
+        if name in self.ACCEPTED:
+            times, step, k = self.ACCEPTED[name]()
         else:
-            assert offsets is None
-            assert compressed is None
+            times = self.DECLINED[name]()
+        heights = np.random.default_rng(7).normal(size=times.size)
+        lattice = design._lattice(times)
+        compress_design(times, heights, catalog)
+        if name in self.ACCEPTED:
+            assert lattice[0] == pytest.approx(step, rel=1e-12)
+            assert np.array_equal(lattice[1], k)
+            assert grams == ["_lattice_gram" if k[-1] == times.size - 1 else "_blocked_gram"]
+        else:
+            assert lattice is None
             assert grams == []
 
 
 class TestLatticeGram:
     """compress_design of an evenly spaced record forms H^T H from the
-    closed-form Dirichlet sums of design._lattice_sums and never builds H."""
+    closed-form Dirichlet sums of design._lattice_sums, and that of a
+    record with gaps on an integer lattice accumulates it block by block
+    from phasor tables (design._blocked_gram). Neither builds H."""
 
     @given(
         start=st.floats(-1e4, 1e4),
@@ -468,20 +523,43 @@ class TestLatticeGram:
             compressed = a @ x - b
             assert compressed @ compressed + rest == pytest.approx(float(raw @ raw), rel=1e-10)
 
+    @given(
+        start=st.floats(-1e4, 1e4),
+        step=st.floats(1e-3, 50.0),
+        shortest=st.integers(1, 8),
+        spread=st.integers(1, 4),
+        extra=st.integers(0, 2 * design._LATTICE_BLOCK),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_gapped_lattice_keeps_the_misfit_identity(self, catalog, start, step, shortest, spread, extra, seed):
+        rng = np.random.default_rng(seed)
+        gaps = rng.integers(shortest, shortest + spread + 1, design._LATTICE_MIN_SAMPLES + extra - 1)
+        times = start + step * np.concatenate([[0], np.cumsum(gaps)])
+        heights = rng.normal(size=times.size)
+        a, b, rest = compress_design(times, heights, catalog)
+        exact = exact_fill(times, catalog)
+        tolerance = times.size * rotation_error_bound(times, catalog)
+        assert np.abs(a.T @ a - (exact.T @ exact).astype(float)).max() <= tolerance
+        for _ in range(3):
+            x = rng.normal(size=2 * catalog.n)
+            raw = exact @ x - heights
+            compressed = a @ x - b
+            assert compressed @ compressed + rest == pytest.approx(float(raw @ raw), rel=1e-10)
+
     def test_blocks_off_one_lattice_keep_the_dsyrk_gram(self, catalog, monkeypatch):
-        gram_calls, gram_compress = [], design._gram_compress
-
-        def spy(augmented):
-            compressed = gram_compress(augmented)
-            gram_calls.append(compressed is not None)
-            return compressed
-
-        monkeypatch.setattr(design, "_gram_compress", spy)
-        times = TestLatticeCheck.DECLINED["blocks off one lattice"]()
+        # the closed form would get this record wrong: it is one lattice
+        # at half the spacing of its blocks, so its Gram is accumulated by
+        # dsyrk block by block
+        grams = []
+        for spied in ("_lattice_gram", "_blocked_gram", "_gram_compress"):
+            original = getattr(design, spied)
+            monkeypatch.setattr(design, spied, lambda *args, _f=original, _n=spied: grams.append(_n) or _f(*args))
+        times, _, _ = TestLatticeCheck.ACCEPTED["blocks off one lattice"]()
         rng = np.random.default_rng(23)
         heights = rng.normal(size=times.size)
         a, b, rest = compress_design(times, heights, catalog)
-        assert gram_calls == [True]
+        assert grams == ["_blocked_gram"]
         exact = exact_fill(times, catalog)
         for _ in range(3):
             x = rng.normal(size=2 * catalog.n)
@@ -519,3 +597,16 @@ class TestLatticeGram:
             tracemalloc.stop()
         # the 87 841 x 75 [H | h] alone would take 52.7 MB
         assert peak < 8e6
+
+    def test_compress_of_a_gapped_cut_stays_small(self, catalog):
+        # a 0.491-h cut of a 6-min year: gaps of 4 and 5 base steps
+        times = np.round(np.arange(0.0, 8784.0, 0.491) * 10) / 10
+        heights = np.random.default_rng(31).normal(size=times.size)
+        compress_design(times, heights, catalog)
+        tracemalloc.start()
+        try:
+            compress_design(times, heights, catalog)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < times.size * (2 * catalog.n + 1) * 8 / 4
