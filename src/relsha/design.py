@@ -12,17 +12,16 @@ detrended heights h. ``prepare`` computes, once per record, a triple
 (a, b, rest) with ||H x - h||^2 = ||a x - b||^2 + rest for every x. For
 m > 2n + 1 samples a = R is the 2n x 2n triangle of H = Q R, b = Q^T h
 and rest = ||H x* - h||^2 at the least-squares x*, so every later solve
-costs O(n^2) whatever m is. A well-conditioned H gets R and b from the
-Cholesky factor of its Gram matrix H^T H and from H^T h. When the times
-lie on an integer lattice t_0 + k_j d, with or without gaps, H is never
-built: H^T h and the residual come from two phasor tables, and H^T H is
-a closed form on an evenly spaced record and is accumulated from the
-same tables block by block on one with gaps. Any other record fills the
-augmented m x (2n+1) matrix [H | h] by sin and cos and forms its Gram
-matrix in one BLAS-3 pass. An ill-conditioned H (near-resonant sampling,
-short records) has [H | h] QR-factored by dgeqrf instead. R has the
-singular values of H, so rank decisions and minimum-norm solutions carry
-over.
+costs O(n^2) whatever m is. R comes by one of two factorizations. When
+the times lie on an integer lattice t_0 + k_j d, with or without gaps,
+H is never built: H^T H is a closed form on an evenly spaced record and
+is accumulated block by block from two phasor tables on one with gaps,
+and R is its Cholesky factor when that factor is well conditioned; H^T h
+and the residual come from the same tables. Every other record, and a
+lattice record whose Cholesky factor is ill conditioned (near-resonant
+sampling, short spans), fills the augmented m x (2n+1) matrix [H | h]
+by sin and cos and has it QR-factored by dgeqrf. R has the singular
+values of H, so rank decisions and minimum-norm solutions carry over.
 For m <= 2n + 1 the factorization would not shrink anything, and a, b
 are H and h themselves (rest = 0).
 """
@@ -32,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsyrk
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dpotrf, dtrcon, dtrtrs
 
 from .constituents import TWO_PI, ConstituentCatalog
@@ -46,9 +45,10 @@ UNDERDETERMINED = "underdetermined"
 # collapses the rank and must yield the minimum-norm solution, not a crash.
 RANK_RCOND = 1e-10
 
-# compress_design takes the Gram-Cholesky path only below this estimated
-# cond(R): its relative error eps * cond^2 then stays under about 2e-8,
-# and every singular value stays far above the rank cut-off of HA's solve.
+# A lattice record keeps the Cholesky factor of its H^T H only below this
+# estimated cond(R): its relative error eps * cond^2 then stays under about
+# 2e-8, and every singular value stays far above the rank cut-off of HA's
+# solve.
 GRAM_MAX_CONDITION = 1e4
 
 # A record on an integer lattice t_0 + k_j d (gauge records, with or
@@ -107,20 +107,26 @@ def _lattice(times: np.ndarray) -> tuple[float, np.ndarray] | None:
     if m < _LATTICE_MIN_SAMPLES:
         return None
     tolerance = _SPACING_ULPS * np.spacing(np.abs(times).max())
+    # Each m-length array goes once read, so at most three live at a time.
     gaps = np.diff(times)
     shortest = gaps[np.argmin(np.abs(gaps))]
-    jumps = np.abs(np.diff(gaps))
+    jumps = np.diff(gaps)
+    del gaps
+    np.abs(jumps, out=jumps)
     step = np.copysign(jumps.min(where=jumps > 4 * tolerance, initial=abs(shortest)), shortest)
+    del jumps
     if not abs(step) > tolerance:
         return None
-    k = np.rint((times - times[0]) / step)
-    if not (0 < k[-1] <= _LATTICE_MAX_STRIDE * m and (np.diff(k) > 0).all()):
+    offsets = times - times[0]
+    k = offsets / step
+    np.rint(k, out=k)
+    if not (0 < k[-1] <= _LATTICE_MAX_STRIDE * m and (k[1:] > k[:-1]).all()):
         return None
     step = (times[-1] - times[0]) / k[-1]
-    deviation = times - times[0]
-    deviation -= k * step
-    if np.abs(deviation, out=deviation).max() <= tolerance:
-        return float(step), k.astype(np.intp)
+    indices = k.astype(np.intp)
+    offsets -= np.multiply(k, step, out=k)
+    if np.abs(offsets, out=offsets).max() <= tolerance:
+        return float(step), indices
     return None
 
 
@@ -137,12 +143,11 @@ def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.nda
 
     H is build_design_matrix(times, catalog). Up to 2n + 1 samples, a and
     b are H and heights. Beyond that, a is the 2n x 2n upper triangle R of
-    H = Q R. A record on an integer lattice (_lattice) is compressed by
-    _lattice_compress, which never builds H. Any other record fills
-    [H | heights] in Fortran order by sin and cos and tries the Gram-Cholesky
-    of _gram_compress. When either Gram declines, LAPACK dgeqrf factors the
-    filled [H | heights] in place; a lattice record's declined Gram is
-    not formed a second time.
+    H = Q R, by one of two factorizations. A record on an integer lattice
+    (_lattice) is compressed by _lattice_compress, which never builds H.
+    Any other record, and a lattice record whose Cholesky factor
+    _lattice_compress declines, fills [H | heights] in Fortran order by
+    sin and cos, and LAPACK dgeqrf factors it in place.
     """
     h = np.asarray(heights, dtype=float)
     two_n = 2 * catalog.n
@@ -154,14 +159,10 @@ def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.nda
         compressed = _lattice_compress(t, h, catalog.speeds, *lattice)
         if compressed is not None:
             return compressed
-    # Column-major [H | h]: dsyrk and dgeqrf read it without a copy.
+    # Column-major [H | h]: dgeqrf reads it without a copy.
     augmented = np.empty((h.size, two_n + 1), order="F")
     augmented[:, two_n] = h
     _fill_by_sin_cos(t, catalog.speeds, augmented[:, :two_n].T)
-    if lattice is None:
-        compressed = _gram_compress(augmented)
-        if compressed is not None:
-            return compressed
     lwork, _ = dgeqrf_lwork(*augmented.shape)
     qr, _, _, info = dgeqrf(augmented, lwork=int(lwork), overwrite_a=True)
     if info != 0:
@@ -169,56 +170,38 @@ def compress_design(times, heights, catalog: ConstituentCatalog) -> tuple[np.nda
     return np.triu(qr[:two_n, :two_n]), qr[:two_n, two_n].copy(), float(qr[two_n, two_n] ** 2)
 
 
-def _gram_compress(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(a, b, rest) of the m x (2n+1) Fortran-order [H | h] from its Gram
-    matrix, or None, leaving augmented untouched, when _cholesky_solve
-    declines it.
-
-    G = [H | h]^T [H | h] (one dsyrk) holds H^T H and H^T h. rest is
-    ||H x* - h||^2 at x* = R^-1 b, formed in place of the h column. G's
-    last pivot would give it as ||h||^2 - ||b||^2, which cancels to noise
-    on records that H fits almost exactly, so that pivot is never formed.
-    """
-    two_n = augmented.shape[1] - 1
-    gram = dsyrk(1.0, augmented, trans=1)
-    solved = _cholesky_solve(gram[:two_n, :two_n], gram[:two_n, two_n])
-    if solved is None:
-        return None
-    a, b, x = solved
-    residual = dgemv(1.0, augmented[:, :two_n], x, beta=-1.0, y=augmented[:, two_n], overwrite_y=1)
-    return a, b, float(residual @ residual)
-
-
 def _lattice_compress(
     times: np.ndarray, heights: np.ndarray, speeds: np.ndarray, step: float, k: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """(a, b, rest) of a record at t_0 + k_j d (_lattice) with no trig per
-    sample and no m x 2n array; None when _cholesky_solve declines.
+    sample and no m x 2n array; None when _cholesky_factor declines its
+    H^T H, before the heights are read.
 
     With k_j = _LATTICE_BLOCK a_j + b_j, exp(i w_k t_j) is C_ka F_kb, from
     a coarse table C_ka = exp(i w_k (t_0 + _LATTICE_BLOCK a d)) and a fine
-    one F_kb = exp(i w_k b d). The heights scattered to the rows a and
-    columns b of a zero matrix Z give sum_t h_t exp(i w_k t) as
+    one F_kb = exp(i w_k b d). H^T H is the closed form of _lattice_gram
+    for k_j = j and _blocked_gram otherwise. The heights scattered to the
+    rows a and columns b of a zero matrix Z give sum_t h_t exp(i w_k t) as
     sum_a C_ka (F Z^T)_ka, and (H x)_t as Re sum_k (x_k - i x_{n+k}) C_ka
     F_kb read back at (a_j, b_j): one real matrix product each. For
-    k_j = j, Z is the heights in rows of _LATTICE_BLOCK. H^T H is the
-    closed form of _lattice_gram for k_j = j and _blocked_gram otherwise.
-    As in _gram_compress, rest is ||H x* - h||^2, never ||h||^2 - ||b||^2.
+    k_j = j, Z is the heights in rows of _LATTICE_BLOCK. b = R^-T H^T h
+    and rest = ||H x* - h||^2 at x* = R^-1 b; ||h||^2 - ||b||^2 would
+    cancel to noise on records that H fits almost exactly.
     """
     n, m = speeds.size, heights.size
     corners = times[0] + (_LATTICE_BLOCK * step) * np.arange(k[-1] // _LATTICE_BLOCK + 1)
     coarse = _unit_phasors(np.multiply.outer(speeds, corners))
     fine = _unit_phasors(np.multiply.outer(speeds, step * np.arange(_LATTICE_BLOCK)))
-    gram = _lattice_gram(times, speeds) if k[-1] == m - 1 else _blocked_gram(coarse, fine, k)
+    a = _cholesky_factor(_lattice_gram(times, speeds) if k[-1] == m - 1 else _blocked_gram(coarse, fine, k))
+    if a is None:
+        return None
     real_fine = np.concatenate([fine.real, fine.imag])
     scattered = np.zeros((coarse.shape[1], _LATTICE_BLOCK))
     scattered.ravel()[k] = heights
     sums = real_fine @ scattered.T
     projection = np.einsum("ka,ka->k", coarse, sums[:n] + 1j * sums[n:])
-    solved = _cholesky_solve(gram, np.concatenate([projection.real, projection.imag]))
-    if solved is None:
-        return None
-    a, b, x = solved
+    b, _ = dtrtrs(a, np.concatenate([projection.real, projection.imag]), trans=1)
+    x, _ = dtrtrs(a, b)
     weights = (x[:n] - 1j * x[n:])[:, None] * coarse
     fitted = np.matmul(np.concatenate([weights.real, -weights.imag]).T, real_fine, out=scattered)
     residual = fitted.ravel()[k] - heights
@@ -285,9 +268,8 @@ def _lattice_sums(omega: np.ndarray, step: float, middle: float, count: int) -> 
     return ratio * (np.cos(phase) + 1j * np.sin(phase))
 
 
-def _cholesky_solve(gram: np.ndarray, projection: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(R, b, x*) from H^T H = R^T R (dpotrf), b = R^-T H^T h and
-    x* = R^-1 b, the R and Q^T h of a QR factorization up to rounding: the
+def _cholesky_factor(gram: np.ndarray) -> np.ndarray | None:
+    """R with H^T H = R^T R (dpotrf), the R of H = Q R up to rounding: the
     first pass of CholeskyQR (Fukaya, Nakatsukasa et al. 2014). Its
     relative error grows like eps cond(H)^2, so it returns None unless
     dpotrf succeeds and dtrcon estimates cond(R) below GRAM_MAX_CONDITION.
@@ -298,31 +280,7 @@ def _cholesky_solve(gram: np.ndarray, projection: np.ndarray) -> tuple[np.ndarra
     rcond, info = dtrcon(a)
     if info != 0 or rcond * GRAM_MAX_CONDITION <= 1.0:
         return None
-    b, _ = dtrtrs(a, projection, trans=1)
-    x, _ = dtrtrs(a, b)
-    return a, b, x
-
-
-class _computed_once:
-    """An attribute computed on first read and kept in the instance's
-    __dict__. functools.cached_property before Python 3.12 holds one lock
-    for every instance of the class while it computes, so grid threads
-    solving different records would wait for each other. Two threads
-    reading one record's attribute at once may both compute it; one
-    result is kept."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,8 +289,11 @@ class PreparedRecord:
 
     ||H x - h||^2 = ||a x - b||^2 + rest for every state x, h being the
     detrended heights; sample_count is the m of the original record.
-    The least-squares state and a^T a, which several methods read, are
-    computed on first use and kept, read-only.
+    least_squares is the minimum-norm x of min ||a x - b|| and the rank
+    of a, by SVD with singular values below RANK_RCOND times the largest
+    cut; a has the singular values of H, so the rank and x are H's own.
+    gram is a^T a, equal to H^T H up to rounding. Every array is
+    read-only.
     """
 
     catalog: ConstituentCatalog
@@ -343,22 +304,8 @@ class PreparedRecord:
     a: np.ndarray
     b: np.ndarray
     rest: float
-
-    @_computed_once
-    def least_squares(self) -> tuple[np.ndarray, int]:
-        """The minimum-norm x of min ||a x - b|| and the rank of a, by SVD
-        with singular values below RANK_RCOND times the largest cut. a has
-        the singular values of H, so the rank and x are H's own."""
-        x, _, rank, _ = np.linalg.lstsq(self.a, self.b, rcond=RANK_RCOND)
-        x.setflags(write=False)
-        return x, int(rank)
-
-    @_computed_once
-    def gram(self) -> np.ndarray:
-        """a^T a, equal to H^T H up to rounding."""
-        gram = self.a.T @ self.a
-        gram.setflags(write=False)
-        return gram
+    least_squares: tuple[np.ndarray, int]
+    gram: np.ndarray
 
     def solution(self, amplitudes, phases) -> HarmonicSolution:
         """A fitted solution carrying this record's mean and trend."""
@@ -376,8 +323,10 @@ def prepare(series: WaterLevelSeries, catalog: ConstituentCatalog) -> PreparedRe
     """Detrend the series and compress its design once for every fit."""
     residual, mean, trend = detrend(series)
     a, b, rest = compress_design(residual.times, residual.heights, catalog)
-    a.setflags(write=False)
-    b.setflags(write=False)
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
+    gram = a.T @ a
+    for array in (a, b, x, gram):
+        array.setflags(write=False)
     return PreparedRecord(
         catalog=catalog,
         mean=mean,
@@ -387,6 +336,8 @@ def prepare(series: WaterLevelSeries, catalog: ConstituentCatalog) -> PreparedRe
         a=a,
         b=b,
         rest=rest,
+        least_squares=(x, int(rank)),
+        gram=gram,
     )
 
 

@@ -17,9 +17,10 @@ and P keeps the entries of x x^T whose row and column share a pair.
 
 The data term is evaluated on the record's compressed form from
 design.prepare: ||H x - h||^2 = ||a x - b||^2 + rest, with a the 2n x 2n
-triangle R of [H | h] = QR, found by Gram-Cholesky with QR as the
-fallback, when the record has more than 2n + 1 samples. An evaluation
-then costs O(n^2) whatever the record length m.
+triangle R of H = QR when the record has more than 2n + 1 samples: the
+Cholesky factor of H^T H on a well-conditioned lattice record, and a
+dgeqrf of [H | h] on any other. An evaluation then costs O(n^2)
+whatever the record length m.
 
 The minimization is _newton, a trust-region Newton method on the exact
 Hessian B (Nocedal & Wright, Numerical Optimization, ch. 4). Each step

@@ -1,7 +1,5 @@
 import math
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -190,47 +188,32 @@ class TestPreparedRecord:
             prepare(WaterLevelSeries([0.0], [1.0]), catalog)
 
     def test_least_squares_and_gram_computed_once_per_record(self, hourly_year, catalog, monkeypatch):
-        record = prepare(hourly_year, catalog)
         calls, lstsq = [], np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: calls.append(1) or lstsq(*args, **kwargs))
-        state, gram = record.least_squares, record.gram
-        assert record.least_squares is state and record.gram is gram and len(calls) == 1
-        assert not state[0].flags.writeable and not gram.flags.writeable
+        record = prepare(hourly_year, catalog)
+        assert len(calls) == 1
+        (x, rank), gram = record.least_squares, record.gram
+        assert rank == 2 * catalog.n
+        assert np.array_equal(x, lstsq(record.a, record.b, rcond=RANK_RCOND)[0])
         assert np.array_equal(gram, record.a.T @ record.a)
-
-    def test_records_compute_their_state_without_waiting_for_each_other(self, hourly_year, catalog, monkeypatch):
-        first, second = prepare(hourly_year, catalog), prepare(hourly_year, catalog)
-        entered, release = threading.Event(), threading.Event()
-        lstsq = np.linalg.lstsq
-
-        def held(a, *args, **kwargs):
-            if a is first.a:  # first's solve waits until second's is done
-                entered.set()
-                release.wait(timeout=60)
-            return lstsq(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", held)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            pending = pool.submit(lambda: first.least_squares)
-            try:
-                assert entered.wait(timeout=60)
-                second_state = pool.submit(lambda: second.least_squares).result(timeout=10)
-            finally:
-                release.set()
-            assert np.array_equal(pending.result()[0], second_state[0])
+        assert not any(array.flags.writeable for array in (record.a, record.b, x, gram))
+        with pytest.raises(AttributeError):
+            record.gram = gram
+        assert len(calls) == 1
 
 
 class TestGramPath:
-    """compress_design takes Gram-Cholesky on well-conditioned records and
-    dgeqrf otherwise; which one ran is seen by spying on design.dgeqrf.
+    """compress_design takes the Cholesky factor of H^T H on a
+    well-conditioned lattice record and dgeqrf otherwise; which one ran is
+    seen by spying on design.dgeqrf.
 
     The hourly-year tests run three records: the evenly spaced year, whose
     H^T H has a closed form; the year with a seeded 1% of its samples
     dropped, on the same lattice with gaps, whose H^T H is accumulated
     block by block from phasor tables; and the year with every time
-    jittered off the lattice, whose filled [H | h] goes through dsyrk.
-    Spies on design._blocked_gram and design._gram_compress see the second
-    and the third alone."""
+    jittered off the lattice, whose filled [H | h] goes straight to dgeqrf.
+    A spy on design._blocked_gram sees the second alone, and the dgeqrf
+    spy the third alone."""
 
     @pytest.fixture
     def qr_calls(self, monkeypatch):
@@ -241,18 +224,6 @@ class TestGramPath:
             return dgeqrf(*args, **kwargs)
 
         monkeypatch.setattr(design, "dgeqrf", spy)
-        return calls
-
-    @pytest.fixture
-    def gram_calls(self, monkeypatch):
-        calls, gram_compress = [], design._gram_compress
-
-        def spy(augmented):
-            compressed = gram_compress(augmented)
-            calls.append(compressed is not None)
-            return compressed
-
-        monkeypatch.setattr(design, "_gram_compress", spy)
         return calls
 
     @pytest.fixture
@@ -291,6 +262,17 @@ class TestGramPath:
     def _augmented(residual, catalog):
         return np.column_stack([build_design_matrix(residual.times, catalog), residual.heights])
 
+    @staticmethod
+    def _assert_dgeqrf_bit_for_bit(compressed, augmented, two_n):
+        """compressed is a dgeqrf of the filled [H | h], bit for bit."""
+        a, b, rest = compressed
+        lwork, _ = dgeqrf_lwork(*augmented.shape)
+        qr, _, _, info = dgeqrf(np.asfortranarray(augmented), lwork=int(lwork))
+        assert info == 0
+        assert np.array_equal(a, np.triu(qr[:two_n, :two_n]))
+        assert np.array_equal(b, qr[:two_n, two_n])
+        assert rest == qr[two_n, two_n] ** 2
+
     @pytest.mark.parametrize("interval, length, count, declines", [
         # aliases the semidiurnal band: cond(H) ~ 1e16, dpotrf fails
         pytest.param(12.0, 8766.0, None, True, id="12.0-8766.0"),
@@ -308,8 +290,9 @@ class TestGramPath:
     def test_ill_conditioned_record_falls_back_to_dgeqrf_bit_for_bit(
         self, base_series, truth, catalog, qr_calls, interval, length, count, declines
     ):
-        """compress_design declines exactly when a dsyrk Gram of the filled
-        [H | h] declines, and then equals a dgeqrf of it bit for bit."""
+        """compress_design runs dgeqrf exactly when _cholesky_factor of the
+        filled design's H^T H declines, and then equals a dgeqrf of the
+        filled [H | h] bit for bit."""
         if count is None:
             record = resample(base_series, SamplingPlan(interval, length, seed=0))
         else:
@@ -317,45 +300,73 @@ class TestGramPath:
             noise = 0.02 * np.random.default_rng(count).normal(size=count)
             record = WaterLevelSeries(times, synthesize(truth, times) + noise)
         residual, _, _ = detrend(record)
-        a, b, rest = compress_design(residual.times, residual.heights, catalog)
-        augmented = np.asfortranarray(self._augmented(residual, catalog))
-        gram = design._gram_compress(augmented.copy(order="F"))
-        assert (gram is None) == declines
-        assert len(qr_calls) == declines
+        compressed = compress_design(residual.times, residual.heights, catalog)
+        augmented = self._augmented(residual, catalog)
         two_n = 2 * catalog.n
-        if not declines:
-            assert np.abs(a.T @ a - gram[0].T @ gram[0]).max() < 1e-10 * count
-            assert rest == pytest.approx(gram[2], rel=1e-10)
+        factor = design._cholesky_factor(augmented[:, :two_n].T @ augmented[:, :two_n])
+        assert (factor is None) == declines
+        assert len(qr_calls) == declines
+        if declines:
+            self._assert_dgeqrf_bit_for_bit(compressed, augmented, two_n)
             return
-        lwork, _ = dgeqrf_lwork(*augmented.shape)
-        qr, _, _, info = dgeqrf(augmented, lwork=int(lwork))
-        assert info == 0
-        assert np.array_equal(a, np.triu(qr[:two_n, :two_n]))
-        assert np.array_equal(b, qr[:two_n, two_n])
-        assert rest == qr[two_n, two_n] ** 2
+        a, _, rest = compressed
+        assert np.abs(a.T @ a - factor.T @ factor).max() < 1e-10 * count
+        r = scipy.linalg.qr(augmented, mode="r")[0]
+        assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-10)
 
-    def test_hourly_year_takes_the_gram_path(self, hourly_years, catalog, qr_calls, gram_calls, blocked_calls):
+    def test_off_lattice_record_goes_straight_to_dgeqrf_bit_for_bit(self, hourly_years, catalog, qr_calls):
+        # the jittered year is well conditioned, but off every lattice
+        residual, _, _ = detrend(hourly_years[2])
+        compressed = compress_design(residual.times, residual.heights, catalog)
+        assert qr_calls == [(len(residual), 2 * catalog.n + 1)]
+        self._assert_dgeqrf_bit_for_bit(compressed, self._augmented(residual, catalog), 2 * catalog.n)
+
+    @pytest.mark.parametrize("name", ["even 12 h x 1463", "declined gapped cut"])
+    def test_declined_lattice_record_stops_at_the_verdict(self, truth, catalog, qr_calls, monkeypatch, name):
+        """A lattice record whose Cholesky factor declines never solves with
+        it (dtrtrs) nor forms H^T h (the einsum over the coarse table)."""
+        if name == "even 12 h x 1463":
+            times = 12.0 * np.arange(1463)
+        else:
+            # a 720-h cut at 0.491 h of a 6-min record: gaps of 4 or 5 steps
+            times = np.round(np.arange(0.0, 720.0, 0.491) * 10) / 10
+        heights = synthesize(truth, times)
+        calls = []
+
+        def spy_on(module, attribute):
+            original = getattr(module, attribute)
+            spy = lambda *args, **kwargs: calls.append(attribute) or original(*args, **kwargs)
+            monkeypatch.setattr(module, attribute, spy)
+
+        spy_on(design, "dtrtrs")
+        spy_on(np, "einsum")
+        step, k = design._lattice(times)
+        assert (k[-1] == times.size - 1) == (name == "even 12 h x 1463")
+        assert design._lattice_compress(times, heights, catalog.speeds, step, k) is None
+        compress_design(times, heights, catalog)
+        assert calls == [] and len(qr_calls) == 1
+        # the spies do see an accepted record's solve
+        compress_design(0.5 * np.arange(3000), synthesize(truth, 0.5 * np.arange(3000)), catalog)
+        assert calls == ["einsum", "dtrtrs", "dtrtrs"] and len(qr_calls) == 1
+
+    def test_hourly_year_takes_the_gram_path(self, hourly_years, catalog, qr_calls, blocked_calls):
         for year in hourly_years:
             record = prepare(year, catalog)
             assert np.array_equal(record.a, np.triu(record.a))
-        assert qr_calls == []
+        assert qr_calls == [(len(hourly_years[2]), 2 * catalog.n + 1)]
         assert blocked_calls == [len(hourly_years[1])]
-        assert gram_calls == [True]
 
-    def test_gram_rest_matches_qr_rest_on_noise_free_heights(
-        self, hourly_years, catalog, qr_calls, gram_calls, blocked_calls
-    ):
+    def test_gram_rest_matches_qr_rest_on_noise_free_heights(self, hourly_years, catalog, qr_calls, blocked_calls):
         for year in hourly_years:
             residual, _, _ = detrend(year)
             _, _, rest = compress_design(residual.times, residual.heights, catalog)
             r = scipy.linalg.qr(self._augmented(residual, catalog), mode="r")[0]
             two_n = 2 * catalog.n
             assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
-        assert qr_calls == []
+        assert len(qr_calls) == 1
         assert blocked_calls == [len(hourly_years[1])]
-        assert gram_calls == [True]
 
-    def test_gram_rest_survives_a_near_exact_fit(self, catalog, qr_calls, gram_calls, blocked_calls):
+    def test_gram_rest_survives_a_near_exact_fit(self, catalog, qr_calls, blocked_calls):
         # ||h||^2 - ||Q^T h||^2 would cancel to ~1e-4 relative error here
         rng = np.random.default_rng(5)
         even = np.arange(0.0, 8766.0, 1.0)
@@ -366,13 +377,10 @@ class TestGramPath:
             r = scipy.linalg.qr(np.column_stack([design_matrix, heights]), mode="r")[0]
             two_n = 2 * catalog.n
             assert rest == pytest.approx(r[two_n, two_n] ** 2, rel=1e-8)
-        assert qr_calls == []
+        assert len(qr_calls) == 1
         assert blocked_calls == [even.size - even.size // 100]
-        assert gram_calls == [True]
 
-    def test_gram_ha_amplitudes_match_a_qr_of_the_full_design(
-        self, hourly_years, catalog, qr_calls, gram_calls, blocked_calls
-    ):
+    def test_gram_ha_amplitudes_match_a_qr_of_the_full_design(self, hourly_years, catalog, qr_calls, blocked_calls):
         for year in hourly_years:
             amplitudes = ha_fit(year, catalog).solution.amplitudes
             residual, _, _ = detrend(year)
@@ -381,9 +389,8 @@ class TestGramPath:
             x, _, _, _ = np.linalg.lstsq(r[:two_n, :two_n], r[:two_n, two_n], rcond=RANK_RCOND)
             expected, _ = unpack_state(x, catalog)
             assert np.abs(amplitudes - expected).max() < 1e-9
-        assert qr_calls == []
+        assert len(qr_calls) == 1
         assert blocked_calls == [len(hourly_years[1])]
-        assert gram_calls == [True]
 
 
 def exact_fill(times, catalog):
@@ -496,6 +503,20 @@ class TestLatticeCheck:
             assert grams == []
 
 
+    def test_lattice_check_of_a_6_min_year_stays_small(self):
+        times = 0.1 * np.arange(87_841)
+        design._lattice(times)
+        tracemalloc.start()
+        try:
+            design._lattice(times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # three arrays of m numbers: the offsets, the rounded k and its
+        # integers (2.1 MB); the gaps and their changes are gone by then
+        assert peak < 2.5e6
+
+
 class TestLatticeGram:
     """compress_design of an evenly spaced record forms H^T H from the
     closed-form Dirichlet sums of design._lattice_sums, and that of a
@@ -552,7 +573,7 @@ class TestLatticeGram:
         # at half the spacing of its blocks, so its Gram is accumulated by
         # dsyrk block by block
         grams = []
-        for spied in ("_lattice_gram", "_blocked_gram", "_gram_compress"):
+        for spied in ("_lattice_gram", "_blocked_gram"):
             original = getattr(design, spied)
             monkeypatch.setattr(design, spied, lambda *args, _f=original, _n=spied: grams.append(_n) or _f(*args))
         times, _, _ = TestLatticeCheck.ACCEPTED["blocks off one lattice"]()
