@@ -18,7 +18,8 @@ import os
 import sys
 import tempfile
 import time
-from datetime import timezone
+from collections import Counter
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .evaluation import MARK_INTERVALS, grid_to_text, interval_slice, run_grid, 
 from .ha import ha_fit
 from .ingest import format_number as fmt
 from .regularized import RelshaConfig, relsha_fit
-from .series import SamplingPlan, SynthesizedSeries, apply_noise, resample, synthesize_series
+from .series import EPOCH, SamplingPlan, SynthesizedSeries, apply_noise, resample, synthesize_series
 
 log = logging.getLogger("relsha")
 
@@ -243,10 +244,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             _atomic_write(slice_path, slice_to_text(curves))
 
     cells = list(grid.rows())
-    missing = sum(cell.rrmse_percent is None for cell in cells)
+    errors = Counter(cell.error for cell in cells if cell.rrmse_percent is None)
+    missing = sum(errors.values())
     nonconverged = sum(cell.converged is False for cell in cells)
     if missing:
-        log.warning("%d of %d cells missing (solver or resampling errors)", missing, len(cells))
+        log.warning("%d of %d cells missing: %s", missing, len(cells),
+                    "; ".join(f"{error} ({count} cells)" for error, count in errors.items()))
     if nonconverged:
         log.warning("%d ReLSHA cells did not converge (converged=false in %s)",
                     nonconverged, args.output)
@@ -275,9 +278,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.length < args.interval:
         raise ValueError("synth requires --length of at least one --interval")
     count = int(np.floor(args.length / args.interval)) + 1
-    times = args.interval * np.arange(count)
-    epoch = ingest.parse_timestamp(args.epoch).astimezone(timezone.utc)
-    series = synthesize_series(solution, times, epoch)
+    start = (ingest.parse_timestamp(args.epoch) - EPOCH) / timedelta(hours=1)
+    series = synthesize_series(solution, start + args.interval * np.arange(count))
     if args.noise > 0:
         series = apply_noise(series, args.noise, args.seed)
     _atomic_write(args.output, ingest.water_levels_to_text(series))
@@ -373,7 +375,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     synth.add_argument("--length", type=float, required=True, help="record length in hours")
     synth.add_argument("--noise", type=float, default=0.0)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--epoch", default="2021-01-01T00:00:00Z")
+    synth.add_argument("--epoch", default="2021-01-01T00:00:00Z",
+                       help="first stamp; the tide is synthesized at its hours since "
+                            "2021-01-01T00:00:00Z, the time origin of every phase")
     synth.add_argument("--catalog", **catalog)
     synth.set_defaults(func=cmd_synth)
 

@@ -264,8 +264,7 @@ def _lattice_sums(omega: np.ndarray, step: float, middle: float, count: int) -> 
     ratio = np.full(half.shape, float(count))
     np.divide(np.sin(count * reduced), np.sin(reduced), out=ratio, where=reduced != 0)
     ratio[turns * (count - 1) % 2 == 1] *= -1.0
-    phase = omega * middle
-    return ratio * (np.cos(phase) + 1j * np.sin(phase))
+    return ratio * _unit_phasors(omega * middle)
 
 
 def _cholesky_factor(gram: np.ndarray) -> np.ndarray | None:

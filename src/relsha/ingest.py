@@ -2,9 +2,10 @@
 
 All formats are comma-separated UTF-8 text with a header row; lines
 starting with ``#`` are comments. Timestamps are ISO-8601 (UTC assumed
-when no offset is given) and are converted to hours since the first
-valid sample. Bad rows are dropped with a logged warning, never
-interpolated.
+when no offset is given) and are converted to hours since
+series.EPOCH, 2021-01-01T00:00Z, wherever a file starts, so phases in
+every file refer to that one instant. Bad rows are dropped with a logged
+warning, never interpolated.
 
 load_water_levels reads both kinds of water-level file, told apart by
 the header: tide-gauge records (``timestamp,height_m``) and altimetry
@@ -28,20 +29,21 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterator, Sequence
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .constituents import TWO_PI, ConstituentCatalog
-from .series import HarmonicSolution, WaterLevelSeries
+from .series import EPOCH, HarmonicSolution, WaterLevelSeries
 
 log = logging.getLogger(__name__)
 
 FLAG_GOOD = 0
 
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_MICROS = (EPOCH - _UNIX_EPOCH) // timedelta(microseconds=1)
 _STAMP_BLOCK = 8192
 
 
@@ -60,21 +62,18 @@ def parse_timestamp(text: str) -> datetime:
     return stamp
 
 
-def _utc_stamps(epoch: datetime, hours: np.ndarray) -> Iterator[str]:
-    """ISO-8601 UTC stamps, to the nearest second, of hours after epoch,
+def _utc_stamps(hours: np.ndarray) -> Iterator[str]:
+    """ISO-8601 UTC stamps, to the nearest second, of hours after EPOCH,
     without the 'Z' suffix.
 
     Each offset gets the microseconds CPython gives timedelta(hours=h):
     the whole hours exactly, the fraction's whole microseconds by modf,
     and the leftover part of a microsecond rounded half to even on the
-    total. Adding the epoch's microseconds since the Unix epoch and half a
+    total. Adding EPOCH's microseconds since the Unix epoch and half a
     second, then flooring to seconds, gives the stamps of
-    (epoch + timedelta(hours=h)) rounded to the second and shown in UTC,
-    for an epoch whose UTC offset is fixed and a whole number of seconds.
-    Blocks of _STAMP_BLOCK rows keep the temporary arrays small.
+    (EPOCH + timedelta(hours=h)) rounded to the second. Blocks of
+    _STAMP_BLOCK rows keep the temporary arrays small.
     """
-    start = epoch.astimezone(timezone.utc) - _UNIX_EPOCH
-    start_micros = (start.days * 86_400 + start.seconds) * 1_000_000 + start.microseconds
     for i in range(0, len(hours), _STAMP_BLOCK):
         fraction, whole = np.modf(hours[i : i + _STAMP_BLOCK])
         leftover, micros = np.modf(fraction * 3.6e9)
@@ -82,7 +81,7 @@ def _utc_stamps(epoch: datetime, hours: np.ndarray) -> Iterator[str]:
         rounded = np.rint(leftover).astype(np.int64)
         halfway = np.abs(leftover) == 0.5
         rounded[halfway] = (micros[halfway] & 1) * np.sign(leftover[halfway]).astype(np.int64)
-        seconds = (micros + rounded + (start_micros + 500_000)) // 1_000_000
+        seconds = (micros + rounded + (_EPOCH_MICROS + 500_000)) // 1_000_000
         yield from np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s").tolist()
 
 
@@ -104,19 +103,19 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
     ]
 
 
-def _hours_since_first(micros: np.ndarray) -> np.ndarray:
-    """Hours since micros[0] of sorted int64 microseconds.
+def _hours_since_epoch(micros: np.ndarray) -> np.ndarray:
+    """Hours since EPOCH of int64 microseconds since the Unix epoch.
 
-    (us - us0) / 1e6 / 3600 is the same IEEE operations as
-    timedelta.total_seconds() / 3600 while us - us0 stays below 2**53
-    (about 285 years), where int64 to float is exact.
+    (us - us_EPOCH) / 1e6 / 3600 is the same IEEE operations as
+    (stamp - EPOCH).total_seconds() / 3600 while |us - us_EPOCH| stays
+    below 2**53 (about 285 years), where int64 to float is exact.
     """
-    return (micros - micros[0]) / 1e6 / 3600.0
+    return (micros - _EPOCH_MICROS) / 1e6 / 3600.0
 
 
-def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray, datetime]:
-    """Stable time order of aware stamps, their hours since the earliest
-    in that order, and the earliest (the epoch, keeping its tzinfo)."""
+def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray]:
+    """Stable time order of aware stamps, and their hours since EPOCH in
+    that order."""
     deltas = [stamp - _UNIX_EPOCH for stamp in stamps]
 
     def field(name: str) -> np.ndarray:
@@ -124,7 +123,7 @@ def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray, dat
 
     micros = (field("days") * 86_400 + field("seconds")) * 1_000_000 + field("microseconds")
     order = np.argsort(micros, kind="stable")
-    return order, _hours_since_first(micros[order]), stamps[order[0]]
+    return order, _hours_since_epoch(micros[order])
 
 
 # A row as water_levels_to_text writes it, up to the height: "0" marks a
@@ -182,8 +181,7 @@ def _read_canonical(text: str) -> WaterLevelSeries | None:
         return None
     if not np.isfinite(heights).all():
         return None
-    epoch = parse_timestamp(rows[0].partition(",")[0])
-    return WaterLevelSeries(_hours_since_first(micros), heights, epoch)
+    return WaterLevelSeries(_hours_since_epoch(micros), heights)
 
 
 def load_water_levels(path: str | Path) -> WaterLevelSeries:
@@ -192,15 +190,13 @@ def load_water_levels(path: str | Path) -> WaterLevelSeries:
     The header tells the two apart: a pass file's first column is the
     repeat cycle (``cycle,timestamp,ssh_m,flag``), a gauge file's is the
     timestamp (``timestamp,height_m``). Rows with missing or non-finite
-    heights are dropped with a warning. Times are hours since the earliest
-    valid row, which becomes the series epoch.
+    heights are dropped with a warning. Times are hours since EPOCH.
 
     A gauge file gives one sample per row; of rows with the same instant,
     the first in the file is kept. A pass file gives one sample per cycle,
     at the median time and the median height of the cycle's good (flag 0,
     or no flag) rows; a cycle with no good row leaves a gap, and of cycles
-    with the same median time the lower-numbered is kept. Flagged rows
-    still count toward the epoch.
+    with the same median time the lower-numbered is kept.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -232,11 +228,11 @@ def load_water_levels(path: str | Path) -> WaterLevelSeries:
     if not stamps:
         raise ValueError(f"{path}: no valid rows")
 
-    order, times, epoch = _time_order(stamps)
+    order, times = _time_order(stamps)
     keep = np.concatenate(([True], times[1:] != times[:-1]))
     for i in order[~keep]:
         log.warning("%s: duplicate timestamp %s dropped", path, stamps[i].isoformat())
-    return WaterLevelSeries(times[keep], np.array(heights)[order[keep]], epoch)
+    return WaterLevelSeries(times[keep], np.array(heights)[order[keep]])
 
 
 def _load_pass(path: Path, lines: list[tuple[int, str]]) -> WaterLevelSeries:
@@ -258,7 +254,7 @@ def _load_pass(path: Path, lines: list[tuple[int, str]]) -> WaterLevelSeries:
     if not rows:
         raise ValueError(f"{path}: no valid rows")
     cycles, stamps, heights, flags = zip(*rows)
-    order, times, epoch = _time_order(stamps)
+    order, times = _time_order(stamps)
     heights = np.array(heights)[order]
     cycles = np.array(cycles)[order]
     good = np.array(flags)[order] == FLAG_GOOD
@@ -276,11 +272,11 @@ def _load_pass(path: Path, lines: list[tuple[int, str]]) -> WaterLevelSeries:
     keep = np.concatenate(([True], sorted_times[1:] != sorted_times[:-1]))
     for i in order[~keep]:
         log.warning("%s: cycle %d dropped: same median time as a lower cycle", path, kept[i])
-    return WaterLevelSeries(cycle_times[order[keep]], cycle_heights[order[keep]], epoch)
+    return WaterLevelSeries(cycle_times[order[keep]], cycle_heights[order[keep]])
 
 
 def water_levels_to_text(series: WaterLevelSeries) -> str:
-    stamps = _utc_stamps(series.epoch, series.times)
+    stamps = _utc_stamps(series.times)
     lines = ["timestamp,height_m"]
     lines.extend(f"{stamp}Z,{format_number(h)}" for stamp, h in zip(stamps, series.heights))
     return "\n".join(lines) + "\n"

@@ -1,7 +1,8 @@
 """Water-level time series: detrending, resampling, and tide synthesis.
 
-Times are hours since the series epoch throughout; heights are meters.
-All operations are pure functions on immutable inputs; SynthesizedSeries
+Times are hours since EPOCH, 2021-01-01T00:00Z, throughout, so a phase
+means the same thing in every record; heights are meters. All
+operations are pure functions on immutable inputs; SynthesizedSeries
 alone fills a memo as it is read.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .constituents import TWO_PI, ConstituentCatalog
 
-DEFAULT_EPOCH = datetime(2021, 1, 1, tzinfo=timezone.utc)
+EPOCH = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
 # synthesize evaluates its cos table this many samples at a time, so its
 # scratch stays small. Each value is formed from its own time alone, with
@@ -70,7 +71,6 @@ class WaterLevelSeries(_Sampled):
 
     times: np.ndarray
     heights: np.ndarray
-    epoch: datetime = DEFAULT_EPOCH
 
     def __post_init__(self) -> None:
         t = _checked_times(self.times)
@@ -92,8 +92,9 @@ class WaterLevelSeries(_Sampled):
 class HarmonicSolution:
     """Mean, trend, and per-constituent amplitude/phase for one catalog.
 
-    phases hold theta_k in [0, 2*pi), the phase of A_k f_k cos(w_k t + theta_k).
-    The mean applies at ``time_reference`` hours since epoch, so the
+    phases hold theta_k in [0, 2*pi), the phase of A_k f_k cos(w_k t + theta_k)
+    with t in hours since EPOCH, in every file the CLI reads or writes.
+    The mean applies at ``time_reference`` hours since EPOCH, so the
     modeled level is mean + trend*(t - time_reference) + harmonics; a
     solution built directly from constants uses time_reference = 0.
     """
@@ -160,7 +161,7 @@ def detrend(series: WaterLevelSeries) -> tuple[WaterLevelSeries, float, float]:
     trend = float((tc @ h) / (tc @ tc))
     mean = float(h.mean())
     residual = h - (mean + trend * tc)
-    return WaterLevelSeries(t, residual, series.epoch), mean, trend
+    return WaterLevelSeries(t, residual), mean, trend
 
 
 def synthesize(solution: HarmonicSolution, times) -> np.ndarray:
@@ -193,10 +194,8 @@ def synthesize(solution: HarmonicSolution, times) -> np.ndarray:
     return solution.mean + solution.trend * (t - solution.time_reference) + harmonics.reshape(t.shape)
 
 
-def synthesize_series(
-    solution: HarmonicSolution, times, epoch: datetime = DEFAULT_EPOCH
-) -> WaterLevelSeries:
-    return WaterLevelSeries(np.asarray(times, dtype=float), synthesize(solution, times), epoch)
+def synthesize_series(solution: HarmonicSolution, times) -> WaterLevelSeries:
+    return WaterLevelSeries(np.asarray(times, dtype=float), synthesize(solution, times))
 
 
 class SynthesizedSeries(_Sampled):
@@ -212,16 +211,8 @@ class SynthesizedSeries(_Sampled):
     threads: one lock guards the memo.
     """
 
-    def __init__(
-        self,
-        solution: HarmonicSolution,
-        times,
-        sigma: float = 0.0,
-        seed: int = 0,
-        epoch: datetime = DEFAULT_EPOCH,
-    ) -> None:
+    def __init__(self, solution: HarmonicSolution, times, sigma: float = 0.0, seed: int = 0) -> None:
         self.times = _checked_times(times)
-        self.epoch = epoch
         self._solution = solution
         self._noise = _noise(sigma, seed, self.times.size) if sigma != 0 else None
         self._heights = np.empty(self.times.size)
@@ -277,7 +268,7 @@ def resample(series: WaterLevelSeries | SynthesizedSeries, plan: SamplingPlan) -
             f"resampling selected no samples (interval={plan.interval}, "
             f"record_length={plan.record_length}, offset={offset:.3f})"
         )
-    return WaterLevelSeries(t[selected], series.heights_at(selected), series.epoch)
+    return WaterLevelSeries(t[selected], series.heights_at(selected))
 
 
 def _noise(sigma: float, seed: int, count: int) -> np.ndarray:
@@ -289,4 +280,4 @@ def _noise(sigma: float, seed: int, count: int) -> np.ndarray:
 def apply_noise(series: WaterLevelSeries, sigma: float, seed: int = 0) -> WaterLevelSeries:
     """Add zero-mean Gaussian noise of standard deviation sigma (meters)."""
     noisy = series.heights + _noise(sigma, seed, len(series))
-    return WaterLevelSeries(series.times, noisy, series.epoch)
+    return WaterLevelSeries(series.times, noisy)

@@ -223,7 +223,7 @@ def test_criterion_9_gappy_undersampled_record(base_series, truth, catalog):
         sampled = resample(base_series, SamplingPlan(JASON_INTERVAL, YEAR, seed=seed))
         rng = np.random.default_rng(20_000 + seed)
         keep = rng.random(len(sampled)) > 0.2
-        gappy = WaterLevelSeries(sampled.times[keep], sampled.heights[keep], sampled.epoch)
+        gappy = WaterLevelSeries(sampled.times[keep], sampled.heights[keep])
         fit = relsha_fit(gappy, reference, catalog, RelshaConfig(lam=0.5))
         errors.append(rrmse(fit.solution.amplitudes, truth.amplitudes))
         converged.append(fit.diagnostics.converged)

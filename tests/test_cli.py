@@ -119,6 +119,22 @@ class TestFit:
         assert code == 0
         assert "# weight = 0" in out.read_text()
 
+    def test_cha_weight_holds_on_a_resampled_cut(self, tmp_path, catalog):
+        # a cut starts hours into its source file; its phases still refer
+        # to EPOCH, so CHA still finds the gauge it came from
+        near = relsha.default_catalog_path().with_name("reference_nearby.csv")
+        offshore = near.with_name("reference_offshore.csv")
+        year, cut, out = tmp_path / "year.csv", tmp_path / "cut.csv", tmp_path / "cha.csv"
+        assert run("synth", "--solution", near, "--interval", 1, "--length", 8784,
+                   "--output", year) == 0
+        assert run("resample", "--input", year, "--interval", 1, "--length", 4000,
+                   "--seed", 3, "--output", cut) == 0
+        assert load_water_levels(cut).times[0] > 0
+        assert run("fit", "--method", "cha", "--input", cut, "--reference-a", near,
+                   "--reference-b", offshore, "--output", out) == 0
+        _, metadata = load_harmonics(out, catalog)
+        assert float(metadata["weight"]) <= 1e-3
+
     def test_unknown_method_is_usage_error(self, tmp_path, tiny_gauge):
         with pytest.raises(SystemExit) as excinfo:
             run("fit", "--method", "spectral", "--input", tiny_gauge,
@@ -290,6 +306,21 @@ class TestSynth:
                    "--interval", 0.5, "--length", 100, "--noise", 0.02,
                    "--seed", 4, "--output", third) == 0
         assert third.read_bytes() != first.read_bytes()
+
+    def test_epoch_sets_the_first_stamp_and_the_tide_keeps_its_phase(
+        self, tmp_path, tiny_catalog, tiny_truth
+    ):
+        out = tmp_path / "2016.csv"
+        assert run("synth", "--solution", tiny_truth, "--catalog", tiny_catalog,
+                   "--interval", 0.5, "--length", 24, "--epoch", "2016-03-01T12:00:00Z",
+                   "--output", out) == 0
+        assert out.read_text().split("\n")[1].startswith("2016-03-01T12:00:00Z,")
+        start = (datetime(2016, 3, 1, 12, tzinfo=timezone.utc) - series.EPOCH) / timedelta(hours=1)
+        written = load_water_levels(out)
+        assert written.times.tolist() == (start + 0.5 * np.arange(49)).tolist()
+        solution, _ = load_harmonics(tiny_truth, load_catalog(tiny_catalog))
+        expected = [format_number(h) for h in series.synthesize(solution, written.times)]
+        assert [format_number(h) for h in written.heights] == expected
 
     def test_negative_noise_fails_before_reading_input(self, tmp_path, caplog):
         out = tmp_path / "noisy.csv"
@@ -505,6 +536,14 @@ class TestExperiment:
         assert (rows[0][1], rows[0][5]) == ("100", "")
         assert (rows[1][1], rows[1][5] != "") == ("2000", True)
         assert "1 of 2 cells missing" in caplog.text
+
+    def test_missing_cells_warning_names_each_error(self, tmp_path, caplog):
+        assert run("experiment", "--intervals", "264,1000", "--lengths", "720",
+                   "--output", tmp_path / "grid.csv") == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "3 of 6 cells missing: record_length must be at least one interval (3 cells)"
+        ]
 
     @pytest.mark.parametrize("methods, unread", [
         ("ha", ("--reference", "--reference-a", "--reference-b")),

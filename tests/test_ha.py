@@ -1,4 +1,5 @@
 import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from relsha.design import UNDERDETERMINED, build_design_matrix
 from relsha.evaluation import rrmse
 from relsha.ha import RANK_RCOND, ha_fit
 from relsha.series import (
+    EPOCH,
     HarmonicSolution,
     SamplingPlan,
     WaterLevelSeries,
     detrend,
     resample,
+    synthesize,
     synthesize_series,
 )
 
@@ -105,3 +108,16 @@ def test_insufficient_data():
     cat = ConstituentCatalog((Constituent("A", 1.0),))
     with pytest.raises(ValueError, match="at least 2 samples"):
         ha_fit(WaterLevelSeries([0.0], [1.0]), cat)
+
+
+@pytest.mark.parametrize("interval", [0.1, 1.0, 237.6], ids=["6min", "hourly", "9.9d"])
+def test_times_shifted_by_decades_keep_the_amplitudes(truth, catalog, interval):
+    # shifting every time of a year by the same hours rotates each phase,
+    # not an amplitude
+    times = np.arange(0.0, 8784.0, interval)
+    heights = synthesize(truth, times)
+    expected = ha_fit(WaterLevelSeries(times, heights), catalog).solution.amplitudes
+    for year in (1985, 2040):
+        shift = (datetime(year, 1, 1, tzinfo=timezone.utc) - EPOCH) / timedelta(hours=1)
+        shifted = ha_fit(WaterLevelSeries(times + shift, heights), catalog).solution.amplitudes
+        np.testing.assert_allclose(shifted, expected, rtol=0, atol=1e-10)

@@ -18,9 +18,13 @@ from relsha.ingest import (
     solution_to_text,
     water_levels_to_text,
 )
-from relsha.series import DEFAULT_EPOCH, HarmonicSolution
+from relsha.series import EPOCH, HarmonicSolution
 
 IST = timezone(timedelta(hours=5, minutes=30))
+
+
+def _hours_after_epoch(stamp):
+    return (stamp - EPOCH) / timedelta(hours=1)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -39,7 +43,6 @@ class TestWaterLevels:
         assert series.times[0] == 0.0
         assert series.times[1] == pytest.approx(0.1)
         assert np.array_equal(series.heights, [1.0, 1.2])
-        assert series.epoch == datetime(2021, 1, 1, tzinfo=timezone.utc)
 
     def test_missing_height_dropped_with_warning(self, tmp_path, caplog):
         path = write(tmp_path, "timestamp,height_m\n"
@@ -92,21 +95,29 @@ class TestWaterLevels:
         again.write_text(water_levels_to_text(load_water_levels(out)))
         assert again.read_text() == out.read_text()
 
+    def test_2016_file_survives_write_and_read(self, tmp_path):
+        # a record from before EPOCH has negative hours and keeps its stamps
+        stamps, heights = _six_minute_year(np.random.default_rng(4), "2016-03-01T12:00", 2000)
+        text = _gauge_text(_canonical_rows(stamps, heights))
+        assert relsha.ingest._read_canonical(text) is not None
+        series = load_water_levels(write(tmp_path, text))
+        start = _hours_after_epoch(datetime(2016, 3, 1, 12, tzinfo=timezone.utc))
+        assert series.times[0] == start < series.times[-1] < 0
+        assert water_levels_to_text(series) == text
+
     def test_timestamp_formats(self):
         for text in ("2021-01-01T00:00:00Z", "2021-01-01T00:00:00+00:00", "2021-01-01 00:00:00"):
             stamp = parse_timestamp(text)
             assert stamp.timestamp() == datetime(2021, 1, 1, tzinfo=timezone.utc).timestamp()
 
 
-    def test_offset_is_honoured_and_epoch_keeps_its_tzinfo(self, tmp_path):
+    def test_offset_is_honoured(self, tmp_path):
         path = write(tmp_path, "timestamp,height_m\n"
                                "2021-01-01T00:06:00Z,1.2\n"
                                "2021-01-01T05:30:00+05:30,1.0\n")
         series = load_water_levels(path)
         assert series.times.tolist() == [0.0, 0.1]
         assert series.heights.tolist() == [1.0, 1.2]
-        assert series.epoch == datetime(2021, 1, 1, 5, 30, tzinfo=IST)
-        assert series.epoch.utcoffset() == timedelta(hours=5, minutes=30)
 
     def test_naive_and_fractional_second_stamps(self, tmp_path):
         path = write(tmp_path, "timestamp,height_m\n"
@@ -114,8 +125,6 @@ class TestWaterLevels:
                                "2021-01-01T00:00:00.5,1.1\n"
                                "2021-01-01T00:00:01.000001+00:00,1.2\n")
         series = load_water_levels(path)
-        assert series.epoch == datetime(2021, 1, 1, tzinfo=timezone.utc)
-        assert series.epoch.tzinfo == timezone.utc
         assert series.times.tolist() == [0.0, 0.5 / 3600.0, 1.000001 / 3600.0]
         assert series.heights.tolist() == [1.0, 1.1, 1.2]
 
@@ -162,9 +171,7 @@ class TestWaterLevels:
         with caplog.at_level(logging.WARNING):
             series = load_water_levels(path)
         assert series.heights.tolist() == [1.0, 2.0]
-        # the epoch is the first valid sample, not the first row
-        assert series.epoch == datetime(2021, 1, 1, 0, 6, tzinfo=timezone.utc)
-        assert series.times.tolist() == [0.0, 1080.0 / 3600.0]
+        assert series.times.tolist() == [360.0 / 3600.0, 1440.0 / 3600.0]
         lines = [r.getMessage().split(":")[-2] for r in caplog.records]
         assert lines == ["2", "4", "5"]
 
@@ -183,7 +190,7 @@ class TestWaterLevels:
 
     def test_duplicate_sorting_before_its_first_occurrence(self, tmp_path, caplog):
         # 00:00 UTC appears three times after a later row; the first of them
-        # in file order (the +05:30 one) wins and becomes the epoch
+        # in file order (the +05:30 one) wins
         path = write(tmp_path, "timestamp,height_m\n"
                                "2021-01-01T01:00:00Z,1.0\n"
                                "2021-01-01T05:30:00+05:30,2.0\n"
@@ -193,7 +200,6 @@ class TestWaterLevels:
             series = load_water_levels(path)
         assert series.times.tolist() == [0.0, 1.0]
         assert series.heights.tolist() == [2.0, 1.0]
-        assert series.epoch.utcoffset() == timedelta(hours=5, minutes=30)
         assert [r.getMessage() for r in caplog.records] == [
             f"{path}: duplicate timestamp 2021-01-01T00:00:00+00:00 dropped",
             f"{path}: duplicate timestamp 2021-01-01T00:00:00+00:00 dropped",
@@ -216,7 +222,6 @@ class TestWaterLevels:
         monkeypatch.setattr(relsha.ingest, "datetime", NoZulu)
         series = load_water_levels(path)
         assert series.times.tolist() == expected.times.tolist() == [0.0, 0.1]
-        assert series.epoch == expected.epoch
         assert parse_timestamp("2021-01-01T00:00:00Z") == datetime(2021, 1, 1, tzinfo=timezone.utc)
 
 
@@ -240,11 +245,10 @@ def _reference_load_water_levels(path):
         stamps.append(stamp)
         heights.append(value)
     order = np.argsort(np.array([s.timestamp() for s in stamps]), kind="stable")
-    epoch = stamps[order[0]]
     times, kept_heights = [], []
     last = None
     for i in order:
-        hours = (stamps[i] - epoch).total_seconds() / 3600.0
+        hours = (stamps[i] - EPOCH).total_seconds() / 3600.0
         if last is not None and hours == last:
             logging.getLogger("relsha.ingest").warning(
                 "%s: duplicate timestamp %s dropped", path, stamps[i].isoformat())
@@ -252,7 +256,7 @@ def _reference_load_water_levels(path):
         times.append(hours)
         kept_heights.append(heights[i])
         last = hours
-    return np.array(times), np.array(kept_heights), epoch
+    return np.array(times), np.array(kept_heights)
 
 
 def _reference_data_lines(path):
@@ -315,38 +319,32 @@ def _gauge_text(rows):
 
 def _assert_matches_reference(path, caplog):
     """load_water_levels gives the reference loader's series and log;
-    returns both."""
+    returns the log."""
     caplog.clear()
     with caplog.at_level(logging.WARNING):
-        times, kept, epoch = _reference_load_water_levels(path)
+        times, kept = _reference_load_water_levels(path)
     expected_log = [r.getMessage() for r in caplog.records]
     caplog.clear()
     with caplog.at_level(logging.WARNING):
         series = load_water_levels(path)
     assert series.times.tobytes() == times.tobytes()
     assert series.heights.tobytes() == kept.tobytes()
-    assert series.epoch == epoch
-    assert series.epoch.tzinfo == epoch.tzinfo
     assert [r.getMessage() for r in caplog.records] == expected_log
-    return series, expected_log
+    return expected_log
 
 
 class TestWaterLevelGolden:
     def test_matches_row_by_row_loader_bit_for_bit(self, tmp_path, caplog):
         stamps, heights = _six_minute_year(np.random.default_rng(5))
         path = write(tmp_path, _gauge_text(_spoil(_canonical_rows(stamps, heights))))
-        series, expected_log = _assert_matches_reference(path, caplog)
-        assert series.epoch.utcoffset() == timedelta(hours=-3)
-        assert len(expected_log) == 7
+        assert len(_assert_matches_reference(path, caplog)) == 7
 
     def test_canonical_year_is_read_column_wise_bit_for_bit(self, tmp_path, caplog):
         stamps, heights = _six_minute_year(np.random.default_rng(5))
         text = _gauge_text(_canonical_rows(stamps, heights))
         assert relsha.ingest._read_canonical(text) is not None
         path = write(tmp_path, text)
-        series, expected_log = _assert_matches_reference(path, caplog)
-        assert expected_log == []
-        assert series.epoch.tzinfo == timezone.utc
+        assert _assert_matches_reference(path, caplog) == []
 
     @pytest.mark.parametrize("defect", DEFECTS)
     def test_each_defect_takes_the_row_by_row_path(self, tmp_path, caplog, defect):
@@ -378,7 +376,7 @@ class TestWaterLevelGolden:
         text = _gauge_text([f"{stamp},2.0", "2200-01-01T00:00:00Z,3.0"])
         assert relsha.ingest._read_canonical(text) is None
         path = write(tmp_path, text)
-        assert _assert_matches_reference(path, caplog)[1] == [
+        assert _assert_matches_reference(path, caplog) == [
             f"{path}:2: unparseable row '{stamp},2.0' dropped"
         ]
 
@@ -406,8 +404,6 @@ class TestWaterLevelGolden:
             rows = load_water_levels(path)
         assert columns.times.tobytes() == rows.times.tobytes()
         assert columns.heights.tobytes() == rows.heights.tobytes()
-        assert columns.epoch == rows.epoch
-        assert columns.epoch.tzinfo == rows.epoch.tzinfo
 
 
 def _reference_load_altimetry(path):
@@ -430,13 +426,11 @@ def _reference_load_altimetry(path):
             continue
         rows.append((cycle, stamp, value, flag))
     rows.sort(key=lambda r: r[1])
-    epoch = rows[0][1]
     return (
         np.array([r[0] for r in rows]),
-        np.array([(r[1] - epoch).total_seconds() / 3600.0 for r in rows]),
+        np.array([(r[1] - EPOCH).total_seconds() / 3600.0 for r in rows]),
         np.array([r[2] for r in rows]),
         np.array([r[3] for r in rows]),
-        epoch,
     )
 
 
@@ -480,7 +474,7 @@ class TestAltimetryGolden:
                  for row in rows if row.startswith("5,")]
         path = write(tmp_path, "cycle,timestamp,ssh_m,flag\n" + "\n".join(rows) + "\n")
         with caplog.at_level(logging.WARNING):
-            *columns, epoch = _reference_load_altimetry(path)
+            columns = _reference_load_altimetry(path)
             times, kept = _reference_median_per_cycle(path, *columns)
         expected_log = [r.getMessage() for r in caplog.records]
         caplog.clear()
@@ -488,19 +482,16 @@ class TestAltimetryGolden:
             series = load_water_levels(path)
         assert series.times.tobytes() == times.tobytes()
         assert series.heights.tobytes() == kept.tobytes()
-        assert series.epoch == epoch
-        assert series.epoch.tzinfo == epoch.tzinfo
-        assert series.epoch.utcoffset() == timedelta(hours=5, minutes=30)
         assert [r.getMessage() for r in caplog.records] == expected_log
         assert len(expected_log) == 4
         assert expected_log[-1] == f"{path}: cycle 1000 dropped: same median time as a lower cycle"
         assert len(series) == 366
 
 
-def _reference_stamp(epoch, hours):
+def _reference_stamp(hours):
     """The row-by-row stamp of the writers, kept as the oracle of the
     vectorized one: timedelta arithmetic, rounding and strftime per row."""
-    stamp = epoch + timedelta(hours=float(hours))
+    stamp = EPOCH + timedelta(hours=float(hours))
     stamp = (stamp + timedelta(microseconds=500_000)).replace(microsecond=0)
     return stamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -508,43 +499,53 @@ def _reference_stamp(epoch, hours):
 def _reference_water_levels_to_text(series):
     lines = ["timestamp,height_m"]
     for t, h in zip(series.times, series.heights):
-        lines.append(f"{_reference_stamp(series.epoch, t)},{format_number(h)}")
+        lines.append(f"{_reference_stamp(t)},{format_number(h)}")
     return "\n".join(lines) + "\n"
+
+
+def _half_microsecond_hours():
+    """Hours below one whose fraction times 3.6e9 is exactly
+    j * 1e6 + 499 999.5 microseconds, one for most seconds j."""
+    micros = np.arange(3600) * 1e6 + 499_999.5
+    hours = micros / 3.6e9
+    return hours[hours * 3.6e9 == micros]
 
 
 class TestWriterGolden:
     @pytest.mark.parametrize(
-        "times, epoch",
+        "times",
         [
-            # a 6-min leap year from the default epoch
-            (np.arange(0.0, 8784.0, 0.1), DEFAULT_EPOCH),
-            # irregular times from an IST epoch with microseconds
-            (np.cumsum(np.random.default_rng(7).uniform(1e-3, 3.0, 2000)),
-             datetime(2020, 2, 29, 23, 59, 59, 123457, tzinfo=IST)),
-            # whole hours from an epoch on a half second: every stamp rounds up
-            (np.arange(0.0, 500.0), datetime(2021, 1, 1, 0, 0, 0, 500_000, tzinfo=timezone.utc)),
+            # a 6-min leap year from EPOCH
+            np.arange(0.0, 8784.0, 0.1),
+            # irregular times from an IST stamp with microseconds
+            _hours_after_epoch(datetime(2020, 2, 29, 23, 59, 59, 123457, tzinfo=IST))
+            + np.cumsum(np.random.default_rng(7).uniform(1e-3, 3.0, 2000)),
+            # whole hours and a half second: every stamp rounds up
+            np.arange(0.0, 500.0) + 0.5 / 3600.0,
             # quarter hours from one microsecond before midnight, New Year
-            (np.arange(0.0, 100.0, 0.25), datetime(2021, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone.utc)),
-            # k / 2048 h is exactly k * 1757812.5 us, so odd k round half to
-            # even; 3 / 2048 h rounds up to 5273438 us, which from this epoch
-            # lands on a half second and so decides the stamp's second
-            (np.arange(1, 4000) / 2048.0, datetime(2021, 1, 1, 0, 0, 0, 226_562, tzinfo=timezone.utc)),
-            # negative hours from a UTC-7 epoch
-            (np.sort(np.random.default_rng(8).uniform(-5000.0, 5000.0, 2000)),
-             datetime(1999, 6, 1, 12, 0, 0, 250_000, tzinfo=timezone(timedelta(hours=-7)))),
+            _hours_after_epoch(datetime(2021, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone.utc))
+            + np.arange(0.0, 100.0, 0.25),
+            # hours whose product with 3.6e9 is j seconds and 499 999.5 us:
+            # rounded half to even that is 500 000 us, which lands on a half
+            # second and so decides the stamp's second
+            _half_microsecond_hours(),
+            # negative hours from a UTC-7 stamp
+            _hours_after_epoch(datetime(1999, 6, 1, 12, 0, 0, 250_000, tzinfo=timezone(timedelta(hours=-7))))
+            + np.sort(np.random.default_rng(8).uniform(-5000.0, 5000.0, 2000)),
         ],
         ids=["6min-year", "ist-microseconds", "half-second", "before-midnight", "half-microsecond", "negative-hours"],
     )
-    def test_water_levels_match_row_by_row_writer(self, times, epoch):
+    def test_water_levels_match_row_by_row_writer(self, times):
         heights = np.random.default_rng(9).normal(size=times.size)
-        series = relsha.WaterLevelSeries(times, heights, epoch)
+        series = relsha.WaterLevelSeries(times, heights)
         assert water_levels_to_text(series) == _reference_water_levels_to_text(series)
 
     @given(st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=30, unique=True),
            st.integers(0, 999_999))
     def test_any_hours_match_row_by_row_writer(self, hours, microsecond):
-        epoch = datetime(2021, 6, 30, 23, 59, 59, microsecond, tzinfo=IST)
-        series = relsha.WaterLevelSeries(sorted(hours), np.zeros(len(hours)), epoch)
+        start = _hours_after_epoch(datetime(2021, 6, 30, 23, 59, 59, microsecond, tzinfo=IST))
+        times = np.unique(start + np.array(hours))
+        series = relsha.WaterLevelSeries(times, np.zeros(times.size))
         assert water_levels_to_text(series) == _reference_water_levels_to_text(series)
 
 
@@ -571,20 +572,18 @@ class TestAltimetry:
         assert series.heights[1] == pytest.approx(1.0)  # even count: mid-mean
         assert series.heights[2] == pytest.approx(0.7)
         assert series.times.tolist() == [1 / 3600, 237.6 + 0.5 / 3600, 712.8]
-        assert series.epoch == datetime(2021, 1, 1, tzinfo=timezone.utc)
 
     def test_sample_count_never_grows(self, tmp_path):
         path = write(tmp_path, ALTIMETRY_TEXT)
         assert len(load_water_levels(path)) <= ALTIMETRY_TEXT.count("\n") - 1
 
-    def test_flagged_row_sets_the_epoch(self, tmp_path):
-        # a flagged row an hour before the first good one moves the epoch
-        # and shifts every time, but adds no sample
+    def test_flagged_row_adds_no_sample(self, tmp_path):
+        # a flagged row an hour before the first good one neither adds a
+        # sample nor shifts a time
         path = write(tmp_path, ALTIMETRY_TEXT + "0,2020-12-31T23:00:00Z,9.0,1\n")
         series = load_water_levels(path)
-        assert series.epoch == datetime(2020, 12, 31, 23, tzinfo=timezone.utc)
         assert series.heights.tolist() == [1.2, 1.0, 0.7]
-        assert series.times[0] == 1.0 + 1 / 3600
+        assert series.times[0] == 1 / 3600
 
     def test_all_bad_rejected_on_reduce(self, tmp_path):
         path = write(tmp_path, "cycle,timestamp,ssh_m,flag\n1,2021-01-01T00:00:00Z,1.0,2\n")
