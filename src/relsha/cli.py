@@ -1,9 +1,14 @@
 """Command-line interface: fit, experiment, synth, rrmse, and resample.
 
+A settings file @FILE after the subcommand stands for its lines, one
+argument a line, and a later option wins. argparse reads it as it parses,
+so a bad option in it is a usage error (exit status 2).
+
 Output files are written atomically (unique temp file then rename) so a
 failed run never leaves a partial file. Before reading any input, every
-command that writes a file checks that its output directory exists, and
-synth, resample and experiment check their spacings, lengths and noise.
+command that writes a file checks that its output directory exists and
+that its settings are valid: fit its solver controls, synth its --epoch,
+and synth, resample and experiment their spacings, lengths and noise.
 All numbers are printed with 9 significant digits so reruns with
 identical inputs and seeds are byte-identical.
 """
@@ -11,7 +16,6 @@ identical inputs and seeds are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -41,17 +45,6 @@ CATALOG_ENV = "RELSHA_CATALOG"
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 3
-
-# The keys a subcommand's --config file may set, each the name of an
-# option with "_" for "-"; "lambda" sets --lambda, whose dest is lam.
-CONFIG_KEYS = {
-    "fit": ("lambda", "max_iterations"),
-    "experiment": (
-        "truth", "reference", "reference_a", "reference_b", "methods", "intervals", "lengths",
-        "base_interval", "noise", "seed", "threads", "lambda",
-    ),
-}
-_CONFIG_DESTS = {"lambda": "lam"}
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -85,41 +78,17 @@ def _check_values(option: str, values: tuple[float, ...], allow_zero: bool = Fal
         raise ValueError(f"{option} must be finite and {wanted}, got {','.join(map(fmt, values))}")
 
 
-def _load_config_defaults(
-    parser: argparse.ArgumentParser, keys: tuple[str, ...], path: str
-) -> None:
-    """Make a JSON config file's values the subcommand's option defaults,
-    so that flags still win. Every value becomes a string, a JSON list
-    joined with commas, because argparse runs an option's type only on a
-    string default: a value of the wrong kind is then a usage error, and
-    an option's type parses a list and a comma string alike."""
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(config) - set(keys))
-    if unknown:
-        raise ValueError(
-            f"{path}: unknown config key(s) {', '.join(unknown)}; "
-            f"expected some of {', '.join(keys)}"
-        )
-    defaults = {}
-    for key, value in config.items():
-        dest = _CONFIG_DESTS.get(key, key)
-        # no option is an on/off flag, so no key takes true or false;
-        # null and objects have no option form at all
-        if value is None or isinstance(value, (bool, dict)):
-            raise ValueError(f"{path}: {key} = {json.dumps(value)} has the wrong type")
-        defaults[dest] = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-    parser.set_defaults(**defaults)
-
-
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    values = tuple(float(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one value")
+    return values
 
 
 def _method_list(text: str) -> tuple[str, ...]:
     methods = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not methods:
+        raise argparse.ArgumentTypeError("expected at least one method")
     unknown = [m for m in methods if m not in evaluation.KNOWN_METHODS]
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -138,6 +107,7 @@ def _gauge(path: str | Path, catalog) -> GaugeHarmonics:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     _check_output_dir(args.output)
+    fit_config = RelshaConfig(lam=args.lam, max_iterations=args.max_iterations)
     catalog = load_catalog(args.catalog)
     if args.method == "cha":
         if not args.reference_a or not args.reference_b:
@@ -167,7 +137,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             sample_count=result.sample_count,
         )
     else:
-        fit_config = RelshaConfig(lam=args.lam, max_iterations=args.max_iterations)
         result = relsha_fit(series, reference.amplitudes, catalog, fit_config)
         solution = result.solution
         d = result.diagnostics
@@ -272,13 +241,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _check_values("--interval", (args.interval,))
     _check_values("--length", (args.length,))
     _check_values("--noise", (args.noise,), allow_zero=True)
+    if args.length < args.interval:
+        raise ValueError("synth requires --length of at least one --interval")
+    start = (ingest.parse_timestamp(args.epoch) - EPOCH) / timedelta(hours=1)
     _check_output_dir(args.output)
     catalog = load_catalog(args.catalog)
     solution, _ = ingest.load_harmonics(args.solution, catalog)
-    if args.length < args.interval:
-        raise ValueError("synth requires --length of at least one --interval")
     count = int(np.floor(args.length / args.interval)) + 1
-    start = (ingest.parse_timestamp(args.epoch) - EPOCH) / timedelta(hours=1)
     series = synthesize_series(solution, start + args.interval * np.arange(count))
     if args.noise > 0:
         series = apply_noise(series, args.noise, args.seed)
@@ -297,16 +266,16 @@ def cmd_rrmse(args: argparse.Namespace) -> int:
 def cmd_resample(args: argparse.Namespace) -> int:
     _check_values("--interval", (args.interval,))
     _check_values("--length", (args.length,))
+    plan = SamplingPlan(interval=args.interval, record_length=args.length, seed=args.seed)
     _check_output_dir(args.output)
     series = ingest.load_water_levels(args.input)
-    plan = SamplingPlan(interval=args.interval, record_length=args.length, seed=args.seed)
     sampled = resample(series, plan)
     _atomic_write(args.output, ingest.water_levels_to_text(sampled))
     return EXIT_OK
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The relsha parser and its subcommand parsers by name.
+def build_parser() -> argparse.ArgumentParser:
+    """The relsha parser.
 
     Every option's default lives here, except the solver's, which come
     from RelshaConfig.
@@ -314,6 +283,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = argparse.ArgumentParser(
         prog="relsha",
         description="Tidal constituent amplitude estimation from (under)sampled water levels.",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -366,7 +336,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     for command in (fit, experiment):
         command.add_argument("--lambda", dest="lam", type=float, default=RelshaConfig.lam,
                              help="regularization weight in [0,1]")
-        command.add_argument("--config", help="JSON config file (flags override it)")
 
     synth = sub.add_parser("synth", help="synthesize a water-level file from a solution")
     synth.add_argument("--solution", required=True, help="harmonics/solution file")
@@ -395,21 +364,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     resample_cmd.add_argument("--seed", type=int, default=0)
     resample_cmd.set_defaults(func=cmd_resample)
 
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if getattr(args, "config", None):
-            _load_config_defaults(commands[args.command], CONFIG_KEYS[args.command], args.config)
-            args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:
         log.error("%s", exc)

@@ -65,8 +65,8 @@ class GridCell:
     interval: float
     length: float
     method: str
-    sample_count: int
-    regime: str
+    sample_count: int | None  # None, with regime, when the cut itself failed
+    regime: str | None
     rrmse_percent: float | None
     error: str | None = None
     converged: bool | None = None
@@ -207,8 +207,8 @@ def run_grid(
             interval=interval,
             length=length,
             method="",
-            sample_count=0,
-            regime=classify_regime(0, catalog.n),
+            sample_count=None,
+            regime=None,
             rrmse_percent=None,
         )
         try:
@@ -263,14 +263,14 @@ def interval_slice(grid: ErrorGrid, interval: float) -> dict[str, list[GridCell]
 
 
 def _cell_row(cell: GridCell) -> str:
-    rrmse_text = "" if cell.rrmse_percent is None else format_number(cell.rrmse_percent)
-    converged_text = "" if cell.converged is None else str(cell.converged).lower()
-    iterations_text = "" if cell.iterations is None else str(cell.iterations)
-    return (
-        f"{format_number(cell.interval)},{format_number(cell.length)},"
-        f"{cell.method},{cell.sample_count},{cell.regime},{rrmse_text},"
-        f"{converged_text},{iterations_text}"
+    fields = (
+        format_number(cell.interval), format_number(cell.length), cell.method,
+        cell.sample_count, cell.regime,
+        None if cell.rrmse_percent is None else format_number(cell.rrmse_percent),
+        None if cell.converged is None else str(cell.converged).lower(),
+        cell.iterations,
     )
+    return ",".join("" if field is None else str(field) for field in fields)
 
 
 def grid_to_text(grid: ErrorGrid) -> str:

@@ -1,4 +1,3 @@
-import json
 import logging
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -193,17 +192,17 @@ class TestFit:
         assert len(rows) == 3
 
     def test_config_file_supplies_defaults(self, tmp_path, tiny_gauge, tiny_catalog, tiny_truth):
-        config = tmp_path / "config.json"
-        config.write_text('{"lambda": 1.0}', encoding="utf-8")
+        config = tmp_path / "fit.args"
+        config.write_text("--lambda=1\n", encoding="utf-8")
         out = tmp_path / "solution.csv"
         assert run("fit", "--method", "relsha", "--input", tiny_gauge,
                    "--catalog", tiny_catalog, "--reference", tiny_truth,
-                   "--config", config, "--output", out) == 0
+                   f"@{config}", "--output", out) == 0
         assert "# lambda = 1" in out.read_text()
-        # flags override the config file
+        # a later flag overrides the settings file
         assert run("fit", "--method", "relsha", "--input", tiny_gauge,
                    "--catalog", tiny_catalog, "--reference", tiny_truth,
-                   "--config", config, "--lambda", 0.25, "--output", out) == 0
+                   f"@{config}", "--lambda", 0.25, "--output", out) == 0
         assert "# lambda = 0.25" in out.read_text()
 
     def test_cha_reference_with_a_nan_phase_fails(self, tmp_path, tiny_gauge, tiny_catalog, tiny_truth):
@@ -215,36 +214,27 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["lamda", "init", "normalize_terms"])
-    def test_unknown_config_key_fails_before_reading_input(self, tmp_path, caplog, key):
-        config = tmp_path / "config.json"
-        config.write_text(f'{{"{key}": 0.9}}', encoding="utf-8")
+    def test_unknown_config_key_fails_before_reading_input(self, tmp_path, caplog, capsys, key):
+        config = tmp_path / "fit.args"
+        config.write_text(f"--{key}=0.9\n", encoding="utf-8")
         out = tmp_path / "solution.csv"
-        # the input does not exist: the config check must come first
-        code = run("fit", "--method", "ha", "--input", tmp_path / "missing.csv",
-                   "--config", config, "--output", out)
-        assert code == 1
-        assert f"unknown config key(s) {key}" in caplog.text
+        # the input does not exist: the usage error must come first
+        with pytest.raises(SystemExit) as excinfo:
+            run("fit", "--method", "ha", "--input", tmp_path / "missing.csv",
+                f"@{config}", "--output", out)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: --{key}=0.9" in capsys.readouterr().err
         assert "missing.csv" not in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("entry", ['"max_iterations": false', '"lambda": true',
-                                       '"lambda": null', '"max_iterations": {"value": 5}'])
-    def test_config_value_of_the_wrong_type_fails(self, tmp_path, caplog, entry):
-        config = tmp_path / "config.json"
-        config.write_text("{" + entry + "}", encoding="utf-8")
-        code = run("fit", "--method", "ha", "--input", tmp_path / "missing.csv",
-                   "--config", config, "--output", tmp_path / "solution.csv")
-        assert code == 1
-        assert "has the wrong type" in caplog.text
-
     def test_fractional_max_iterations_in_config_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text('{"max_iterations": 2.5}', encoding="utf-8")
+        config = tmp_path / "fit.args"
+        config.write_text("--max-iterations=2.5\n", encoding="utf-8")
         out = tmp_path / "solution.csv"
         # the input does not exist: the usage error must come first
         with pytest.raises(SystemExit) as excinfo:
             run("fit", "--method", "relsha", "--input", tmp_path / "missing.csv",
-                "--config", config, "--output", out)
+                f"@{config}", "--output", out)
         assert excinfo.value.code == 2
         assert "argument --max-iterations: invalid int value: '2.5'" in capsys.readouterr().err
         assert not out.exists()
@@ -396,6 +386,26 @@ class TestResampleCommand:
         assert "missing.csv" not in caplog.text
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("fit", "--method", "relsha", "--lambda", "2"), "lam must lie in [0, 1], got 2.0"),
+    (("fit", "--method", "relsha", "--max-iterations", "0"), "max_iterations must be at least 1"),
+    (("resample", "--interval", "10", "--length", "5"), "record_length must be at least one interval"),
+    (("synth", "--interval", "10", "--length", "5"), "synth requires --length of at least one --interval"),
+    (("synth", "--interval", "1", "--length", "24", "--epoch", "garbage"), "'garbage'"),
+], ids=["fit-lambda", "fit-max-iterations", "resample-length", "synth-length", "synth-epoch"])
+def test_bad_setting_fails_before_any_file_is_read(tmp_path, caplog, argv, message):
+    missing = tmp_path / "missing.csv"
+    files = {
+        "fit": ("--catalog", missing, "--reference", missing, "--input", missing),
+        "resample": ("--input", missing),
+        "synth": ("--catalog", missing, "--solution", missing),
+    }[argv[0]]
+    assert run(*argv, *files, "--output", tmp_path / "out.csv") == 1
+    assert message in caplog.text
+    assert "missing.csv" not in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestExperiment:
     def test_tiny_grid_all_methods(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -429,41 +439,43 @@ class TestExperiment:
         assert fields[4] == "overdetermined"
         assert float(fields[5]) < 0.1
 
-    def test_config_lists_and_comma_strings_give_one_grid(self, tmp_path):
+    def test_args_file_and_flags_give_one_grid(self, tmp_path):
+        flags = ["--methods", "ha,relsha", "--intervals", "120,237.6", "--lengths", "720,2000"]
+        config = tmp_path / "grid.args"
+        # an option and its value on one line, or on two; the later --seed wins
+        config.write_text("--methods=ha,relsha\n--intervals\n120,237.6\n--lengths=720,2000\n"
+                          "--seed=3\n", encoding="utf-8")
         outputs = []
-        for form in (list, lambda values: ",".join(map(str, values))):
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({
-                "methods": form(["ha", "relsha"]),
-                "intervals": form([120.0, 237.6]),
-                "lengths": form([720, 2000]),
-            }), encoding="utf-8")
+        for argv in ([f"@{config}", "--seed", 7], [*flags, "--seed", 7]):
             out = tmp_path / f"grid_{len(outputs)}.csv"
-            assert run("experiment", "--config", config, "--seed", 7, "--output", out) == 0
-            outputs.append(out.read_text())
+            assert run("experiment", *argv, "--output", out) == 0
+            outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
-        rows = [line.split(",")[:3] for line in outputs[0].strip().split("\n")[1:]]
+        rows = [line.split(",")[:3] for line in outputs[0].decode().strip().split("\n")[1:]]
         assert {row[2] for row in rows} == {"ha", "relsha"}
         assert {(row[0], row[1]) for row in rows} == {
             (i, l) for i in ("120", "237.6") for l in ("720", "2000")
         }
 
-    @pytest.mark.parametrize("entry, message", [
-        ('"seed": 1.7', "argument --seed: invalid int value: '1.7'"),
-        ('"methods": 5', "argument --methods: unknown method(s) 5"),
+    @pytest.mark.parametrize("line, message", [
+        ("--seed=1.7", "argument --seed: invalid int value: '1.7'"),
+        ("--methods=5", "argument --methods: unknown method(s) 5"),
+        ("--intervals=", "argument --intervals: expected at least one value"),
+        ("--methods=", "argument --methods: expected at least one method"),
+        ("--lengths=,", "argument --lengths: expected at least one value"),
     ])
     def test_config_value_of_the_wrong_kind_is_usage_error(
-        self, tmp_path, monkeypatch, capsys, entry, message
+        self, tmp_path, monkeypatch, capsys, line, message
     ):
         def no_record(*args, **kwargs):
             raise AssertionError("the base record was synthesized")
 
         monkeypatch.setattr(cli, "SynthesizedSeries", no_record)
-        config = tmp_path / "config.json"
-        config.write_text("{" + entry + "}", encoding="utf-8")
+        config = tmp_path / "grid.args"
+        config.write_text(line + "\n", encoding="utf-8")
         out = tmp_path / "grid.csv"
         with pytest.raises(SystemExit) as excinfo:
-            run("experiment", "--config", config, "--intervals", "264", "--lengths", "8784",
+            run("experiment", "--intervals", "264", "--lengths", "8784", f"@{config}",
                 "--truth", tmp_path / "missing.csv", "--output", out)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
@@ -518,10 +530,10 @@ class TestExperiment:
             raise AssertionError("the base record was synthesized")
 
         monkeypatch.setattr(cli, "SynthesizedSeries", no_record)
-        config = tmp_path / "config.json"
-        config.write_text('{"threads": -3}', encoding="utf-8")
+        config = tmp_path / "grid.args"
+        config.write_text("--threads=-3\n", encoding="utf-8")
         out = tmp_path / "grid.csv"
-        code = run("experiment", "--config", config, "--intervals", "237.6", "--lengths", "2000",
+        code = run("experiment", f"@{config}", "--intervals", "237.6", "--lengths", "2000",
                    "--truth", tmp_path / "missing.csv", "--output", out)
         assert code == 1
         assert "--threads must be finite and positive, got -3" in caplog.text
@@ -533,7 +545,7 @@ class TestExperiment:
         assert run("experiment", "--intervals", "264", "--lengths", "100,2000",
                    "--methods", "ha", "--output", out) == 0
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
-        assert (rows[0][1], rows[0][5]) == ("100", "")
+        assert rows[0] == ["264", "100", "ha", "", "", "", "", ""]
         assert (rows[1][1], rows[1][5] != "") == ("2000", True)
         assert "1 of 2 cells missing" in caplog.text
 

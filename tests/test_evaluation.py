@@ -78,15 +78,23 @@ class TestRunGrid:
         threaded = run_grid(base_series, truth.amplitudes, catalog, threads=4, **kwargs)
         assert grid_to_text(first) == grid_to_text(second) == grid_to_text(threaded)
 
-    def test_failed_cells_recorded_as_missing(self, base_series, truth, catalog):
-        # record_length below one interval violates the sampling plan
+    def test_failed_cells_recorded_as_missing(self, base_series, truth, catalog, monkeypatch):
+        def no_fit(record):
+            raise ValueError("solve failed")
+
+        monkeypatch.setattr(evaluation, "ha_solve", no_fit)
+        # record_length below one interval violates the sampling plan, so
+        # that cell has no samples; the other cell is cut, and its solve fails
         grid = run_grid(
             base_series, truth.amplitudes, catalog,
-            intervals=[10.0], lengths=[5.0], methods=("ha",),
+            intervals=[10.0], lengths=[5.0, 720.0], methods=("ha",),
         )
-        cell = grid.cell(0, 0, "ha")
-        assert cell.rrmse_percent is None
-        assert cell.error
+        assert [cell.error for cell in grid.rows()] == [
+            "record_length must be at least one interval", "solve failed"
+        ]
+        assert grid_to_text(grid).splitlines()[1:] == [
+            "10,5,ha,,,,,", "10,720,ha,73,underdetermined,,,"
+        ]
 
     def test_requires_references_for_methods(self, base_series, truth, catalog):
         with pytest.raises(ValueError, match="reference amplitudes"):
