@@ -3,7 +3,9 @@
 Per-constituent amplitudes are blended linearly, A_k(w) = (1-w) A_k^A +
 w A_k^B, and phases move along the shortest angular arc from gauge A to
 gauge B. A single global weight w in [0, 1] is fitted to the detrended
-observations by a dense grid scan with local parabolic refinement.
+observations by a dense grid scan with local parabolic refinement. A
+candidate state x scores its misfit ||H x - h||^2 as ||a x - b||^2 + rest
+on the prepared record (design.prepare), as ReLSHA's data term does.
 """
 
 from __future__ import annotations
@@ -102,14 +104,10 @@ def cha_solve(record: PreparedRecord, pair: GaugePair) -> ChaResult:
     """cha_fit on a prepared record, against a pair built on its catalog."""
     if record.catalog.names != pair.catalog.names:
         raise ValueError("record and gauge pair are on different catalogs")
-    # Gram form keeps the w scan cheap: ||Hx - h||^2 = x'Gx - 2b'x + c.
-    gram = record.gram
-    b = record.a.T @ record.b
-    c = float(record.b @ record.b) + record.rest
 
     def objective(x: np.ndarray) -> np.ndarray:
-        quad = np.einsum("ij,ij->j", x, gram @ x)
-        return quad - 2.0 * (b @ x) + c
+        residual = record.a @ x - record.b[:, None]
+        return np.einsum("ij,ij->j", residual, residual) + record.rest
 
     grid = pair.weights
     values = objective(pair.states)

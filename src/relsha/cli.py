@@ -1,14 +1,15 @@
 """Command-line interface: fit, experiment, synth, rrmse, and resample.
 
 A settings file @FILE after the subcommand stands for its lines, one
-argument a line, and a later option wins. argparse reads it as it parses,
-so a bad option in it is a usage error (exit status 2).
+argument a line, blank lines skipped, and a later option wins. argparse
+reads it as it parses, so a bad option in it is a usage error (exit
+status 2).
 
 Output files are written atomically (unique temp file then rename) so a
 failed run never leaves a partial file. Before reading any input, every
 command that writes a file checks that its output directory exists and
-that its settings are valid: fit its solver controls, synth its --epoch,
-and synth, resample and experiment their spacings, lengths and noise.
+that its settings are valid: fit its solver controls, and synth,
+resample and experiment their spacings, lengths and noise.
 All numbers are printed with 9 significant digits so reruns with
 identical inputs and seeds are byte-identical.
 """
@@ -39,8 +40,6 @@ from .regularized import RelshaConfig, relsha_fit
 from .series import EPOCH, SamplingPlan, SynthesizedSeries, apply_noise, resample, synthesize_series
 
 log = logging.getLogger("relsha")
-
-CATALOG_ENV = "RELSHA_CATALOG"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -167,7 +166,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _check_values("--intervals", args.intervals)
     _check_values("--lengths", args.lengths)
     _check_values("--noise", (args.noise,), allow_zero=True)
-    _check_values("--base-interval", (args.base_interval,))
     _check_values("--threads", (args.threads,))
     _check_output_dir(args.output)
     relsha_config = RelshaConfig(lam=args.lam)
@@ -185,7 +183,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     # start offset has room to vary. Only the samples the cells keep are
     # synthesized, with the bits of the whole record's.
     span = 1.05 * max(args.lengths)
-    times = np.arange(0.0, span + args.base_interval / 2, args.base_interval)
+    times = np.arange(0.0, span + evaluation.BASE_INTERVAL / 2, evaluation.BASE_INTERVAL)
     noise_seed = evaluation.cell_seed(args.seed, 999_983, 0)
     base = SynthesizedSeries(truth, times, args.noise, noise_seed)
 
@@ -243,7 +241,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _check_values("--noise", (args.noise,), allow_zero=True)
     if args.length < args.interval:
         raise ValueError("synth requires --length of at least one --interval")
-    start = (ingest.parse_timestamp(args.epoch) - EPOCH) / timedelta(hours=1)
+    start = (args.epoch - EPOCH) / timedelta(hours=1)
     _check_output_dir(args.output)
     catalog = load_catalog(args.catalog)
     solution, _ = ingest.load_harmonics(args.solution, catalog)
@@ -285,12 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tidal constituent amplitude estimation from (under)sampled water levels.",
         fromfile_prefix_chars="@",
     )
+    parser.convert_arg_line_to_args = lambda line: [line] if line.strip() else []
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-    catalog = {
-        "default": os.environ.get(CATALOG_ENV) or default_catalog_path(),
-        "help": f"constituent catalog (default ${CATALOG_ENV}, else bundled)",
-    }
+    catalog = {"default": default_catalog_path(), "help": "constituent catalog (default: bundled)"}
     data = default_catalog_path().parent
 
     fit = sub.add_parser("fit", help="fit a method to a water-level file")
@@ -323,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma list of sampling intervals in hours")
     experiment.add_argument("--lengths", type=_float_list, default=evaluation.default_lengths(),
                             help="comma list of record lengths in hours")
-    experiment.add_argument("--base-interval", type=float, default=0.1,
-                            help="base series spacing in hours")
     experiment.add_argument("--noise", type=float, default=0.0,
                             help="Gaussian noise sigma for the base series")
     experiment.add_argument("--seed", type=int, default=0)
@@ -344,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--length", type=float, required=True, help="record length in hours")
     synth.add_argument("--noise", type=float, default=0.0)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--epoch", default="2021-01-01T00:00:00Z",
+    synth.add_argument("--epoch", type=ingest.parse_timestamp, default="2021-01-01T00:00:00Z",
                        help="first stamp; the tide is synthesized at its hours since "
                             "2021-01-01T00:00:00Z, the time origin of every phase")
     synth.add_argument("--catalog", **catalog)

@@ -291,8 +291,8 @@ class PreparedRecord:
     least_squares is the minimum-norm x of min ||a x - b|| and the rank
     of a, by SVD with singular values below RANK_RCOND times the largest
     cut; a has the singular values of H, so the rank and x are H's own.
-    gram is a^T a, equal to H^T H up to rounding. Every array is
-    read-only.
+    CHA and ReLSHA evaluate the misfit in that form, ||a x - b||^2 + rest.
+    Every array is read-only.
     """
 
     catalog: ConstituentCatalog
@@ -304,7 +304,6 @@ class PreparedRecord:
     b: np.ndarray
     rest: float
     least_squares: tuple[np.ndarray, int]
-    gram: np.ndarray
 
     def solution(self, amplitudes, phases) -> HarmonicSolution:
         """A fitted solution carrying this record's mean and trend."""
@@ -323,8 +322,7 @@ def prepare(series: WaterLevelSeries, catalog: ConstituentCatalog) -> PreparedRe
     residual, mean, trend = detrend(series)
     a, b, rest = compress_design(residual.times, residual.heights, catalog)
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
-    gram = a.T @ a
-    for array in (a, b, x, gram):
+    for array in (a, b, x):
         array.setflags(write=False)
     return PreparedRecord(
         catalog=catalog,
@@ -336,7 +334,6 @@ def prepare(series: WaterLevelSeries, catalog: ConstituentCatalog) -> PreparedRe
         b=b,
         rest=rest,
         least_squares=(x, int(rank)),
-        gram=gram,
     )
 
 

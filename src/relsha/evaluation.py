@@ -39,6 +39,8 @@ KNOWN_METHODS = (METHOD_HA, METHOD_CHA, METHOD_RELSHA)
 # The grid marks singled out for slice exports: the densest gauge cadence
 # and the revisit intervals of the two altimetry missions of interest.
 MARK_INTERVALS = ((0.1, "6min"), (237.6, "9.9day"), (264.0, "11day"))
+# Spacing in hours of the base record relsha experiment cuts: the 6-min mark.
+BASE_INTERVAL = 0.1
 
 # converged and iterations are ReLSHA's solver state, empty for HA and CHA.
 GRID_COLUMNS = "interval_hours,length_hours,method,sample_count,regime,rrmse_percent,converged,iterations"

@@ -30,7 +30,7 @@ import logging
 import math
 from collections.abc import Iterator, Sequence
 from datetime import datetime, timedelta, timezone
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,8 @@ log = logging.getLogger(__name__)
 FLAG_GOOD = 0
 
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_EPOCH_MICROS = (EPOCH - _UNIX_EPOCH) // timedelta(microseconds=1)
+_MICROSECOND = timedelta(microseconds=1)
+_EPOCH_MICROS = (EPOCH - _UNIX_EPOCH) // _MICROSECOND
 _STAMP_BLOCK = 8192
 
 
@@ -116,12 +117,7 @@ def _hours_since_epoch(micros: np.ndarray) -> np.ndarray:
 def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray]:
     """Stable time order of aware stamps, and their hours since EPOCH in
     that order."""
-    deltas = [stamp - _UNIX_EPOCH for stamp in stamps]
-
-    def field(name: str) -> np.ndarray:
-        return np.fromiter(map(attrgetter(name), deltas), dtype=np.int64, count=len(deltas))
-
-    micros = (field("days") * 86_400 + field("seconds")) * 1_000_000 + field("microseconds")
+    micros = np.fromiter(((s - _UNIX_EPOCH) // _MICROSECOND for s in stamps), np.int64, len(stamps))
     order = np.argsort(micros, kind="stable")
     return order, _hours_since_epoch(micros[order])
 
@@ -129,8 +125,8 @@ def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray]:
 # A row as water_levels_to_text writes it, up to the height: "0" marks a
 # digit, every other byte must match exactly.
 _ROW_START = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
-_DIGIT = _ROW_START == ord("0")
-_ROW_LIMIT = np.where(_DIGIT, 9, 0).astype(np.uint8)
+_ROW_LIMIT = np.where(_ROW_START == ord("0"), 9, 0).astype(np.uint8)
+_YEAR_ONE = np.datetime64("0001-01-01", "s")
 _START_FIELD = itemgetter(slice(None, _ROW_START.size))
 _HEIGHT_FIELD = itemgetter(slice(_ROW_START.size, None))
 
@@ -140,8 +136,8 @@ def _read_canonical(text: str) -> WaterLevelSeries | None:
     writes, decoded column-wise; None for any other file.
 
     The header must be ``timestamp,height_m`` and every row
-    ``YYYY-MM-DDTHH:MM:SSZ,<height>``, LF-ended, with a valid calendar
-    stamp (year 1 on, the month's length from datetime64 arithmetic, hour
+    ``YYYY-MM-DDTHH:MM:SSZ,<height>``, LF-ended, with a stamp from year 1
+    on that numpy's ISO-8601 parser reads (so a valid calendar date, hour
     below 24, second below 60), a height float() reads as finite, and a
     time strictly after the row before. Such a file has no row the
     row-by-row reader drops, sorts or warns about, so both give the same
@@ -154,27 +150,19 @@ def _read_canonical(text: str) -> WaterLevelSeries | None:
     starts = "".join(map(_START_FIELD, rows))
     if not starts.isascii() or len(starts) != len(rows) * _ROW_START.size:
         return None
-    offsets = np.frombuffer(starts.encode("ascii"), dtype=np.uint8).reshape(len(rows), -1)
+    raw = starts.encode("ascii")
+    offsets = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), -1)
     offsets = offsets - _ROW_START  # uint8: a byte below its template wraps above 9
     if not (offsets <= _ROW_LIMIT).all():
         return None
-    digits = offsets[:, _DIGIT]
-    pairs = (digits[:, 0::2] * 10 + digits[:, 1::2]).astype(np.int64)
-    century, year_of_century, month, day, hour, minute, second = pairs.T
-    year = century * 100 + year_of_century
-    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    first_day = months.astype("datetime64[D]")
-    month_days = ((months + 1).astype("datetime64[D]") - first_day).astype(np.int64)
-    valid = (
-        (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-        & (hour < 24) & (minute < 60) & (second < 60)
-    )
-    if not valid.all():
+    try:
+        stamps = np.frombuffer(raw, "S21").astype("S19").astype("datetime64[s]")
+    except ValueError:  # not a calendar date and time
         return None
-    days = first_day.astype(np.int64) + (day - 1)
-    micros = (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
-    if not (micros[1:] > micros[:-1]).all():
+    # numpy reads year 0, which datetime, and so the row-by-row reader, does not
+    if not (stamps[1:] > stamps[:-1]).all() or stamps[0] < _YEAR_ONE:
         return None
+    micros = stamps.astype(np.int64) * 1_000_000
     try:
         heights = np.fromiter(map(float, map(_HEIGHT_FIELD, rows)), dtype=float, count=len(rows))
     except ValueError:

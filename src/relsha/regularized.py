@@ -252,8 +252,7 @@ def relsha_solve(
     ref_squares = reference**2
     a, b, rest = record.a, record.b, record.rest
     w_data, w_reg = 1.0 - config.lam, config.lam
-
-    gram = record.gram
+    gram = a.T @ a
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
         return _value_and_gradient(x, a, b, ref_squares, w_data, w_reg, rest)

@@ -125,9 +125,6 @@ class HarmonicSolution:
         object.__setattr__(self, "trend", float(self.trend))
         object.__setattr__(self, "time_reference", float(self.time_reference))
 
-    def amplitude_of(self, name: str) -> float:
-        return float(self.amplitudes[self.catalog.index_of(name)])
-
 
 @dataclass(frozen=True)
 class SamplingPlan:

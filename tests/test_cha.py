@@ -83,6 +83,15 @@ class TestProperties:
             misfit = h_matrix @ pack_state(endpoint.solution) - residual.heights
             assert result.objective <= misfit @ misfit + 1e-9
 
+    def test_objective_is_the_misfit_at_the_fitted_weight(self, gauges, catalog):
+        ref_a, ref_b = gauges
+        series = synthesize_series(interpolant(ref_a, ref_b, 0.3, catalog), DENSE_T)
+        result = cha_fit(series, ref_a, ref_b, catalog)
+        residual, _, _ = detrend(series)
+        state = GaugePair(ref_a, ref_b, catalog).states_for(result.weight)[:, 0]
+        misfit = build_design_matrix(residual.times, catalog) @ state - residual.heights
+        assert result.objective == pytest.approx(misfit @ misfit, rel=1e-11, abs=0)
+
     def test_swap_reverses_weight(self, gauges, catalog):
         ref_a, ref_b = gauges
         series = synthesize_series(interpolant(ref_a, ref_b, 0.3, catalog), DENSE_T)

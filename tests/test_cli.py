@@ -183,14 +183,6 @@ class TestFit:
         assert code == 3
         assert "# converged = false" in out.read_text()
 
-    def test_env_var_selects_catalog(self, tmp_path, tiny_gauge, tiny_catalog, monkeypatch):
-        monkeypatch.setenv("RELSHA_CATALOG", str(tiny_catalog))
-        out = tmp_path / "solution.csv"
-        assert run("fit", "--method", "ha", "--input", tiny_gauge, "--output", out) == 0
-        rows = [l for l in out.read_text().splitlines()
-                if l and not l.startswith("#") and not l.startswith("constituent_name")]
-        assert len(rows) == 3
-
     def test_config_file_supplies_defaults(self, tmp_path, tiny_gauge, tiny_catalog, tiny_truth):
         config = tmp_path / "fit.args"
         config.write_text("--lambda=1\n", encoding="utf-8")
@@ -312,6 +304,15 @@ class TestSynth:
         expected = [format_number(h) for h in series.synthesize(solution, written.times)]
         assert [format_number(h) for h in written.heights] == expected
 
+    def test_bad_epoch_is_usage_error_before_any_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run("synth", "--catalog", missing, "--solution", missing, "--interval", 1,
+                "--length", 24, "--epoch", "garbage", "--output", tmp_path / "out.csv")
+        assert excinfo.value.code == 2
+        assert "argument --epoch: invalid parse_timestamp value: 'garbage'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_noise_fails_before_reading_input(self, tmp_path, caplog):
         out = tmp_path / "noisy.csv"
         code = run("synth", "--solution", tmp_path / "missing.csv", "--interval", 1.0,
@@ -391,8 +392,7 @@ class TestResampleCommand:
     (("fit", "--method", "relsha", "--max-iterations", "0"), "max_iterations must be at least 1"),
     (("resample", "--interval", "10", "--length", "5"), "record_length must be at least one interval"),
     (("synth", "--interval", "10", "--length", "5"), "synth requires --length of at least one --interval"),
-    (("synth", "--interval", "1", "--length", "24", "--epoch", "garbage"), "'garbage'"),
-], ids=["fit-lambda", "fit-max-iterations", "resample-length", "synth-length", "synth-epoch"])
+], ids=["fit-lambda", "fit-max-iterations", "resample-length", "synth-length"])
 def test_bad_setting_fails_before_any_file_is_read(tmp_path, caplog, argv, message):
     missing = tmp_path / "missing.csv"
     files = {
@@ -457,6 +457,16 @@ class TestExperiment:
             (i, l) for i in ("120", "237.6") for l in ("720", "2000")
         }
 
+    def test_blank_lines_in_an_args_file_are_skipped(self, tmp_path):
+        config = tmp_path / "grid.args"
+        config.write_text("--intervals=264\n\n--lengths=720\n  \n", encoding="utf-8")
+        outputs = []
+        for argv in ([f"@{config}"], ["--intervals", "264", "--lengths", "720"]):
+            out = tmp_path / f"grid_{len(outputs)}.csv"
+            assert run("experiment", *argv, "--output", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("line, message", [
         ("--seed=1.7", "argument --seed: invalid int value: '1.7'"),
         ("--methods=5", "argument --methods: unknown method(s) 5"),
@@ -505,7 +515,6 @@ class TestExperiment:
     @pytest.mark.parametrize("option, value", [
         ("--intervals", "237.6,-5"), ("--intervals", "nan"),
         ("--lengths", "0"), ("--lengths", "2000,inf"), ("--noise", "-1"),
-        ("--base-interval", "0"), ("--base-interval", "-1"),
         ("--threads", "0"), ("--threads", "-3"),
     ])
     def test_bad_lattice_or_noise_fails_before_the_base_record(

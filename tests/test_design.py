@@ -187,18 +187,17 @@ class TestPreparedRecord:
         with pytest.raises(ValueError, match="at least 2"):
             prepare(WaterLevelSeries([0.0], [1.0]), catalog)
 
-    def test_least_squares_and_gram_computed_once_per_record(self, hourly_year, catalog, monkeypatch):
+    def test_least_squares_computed_once_per_record(self, hourly_year, catalog, monkeypatch):
         calls, lstsq = [], np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: calls.append(1) or lstsq(*args, **kwargs))
         record = prepare(hourly_year, catalog)
         assert len(calls) == 1
-        (x, rank), gram = record.least_squares, record.gram
+        x, rank = record.least_squares
         assert rank == 2 * catalog.n
         assert np.array_equal(x, lstsq(record.a, record.b, rcond=RANK_RCOND)[0])
-        assert np.array_equal(gram, record.a.T @ record.a)
-        assert not any(array.flags.writeable for array in (record.a, record.b, x, gram))
+        assert not any(array.flags.writeable for array in (record.a, record.b, x))
         with pytest.raises(AttributeError):
-            record.gram = gram
+            record.least_squares = (x, rank)
         assert len(calls) == 1
 
 

@@ -620,7 +620,7 @@ class TestHarmonics:
         path = write(tmp_path, "constituent_name,amplitude_m,phase_deg\nM2,0.64,249.1\n")
         with caplog.at_level(logging.WARNING):
             solution, _ = load_harmonics(path, catalog)
-        assert solution.amplitude_of("M2") == 0.64
+        assert solution.amplitudes[catalog.index_of("M2")] == 0.64
         assert solution.amplitudes.sum() == pytest.approx(0.64)
         assert sum("missing" in r.message for r in caplog.records) == catalog.n - 1
 
