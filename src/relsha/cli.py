@@ -241,12 +241,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _check_values("--noise", (args.noise,), allow_zero=True)
     if args.length < args.interval:
         raise ValueError("synth requires --length of at least one --interval")
+    # stamps are whole seconds; a shorter spacing would write one twice
+    if args.interval < 1 / 3600:
+        raise ValueError("synth requires --interval of at least one second, 1/3600 h")
     start = (args.epoch - EPOCH) / timedelta(hours=1)
     _check_output_dir(args.output)
     catalog = load_catalog(args.catalog)
     solution, _ = ingest.load_harmonics(args.solution, catalog)
     count = int(np.floor(args.length / args.interval)) + 1
-    series = synthesize_series(solution, start + args.interval * np.arange(count))
+    # the tide at the whole-second instants the written stamps name
+    times = ingest.stamped_hours(start + args.interval * np.arange(count))
+    series = synthesize_series(solution, times)
     if args.noise > 0:
         series = apply_noise(series, args.noise, args.seed)
     _atomic_write(args.output, ingest.water_levels_to_text(series))

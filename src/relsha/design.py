@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dpotrf, dtrcon, dtrtrs
 
+from ._lapack import dgeqrf, dgeqrf_lwork, dpotrf, dsyrk, dtrcon, dtrtrs
 from .constituents import TWO_PI, ConstituentCatalog
 from .series import HarmonicSolution, WaterLevelSeries, detrend
 

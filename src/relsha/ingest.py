@@ -63,26 +63,39 @@ def parse_timestamp(text: str) -> datetime:
     return stamp
 
 
-def _utc_stamps(hours: np.ndarray) -> Iterator[str]:
-    """ISO-8601 UTC stamps, to the nearest second, of hours after EPOCH,
-    without the 'Z' suffix.
+def _stamp_seconds(hours: np.ndarray) -> np.ndarray:
+    """Seconds since the Unix epoch that the stamp of each of ``hours``
+    after EPOCH names: (EPOCH + timedelta(hours=h)) rounded to the second.
 
     Each offset gets the microseconds CPython gives timedelta(hours=h):
     the whole hours exactly, the fraction's whole microseconds by modf,
     and the leftover part of a microsecond rounded half to even on the
     total. Adding EPOCH's microseconds since the Unix epoch and half a
-    second, then flooring to seconds, gives the stamps of
-    (EPOCH + timedelta(hours=h)) rounded to the second. Blocks of
-    _STAMP_BLOCK rows keep the temporary arrays small.
+    second, then flooring to seconds, rounds to the second.
+    """
+    fraction, whole = np.modf(hours)
+    leftover, micros = np.modf(fraction * 3.6e9)
+    micros = whole.astype(np.int64) * 3_600_000_000 + micros.astype(np.int64)
+    rounded = np.rint(leftover).astype(np.int64)
+    halfway = np.abs(leftover) == 0.5
+    rounded[halfway] = (micros[halfway] & 1) * np.sign(leftover[halfway]).astype(np.int64)
+    return (micros + rounded + (_EPOCH_MICROS + 500_000)) // 1_000_000
+
+
+def stamped_hours(hours: np.ndarray) -> np.ndarray:
+    """Hours since EPOCH of the whole-second instants that
+    ``water_levels_to_text`` stamps for ``hours``, as the loaders read
+    those stamps back."""
+    return _hours_since_epoch(_stamp_seconds(hours) * 1_000_000)
+
+
+def _utc_stamps(hours: np.ndarray) -> Iterator[str]:
+    """ISO-8601 UTC stamps, to the nearest second, of hours after EPOCH,
+    without the 'Z' suffix. Blocks of _STAMP_BLOCK rows keep the
+    temporary arrays small.
     """
     for i in range(0, len(hours), _STAMP_BLOCK):
-        fraction, whole = np.modf(hours[i : i + _STAMP_BLOCK])
-        leftover, micros = np.modf(fraction * 3.6e9)
-        micros = whole.astype(np.int64) * 3_600_000_000 + micros.astype(np.int64)
-        rounded = np.rint(leftover).astype(np.int64)
-        halfway = np.abs(leftover) == 0.5
-        rounded[halfway] = (micros[halfway] & 1) * np.sign(leftover[halfway]).astype(np.int64)
-        seconds = (micros + rounded + (_EPOCH_MICROS + 500_000)) // 1_000_000
+        seconds = _stamp_seconds(hours[i : i + _STAMP_BLOCK])
         yield from np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s").tolist()
 
 

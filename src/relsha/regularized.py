@@ -48,8 +48,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
+from ._lapack import dpotrf, dpotrs, dtrtrs
 from .constituents import ConstituentCatalog
 from .design import PreparedRecord, _pair_squares, classify_regime, prepare, unpack_state
 from .series import HarmonicSolution, WaterLevelSeries

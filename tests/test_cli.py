@@ -304,6 +304,16 @@ class TestSynth:
         expected = [format_number(h) for h in series.synthesize(solution, written.times)]
         assert [format_number(h) for h in written.heights] == expected
 
+    def test_heights_are_the_tide_at_the_whole_second_stamps(self, tmp_path, tiny_catalog, tiny_truth):
+        texts = []
+        for epoch in ("2024-01-01T00:00:00.5Z", "2024-01-01T00:00:01Z"):
+            out = tmp_path / "synth.csv"
+            assert run("synth", "--solution", tiny_truth, "--catalog", tiny_catalog,
+                       "--interval", 1, "--length", 3, "--epoch", epoch, "--output", out) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert texts[0].split(b"\n")[1].startswith(b"2024-01-01T00:00:01Z,")
+
     def test_bad_epoch_is_usage_error_before_any_file_is_read(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         with pytest.raises(SystemExit) as excinfo:
@@ -392,7 +402,8 @@ class TestResampleCommand:
     (("fit", "--method", "relsha", "--max-iterations", "0"), "max_iterations must be at least 1"),
     (("resample", "--interval", "10", "--length", "5"), "record_length must be at least one interval"),
     (("synth", "--interval", "10", "--length", "5"), "synth requires --length of at least one --interval"),
-], ids=["fit-lambda", "fit-max-iterations", "resample-length", "synth-length"])
+    (("synth", "--interval", "0.0001", "--length", "5"), "synth requires --interval of at least one second"),
+], ids=["fit-lambda", "fit-max-iterations", "resample-length", "synth-length", "synth-interval"])
 def test_bad_setting_fails_before_any_file_is_read(tmp_path, caplog, argv, message):
     missing = tmp_path / "missing.csv"
     files = {
