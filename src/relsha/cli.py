@@ -273,6 +273,10 @@ def cmd_resample(args: argparse.Namespace) -> int:
     _check_output_dir(args.output)
     series = ingest.load_water_levels(args.input)
     sampled = resample(series, plan)
+    stamp = ingest.repeated_stamp(sampled.times)
+    if stamp is not None:
+        raise ValueError(f"resample: two samples would share the stamp {stamp}, "
+                         "since stamps are whole seconds")
     _atomic_write(args.output, ingest.water_levels_to_text(sampled))
     return EXIT_OK
 

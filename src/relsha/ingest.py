@@ -12,25 +12,26 @@ the header: tide-gauge records (``timestamp,height_m``) and altimetry
 pass files (``cycle,timestamp,ssh_m,flag``), which it reduces to one
 sample per repeat cycle.
 
-A file is read with one ``read_text``. A gauge file in exactly the
-layout water_levels_to_text writes (what ``relsha synth`` and ``relsha
-resample`` produce: the ``timestamp,height_m`` header, then LF-ended
-``YYYY-MM-DDTHH:MM:SSZ,<height>`` rows with finite heights and strictly
-increasing times) is read column-wise: every stamp is decoded in one
-numpy pass and every height by float() in one np.fromiter pass. Any
-other file is read row by row: each row is parsed once into an aware
-datetime and a float, and sorting, duplicate detection and the
-conversion to hours run on one int64 array of microseconds. Both paths
-give the same series, bit for bit, on a file the first one accepts.
+A gauge file in exactly the layout water_levels_to_text writes (what
+``relsha synth`` and ``relsha resample`` produce: the
+``timestamp,height_m`` header, then ``YYYY-MM-DDTHH:MM:SSZ,<height>``
+rows ended by LF or CRLF, printable ASCII only, with no blank line,
+finite heights and strictly increasing times) is tokenized once by
+numpy's C loadtxt: its stamps are decoded by numpy's calendar and its
+heights by the same string-to-double routine float() uses. Any other
+file is read row by row: each row is parsed once into an aware datetime
+and a float, and sorting, duplicate detection and the conversion to
+hours run on one int64 array of microseconds. Both paths give the same
+series, bit for bit, on a file the first one accepts.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from datetime import datetime, timedelta, timezone
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -89,16 +90,6 @@ def stamped_hours(hours: np.ndarray) -> np.ndarray:
     return _hours_since_epoch(_stamp_seconds(hours) * 1_000_000)
 
 
-def _utc_stamps(hours: np.ndarray) -> Iterator[str]:
-    """ISO-8601 UTC stamps, to the nearest second, of hours after EPOCH,
-    without the 'Z' suffix. Blocks of _STAMP_BLOCK rows keep the
-    temporary arrays small.
-    """
-    for i in range(0, len(hours), _STAMP_BLOCK):
-        seconds = _stamp_seconds(hours[i : i + _STAMP_BLOCK])
-        yield from np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s").tolist()
-
-
 def format_number(value: float) -> str:
     return format(float(value), ".9g")
 
@@ -135,54 +126,63 @@ def _time_order(stamps: Sequence[datetime]) -> tuple[np.ndarray, np.ndarray]:
     return order, _hours_since_epoch(micros[order])
 
 
-# A row as water_levels_to_text writes it, up to the height: "0" marks a
-# digit, every other byte must match exactly.
-_ROW_START = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
-_ROW_LIMIT = np.where(_ROW_START == ord("0"), 9, 0).astype(np.uint8)
+# A stamp as water_levels_to_text writes it, in a field one byte wider:
+# "0" marks a digit, every other byte must match exactly, and the last
+# byte must stay NUL, since the field truncates what overflows it.
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
+_STAMP_LIMIT = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint8)
+_CANONICAL_ROW = np.dtype([("stamp", f"S{_STAMP.size}"), ("height", "f8")])
 _YEAR_ONE = np.datetime64("0001-01-01", "s")
-_START_FIELD = itemgetter(slice(None, _ROW_START.size))
-_HEIGHT_FIELD = itemgetter(slice(_ROW_START.size, None))
 
 
-def _read_canonical(text: str) -> WaterLevelSeries | None:
-    """The series of a gauge file in exactly the layout water_levels_to_text
-    writes, decoded column-wise; None for any other file.
+def _read_canonical(data: bytes) -> WaterLevelSeries | None:
+    """The series of a gauge file's bytes in exactly the layout
+    water_levels_to_text writes, tokenized by numpy's C loadtxt; None for
+    any other file.
 
     The header must be ``timestamp,height_m`` and every row
-    ``YYYY-MM-DDTHH:MM:SSZ,<height>``, LF-ended, with a stamp from year 1
-    on that numpy's ISO-8601 parser reads (so a valid calendar date, hour
-    below 24, second below 60), a height float() reads as finite, and a
-    time strictly after the row before. Such a file has no row the
-    row-by-row reader drops, sorts or warns about, so both give the same
-    series.
+    ``YYYY-MM-DDTHH:MM:SSZ,<height>``, ended by LF or CRLF, with a stamp
+    from year 1 on that numpy's calendar reads (so a valid date, hour
+    below 24, second below 60), a finite height, and a time strictly
+    after the row before. Such a file has no row the row-by-row reader
+    drops, sorts or warns about, so both give the same series.
+
+    loadtxt is laxer than float() in places, so the file must also be
+    printable ASCII apart from its line ends (loadtxt strips control
+    bytes such as 0x1C around a number, where float() rejects them) and
+    have no blank line (loadtxt skips it). A height float() reads but
+    loadtxt does not, such as ``1_000.5``, declines the file.
     """
-    lines = text.split("\n")
-    rows = lines[1:-1]
-    if lines[0] != "timestamp,height_m" or lines[-1] or not rows:
+    if b"\r" in data:  # CRLF counts as LF; any other CR declines below
+        data = data.replace(b"\r\n", b"\n")
+    if not data.startswith(b"timestamp,height_m\n") or not data.isascii() or b"\x7f" in data:
         return None
-    starts = "".join(map(_START_FIELD, rows))
-    if not starts.isascii() or len(starts) != len(rows) * _ROW_START.size:
-        return None
-    raw = starts.encode("ascii")
-    offsets = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), -1)
-    offsets = offsets - _ROW_START  # uint8: a byte below its template wraps above 9
-    if not (offsets <= _ROW_LIMIT).all():
+    codes = np.frombuffer(data, dtype=np.uint8)
+    # every control byte must be an LF, one of them the last byte, with a
+    # row after the header and no two LFs adjacent (a blank line)
+    ends = np.flatnonzero(codes < 0x20)
+    if (ends.size < 2 or ends[-1] != codes.size - 1 or (codes[ends] != 0x0A).any()
+            or (np.diff(ends) == 1).any()):
         return None
     try:
-        stamps = np.frombuffer(raw, "S21").astype("S19").astype("datetime64[s]")
+        rows = np.loadtxt(io.BytesIO(data), dtype=_CANONICAL_ROW, comments=None,
+                          delimiter=",", skiprows=1, ndmin=1)
+    except ValueError:  # a field loadtxt cannot convert, or a column too many or few
+        return None
+    fields = rows["stamp"].view(np.dtype((np.uint8, _STAMP.size)))
+    if not (fields - _STAMP <= _STAMP_LIMIT).all():  # uint8: a byte below its template wraps above 9
+        return None
+    try:
+        stamps = rows["stamp"].astype("S19").astype("datetime64[s]")
     except ValueError:  # not a calendar date and time
         return None
     # numpy reads year 0, which datetime, and so the row-by-row reader, does not
     if not (stamps[1:] > stamps[:-1]).all() or stamps[0] < _YEAR_ONE:
         return None
-    micros = stamps.astype(np.int64) * 1_000_000
-    try:
-        heights = np.fromiter(map(float, map(_HEIGHT_FIELD, rows)), dtype=float, count=len(rows))
-    except ValueError:
-        return None
+    heights = rows["height"]
     if not np.isfinite(heights).all():
         return None
-    return WaterLevelSeries(_hours_since_epoch(micros), heights)
+    return WaterLevelSeries(_hours_since_epoch(stamps.astype(np.int64) * 1_000_000), heights)
 
 
 def load_water_levels(path: str | Path) -> WaterLevelSeries:
@@ -200,11 +200,11 @@ def load_water_levels(path: str | Path) -> WaterLevelSeries:
     with the same median time the lower-numbered is kept.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    series = _read_canonical(text)
+    series = _read_canonical(path.read_bytes())
     if series is not None:
         return series
-    lines = _data_lines(text)
+    # read again as text, so that the bytes are not held beside it
+    lines = _data_lines(path.read_text(encoding="utf-8"))
     header = lines[0][1].lower() if lines else ""
     if "cycle" in header.partition(",")[0]:
         return _load_pass(path, lines[1:])
@@ -277,10 +277,29 @@ def _load_pass(path: Path, lines: list[tuple[int, str]]) -> WaterLevelSeries:
 
 
 def water_levels_to_text(series: WaterLevelSeries) -> str:
-    stamps = _utc_stamps(series.times)
-    lines = ["timestamp,height_m"]
-    lines.extend(f"{stamp}Z,{format_number(h)}" for stamp, h in zip(stamps, series.heights))
-    return "\n".join(lines) + "\n"
+    """The ``timestamp,height_m`` file of a series: one row a sample,
+    stamped in UTC to the nearest second, height by format_number.
+
+    Rows are formatted and joined _STAMP_BLOCK at a time, so no string
+    of a single row outlives its block. Samples under a second apart can
+    share a stamp; repeated_stamp finds one.
+    """
+    blocks = ["timestamp,height_m\n"]
+    for i in range(0, len(series), _STAMP_BLOCK):
+        seconds = _stamp_seconds(series.times[i : i + _STAMP_BLOCK])
+        stamps = np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s").tolist()
+        heights = map(format_number, series.heights[i : i + _STAMP_BLOCK].tolist())
+        blocks.append("".join([f"{stamp}Z,{height}\n" for stamp, height in zip(stamps, heights)]))
+    return "".join(blocks)
+
+
+def repeated_stamp(times: np.ndarray) -> str | None:
+    """The first stamp that water_levels_to_text would write on two rows
+    for strictly increasing ``times``, or None. The loaders would keep
+    only the first of those rows."""
+    seconds = _stamp_seconds(times)
+    shared = seconds[1:][seconds[1:] == seconds[:-1]]
+    return f"{shared[:1].astype('datetime64[s]')[0]}Z" if shared.size else None
 
 
 def load_harmonics(

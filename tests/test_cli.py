@@ -1,4 +1,5 @@
 import logging
+import re
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -395,6 +396,20 @@ class TestResampleCommand:
         assert code == 1
         assert "output directory" in caplog.text
         assert "missing.csv" not in caplog.text
+
+    def test_samples_sharing_a_stamp_fail_without_a_file(self, tmp_path, caplog):
+        # samples 0.4 s apart, picked every 0.36 s, round to whole seconds
+        # that repeat
+        rows = [f"2021-01-01T00:00:{0.4 * i:04.1f}Z,{0.1 * i:.1f}" for i in range(20)]
+        source = tmp_path / "subsecond.csv"
+        source.write_text("timestamp,height_m\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code = run("resample", "--input", source, "--interval", 0.0001, "--length", 0.0005,
+                   "--output", out)
+        assert code == 1
+        assert re.search(r"two samples would share the stamp 2021-01-01T00:00:\d\dZ", caplog.text)
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["subsecond.csv"]
 
 
 @pytest.mark.parametrize("argv, message", [

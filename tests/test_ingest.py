@@ -99,7 +99,7 @@ class TestWaterLevels:
         # a record from before EPOCH has negative hours and keeps its stamps
         stamps, heights = _six_minute_year(np.random.default_rng(4), "2016-03-01T12:00", 2000)
         text = _gauge_text(_canonical_rows(stamps, heights))
-        assert relsha.ingest._read_canonical(text) is not None
+        assert relsha.ingest._read_canonical(text.encode()) is not None
         series = load_water_levels(write(tmp_path, text))
         start = _hours_after_epoch(datetime(2016, 3, 1, 12, tzinfo=timezone.utc))
         assert series.times[0] == start < series.times[-1] < 0
@@ -333,6 +333,10 @@ def _assert_matches_reference(path, caplog):
     return expected_log
 
 
+# 40 rows as relsha synth writes them
+CANONICAL_TEXT = _gauge_text(_canonical_rows(*_six_minute_year(np.random.default_rng(10), count=40)))
+
+
 class TestWaterLevelGolden:
     def test_matches_row_by_row_loader_bit_for_bit(self, tmp_path, caplog):
         stamps, heights = _six_minute_year(np.random.default_rng(5))
@@ -342,7 +346,7 @@ class TestWaterLevelGolden:
     def test_canonical_year_is_read_column_wise_bit_for_bit(self, tmp_path, caplog):
         stamps, heights = _six_minute_year(np.random.default_rng(5))
         text = _gauge_text(_canonical_rows(stamps, heights))
-        assert relsha.ingest._read_canonical(text) is not None
+        assert relsha.ingest._read_canonical(text.encode()) is not None
         path = write(tmp_path, text)
         assert _assert_matches_reference(path, caplog) == []
 
@@ -350,7 +354,7 @@ class TestWaterLevelGolden:
     def test_each_defect_takes_the_row_by_row_path(self, tmp_path, caplog, defect):
         stamps, heights = _six_minute_year(np.random.default_rng(5), count=300)
         text = _gauge_text(DEFECTS[defect](_canonical_rows(stamps, heights)))
-        assert relsha.ingest._read_canonical(text) is None
+        assert relsha.ingest._read_canonical(text.encode()) is None
         _assert_matches_reference(write(tmp_path, text), caplog)
 
     @pytest.mark.parametrize("text", [
@@ -360,10 +364,19 @@ class TestWaterLevelGolden:
         "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1,5\n",
         "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1.5\n\n",
         "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n202\u0661-01-01T00:06:00Z,1.5\n",
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1.5\x1c\n",
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1_000.5\n",
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00ZZ,1.5\n",
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z ,1.5\n",
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1.5\t\n",
+        "timestamp,height_m\r2021-01-01T00:00:00Z,1.0\r2021-01-01T00:06:00Z,1.5\r",
+        "timestamp,height_m\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:06:00Z,1.5\u00a0\n",
     ], ids=["no-final-newline", "extra-header-column", "extra-column", "two-heights",
-            "trailing-blank-line", "arabic-indic-digit"])
+            "trailing-blank-line", "arabic-indic-digit", "height-with-0x1c", "underscore-height",
+            "stamp-ending-zz", "stamp-ending-z-space", "tab-after-height", "cr-line-ends",
+            "non-ascii-height"])
     def test_other_layouts_take_the_row_by_row_path(self, tmp_path, caplog, text):
-        assert relsha.ingest._read_canonical(text) is None
+        assert relsha.ingest._read_canonical(text.encode()) is None
         _assert_matches_reference(write(tmp_path, text), caplog)
 
     @pytest.mark.parametrize("stamp", [
@@ -374,7 +387,7 @@ class TestWaterLevelGolden:
     def test_invalid_calendar_stamp_is_dropped_as_row_by_row(self, tmp_path, caplog, stamp):
         # first, so that read as any instant it would sort before the next row
         text = _gauge_text([f"{stamp},2.0", "2200-01-01T00:00:00Z,3.0"])
-        assert relsha.ingest._read_canonical(text) is None
+        assert relsha.ingest._read_canonical(text.encode()) is None
         path = write(tmp_path, text)
         assert _assert_matches_reference(path, caplog) == [
             f"{path}:2: unparseable row '{stamp},2.0' dropped"
@@ -396,7 +409,7 @@ class TestWaterLevelGolden:
     ):
         stamps = [(boundary + timedelta(seconds=s)).isoformat() + "Z" for s in sorted(seconds)]
         text = _gauge_text(_canonical_rows(stamps, heights))
-        columns = relsha.ingest._read_canonical(text)
+        columns = relsha.ingest._read_canonical(text.encode())
         assert columns is not None
         path = tmp_path_factory.mktemp("gauge") / "gauge.csv"
         path.write_text(text, encoding="utf-8")
@@ -404,6 +417,32 @@ class TestWaterLevelGolden:
             rows = load_water_levels(path)
         assert columns.times.tobytes() == rows.times.tobytes()
         assert columns.heights.tobytes() == rows.heights.tobytes()
+
+    @given(position=st.integers(0, len(CANONICAL_TEXT) - 1), value=st.integers(0, 255))
+    def test_a_changed_byte_is_declined_or_read_as_row_by_row(
+        self, tmp_path_factory, position, value
+    ):
+        data = bytearray(CANONICAL_TEXT.encode())
+        data[position] = value
+        columns = relsha.ingest._read_canonical(bytes(data))
+        if columns is None:
+            return
+        path = tmp_path_factory.mktemp("gauge") / "gauge.csv"
+        path.write_bytes(data)
+        with mock.patch.object(relsha.ingest, "_read_canonical", return_value=None):
+            rows = load_water_levels(path)
+        assert columns.times.tobytes() == rows.times.tobytes()
+        assert columns.heights.tobytes() == rows.heights.tobytes()
+
+    def test_crlf_copy_gives_the_lf_series(self, tmp_path, caplog):
+        lf = load_water_levels(write(tmp_path, CANONICAL_TEXT))
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(CANONICAL_TEXT.replace("\n", "\r\n").encode())
+        assert relsha.ingest._read_canonical(crlf.read_bytes()) is not None
+        assert _assert_matches_reference(crlf, caplog) == []
+        series = load_water_levels(crlf)
+        assert series.times.tobytes() == lf.times.tobytes()
+        assert series.heights.tobytes() == lf.heights.tobytes()
 
 
 def _reference_load_altimetry(path):
