@@ -5,7 +5,8 @@ For each lambda in {0.1, 0.3, 0.5, 0.7, 0.9} and each satellite-like
 revisit interval (9.9 and 11 days), fit 20 seeded one-year cuts of the
 bundled synthetic truth with reference amplitudes perturbed +/-10% per
 seed, and report the median amplitude RRMSE next to the plain
-least-squares baseline.
+least-squares baseline. Each cut is prepared once and every fit of it
+solved on that one record.
 
     python scripts/run_lambda_sweep.py --output results/lambda_sweep.csv
 """
@@ -22,6 +23,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import relsha  # noqa: E402
 from relsha import ingest  # noqa: E402
+from relsha.design import prepare  # noqa: E402
+from relsha.ha import ha_solve  # noqa: E402
+from relsha.regularized import relsha_solve  # noqa: E402
 
 YEAR = 8766.0
 LAMBDAS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -46,20 +50,20 @@ def main() -> int:
     rows = ["lambda,interval_hours,seeds,relsha_median_rrmse_percent,ha_median_rrmse_percent"]
     for interval in INTERVALS:
         ha_errors = []
-        samples = []
+        records = []
         for seed in range(args.seeds):
             sampled = relsha.resample(base, relsha.SamplingPlan(interval, YEAR, seed=seed))
-            samples.append(sampled)
-            ha_fit = relsha.ha_fit(sampled, catalog)
+            records.append(prepare(sampled, catalog))
+            ha_fit = ha_solve(records[-1])
             ha_errors.append(relsha.rrmse(ha_fit.solution.amplitudes, truth.amplitudes))
         ha_median = float(np.median(ha_errors))
         for lam in LAMBDAS:
             errors = []
-            for seed, sampled in enumerate(samples):
+            for seed, record in enumerate(records):
                 rng = np.random.default_rng(10_000 + seed)
                 reference = truth.amplitudes * (1 + rng.uniform(-0.1, 0.1, catalog.n))
                 config = relsha.RelshaConfig(lam=lam)
-                fit = relsha.relsha_fit(sampled, reference, catalog, config)
+                fit = relsha_solve(record, reference, config)
                 errors.append(relsha.rrmse(fit.solution.amplitudes, truth.amplitudes))
             median = float(np.median(errors))
             rows.append(f"{lam},{interval},{args.seeds},{median:.6g},{ha_median:.6g}")

@@ -34,9 +34,9 @@ from .cha import GaugeHarmonics, GaugePair, cha_solve
 from .constituents import default_catalog_path, load_catalog
 from .design import prepare
 from .evaluation import MARK_INTERVALS, grid_to_text, interval_slice, run_grid, slice_to_text
-from .ha import ha_fit
+from .ha import ha_solve
 from .ingest import format_number as fmt
-from .regularized import RelshaConfig, relsha_fit
+from .regularized import RelshaConfig, relsha_solve
 from .series import EPOCH, SamplingPlan, SynthesizedSeries, apply_noise, resample, synthesize_series
 
 log = logging.getLogger("relsha")
@@ -117,18 +117,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
             raise ValueError("fit --method relsha requires --reference")
         reference, _ = ingest.load_harmonics(args.reference, catalog)
     series = ingest.load_water_levels(args.input)
+    record = prepare(series, catalog)
 
     diagnostics: dict[str, object] = {"method": args.method}
     exit_code = EXIT_OK
     if args.method == "ha":
-        result = ha_fit(series, catalog)
-        solution = result.solution
+        result = ha_solve(record)
         diagnostics.update(
             regime=result.regime, sample_count=result.sample_count, rank=result.rank
         )
     elif args.method == "cha":
-        result = cha_solve(prepare(series, catalog), pair)
-        solution = result.solution
+        result = cha_solve(record, pair)
         diagnostics.update(
             weight=result.weight,
             objective=result.objective,
@@ -136,8 +135,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             sample_count=result.sample_count,
         )
     else:
-        result = relsha_fit(series, reference.amplitudes, catalog, fit_config)
-        solution = result.solution
+        result = relsha_solve(record, reference.amplitudes, fit_config)
         d = result.diagnostics
         diagnostics.update(
             **{"lambda": fit_config.lam},
@@ -157,7 +155,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             if args.strict:
                 exit_code = EXIT_NOT_CONVERGED
 
-    _atomic_write(args.output, ingest.solution_to_text(solution, diagnostics))
+    _atomic_write(args.output, ingest.solution_to_text(result.solution, diagnostics))
     return exit_code
 
 
@@ -241,7 +239,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _check_values("--noise", (args.noise,), allow_zero=True)
     if args.length < args.interval:
         raise ValueError("synth requires --length of at least one --interval")
-    # stamps are whole seconds; a shorter spacing would write one twice
+    # bounds the sample count before any is allocated
     if args.interval < 1 / 3600:
         raise ValueError("synth requires --interval of at least one second, 1/3600 h")
     start = (args.epoch - EPOCH) / timedelta(hours=1)
@@ -272,12 +270,7 @@ def cmd_resample(args: argparse.Namespace) -> int:
     plan = SamplingPlan(interval=args.interval, record_length=args.length, seed=args.seed)
     _check_output_dir(args.output)
     series = ingest.load_water_levels(args.input)
-    sampled = resample(series, plan)
-    stamp = ingest.repeated_stamp(sampled.times)
-    if stamp is not None:
-        raise ValueError(f"resample: two samples would share the stamp {stamp}, "
-                         "since stamps are whole seconds")
-    _atomic_write(args.output, ingest.water_levels_to_text(sampled))
+    _atomic_write(args.output, ingest.water_levels_to_text(resample(series, plan)))
     return EXIT_OK
 
 

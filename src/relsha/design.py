@@ -8,8 +8,8 @@ follows from the expansion cos(wt + theta) = cos(theta)cos(wt) -
 sin(theta)sin(wt); amplitudes are unaffected by the choice.
 
 Every fit reads the data only through the misfit ||H x - h||^2 of the
-detrended heights h. ``prepare`` computes, once per record, a triple
-(a, b, rest) with ||H x - h||^2 = ||a x - b||^2 + rest for every x. For
+detrended heights h. ``prepare`` detrends a record and computes once a
+triple (a, b, rest) with ||H x - h||^2 = ||a x - b||^2 + rest for every x. For
 m > 2n + 1 samples a = R is the 2n x 2n triangle of H = Q R, b = Q^T h
 and rest = ||H x* - h||^2 at the least-squares x*, so every later solve
 costs O(n^2) whatever m is. R comes by one of two factorizations. When
@@ -23,12 +23,15 @@ sampling, short spans), fills the augmented m x (2n+1) matrix [H | h]
 by sin and cos and has it QR-factored by dgeqrf. R has the singular
 values of H, so rank decisions and minimum-norm solutions carry over.
 For m <= 2n + 1 the factorization would not shrink anything, and a, b
-are H and h themselves (rest = 0).
+are H and h themselves (rest = 0). prepare solves nothing: HA's
+minimum-norm state, PreparedRecord.least_squares, is solved on its first
+read, so a record that only CHA reads never runs that SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -287,9 +290,6 @@ class PreparedRecord:
 
     ||H x - h||^2 = ||a x - b||^2 + rest for every state x, h being the
     detrended heights; sample_count is the m of the original record.
-    least_squares is the minimum-norm x of min ||a x - b|| and the rank
-    of a, by SVD with singular values below RANK_RCOND times the largest
-    cut; a has the singular values of H, so the rank and x are H's own.
     CHA and ReLSHA evaluate the misfit in that form, ||a x - b||^2 + rest.
     Every array is read-only.
     """
@@ -302,7 +302,16 @@ class PreparedRecord:
     a: np.ndarray
     b: np.ndarray
     rest: float
-    least_squares: tuple[np.ndarray, int]
+
+    @cached_property
+    def least_squares(self) -> tuple[np.ndarray, int]:
+        """The minimum-norm x of min ||a x - b|| and the rank of a, by SVD
+        with singular values below RANK_RCOND times the largest cut; a has
+        the singular values of H, so the rank and x are H's own. HA and
+        ReLSHA's start read it; it is solved on the first read only."""
+        x, _, rank, _ = np.linalg.lstsq(self.a, self.b, rcond=RANK_RCOND)
+        x.setflags(write=False)
+        return x, int(rank)
 
     def solution(self, amplitudes, phases) -> HarmonicSolution:
         """A fitted solution carrying this record's mean and trend."""
@@ -320,8 +329,7 @@ def prepare(series: WaterLevelSeries, catalog: ConstituentCatalog) -> PreparedRe
     """Detrend the series and compress its design once for every fit."""
     residual, mean, trend = detrend(series)
     a, b, rest = compress_design(residual.times, residual.heights, catalog)
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
-    for array in (a, b, x):
+    for array in (a, b):
         array.setflags(write=False)
     return PreparedRecord(
         catalog=catalog,
@@ -332,7 +340,6 @@ def prepare(series: WaterLevelSeries, catalog: ConstituentCatalog) -> PreparedRe
         a=a,
         b=b,
         rest=rest,
-        least_squares=(x, int(rank)),
     )
 
 

@@ -21,10 +21,10 @@ class HaResult:
 def ha_fit(series: WaterLevelSeries, catalog: ConstituentCatalog) -> HaResult:
     """Fit mean, trend, and the 2n harmonic coefficients by least squares.
 
-    The series is detrended first; the harmonic coefficients then solve
-    min ||H x - residual||_2 via SVD. With fewer samples than 2n unknowns
-    (or a rank-deficient H) the minimum-norm solution is returned and the
-    regime flag reports the underdetermined case.
+    prepare detrends and compresses the series; the harmonic coefficients
+    are its least_squares, the SVD solve of min ||H x - residual||_2. With
+    fewer samples than 2n unknowns (or a rank-deficient H) the minimum-norm
+    solution is returned and the regime flag reports the underdetermined case.
     """
     return ha_solve(prepare(series, catalog))
 

@@ -281,25 +281,24 @@ def water_levels_to_text(series: WaterLevelSeries) -> str:
     stamped in UTC to the nearest second, height by format_number.
 
     Rows are formatted and joined _STAMP_BLOCK at a time, so no string
-    of a single row outlives its block. Samples under a second apart can
-    share a stamp; repeated_stamp finds one.
+    of a single row outlives its block. Raises ValueError, naming the
+    stamp, when two samples under a second apart would share one: the
+    loaders would keep only the first of those rows.
     """
     blocks = ["timestamp,height_m\n"]
+    previous = np.empty(0, dtype=np.int64)
     for i in range(0, len(series), _STAMP_BLOCK):
         seconds = _stamp_seconds(series.times[i : i + _STAMP_BLOCK])
+        joined = np.concatenate([previous, seconds])
+        shared = joined[1:][joined[1:] == joined[:-1]]
+        if shared.size:
+            raise ValueError(f"two samples would share the stamp {shared[0].astype('datetime64[s]')}Z, "
+                             "since stamps are whole seconds")
+        previous = seconds[-1:]
         stamps = np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s").tolist()
         heights = map(format_number, series.heights[i : i + _STAMP_BLOCK].tolist())
         blocks.append("".join([f"{stamp}Z,{height}\n" for stamp, height in zip(stamps, heights)]))
     return "".join(blocks)
-
-
-def repeated_stamp(times: np.ndarray) -> str | None:
-    """The first stamp that water_levels_to_text would write on two rows
-    for strictly increasing ``times``, or None. The loaders would keep
-    only the first of those rows."""
-    seconds = _stamp_seconds(times)
-    shared = seconds[1:][seconds[1:] == seconds[:-1]]
-    return f"{shared[:1].astype('datetime64[s]')[0]}Z" if shared.size else None
 
 
 def load_harmonics(

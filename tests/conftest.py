@@ -29,6 +29,15 @@ def pack_state():
     return pack
 
 
+@pytest.fixture()
+def lstsq_calls(monkeypatch):
+    """A list that gets one entry per np.linalg.lstsq call, the SVD solve
+    of PreparedRecord.least_squares, while the test runs."""
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: calls.append(1) or lstsq(*args, **kwargs))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return relsha.load_default_catalog()

@@ -139,6 +139,14 @@ class TestGaugePair:
         assert solved.solution.amplitudes.tobytes() == fitted.solution.amplitudes.tobytes()
         assert solved.solution.phases.tobytes() == fitted.solution.phases.tobytes()
 
+    @pytest.mark.parametrize("step", [3.7, 100.0])
+    def test_fit_runs_no_least_squares_solve(self, gauges, catalog, lstsq_calls, step):
+        # CHA scores the compressed misfit and never reads the SVD solve
+        ref_a, ref_b = gauges
+        series = synthesize_series(interpolant(ref_a, ref_b, 0.3, catalog), np.arange(0.0, 800.0, step))
+        assert cha_fit(series, ref_a, ref_b, catalog).identifiable
+        assert lstsq_calls == []
+
     def test_states_are_read_only(self, gauges, catalog):
         pair = GaugePair(*gauges, catalog)
         assert pair.states.shape == (2 * catalog.n, pair.weights.size)

@@ -135,6 +135,18 @@ class TestFit:
         _, metadata = load_harmonics(out, catalog)
         assert float(metadata["weight"]) <= 1e-3
 
+    @pytest.mark.parametrize("method, solves", [("ha", 1), ("cha", 0), ("relsha", 1)])
+    def test_least_squares_solved_only_by_the_methods_that_read_it(self, tmp_path, lstsq_calls,
+                                                                   method, solves):
+        near = relsha.default_catalog_path().with_name("reference_nearby.csv")
+        offshore = near.with_name("reference_offshore.csv")
+        levels, out = tmp_path / "levels.csv", tmp_path / "solution.csv"
+        assert run("synth", "--solution", near, "--interval", 12, "--length", 2000,
+                   "--output", levels) == 0
+        assert run("fit", "--method", method, "--input", levels, "--reference", near,
+                   "--reference-a", near, "--reference-b", offshore, "--output", out) == 0
+        assert len(lstsq_calls) == solves
+
     def test_unknown_method_is_usage_error(self, tmp_path, tiny_gauge):
         with pytest.raises(SystemExit) as excinfo:
             run("fit", "--method", "spectral", "--input", tiny_gauge,

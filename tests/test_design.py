@@ -187,18 +187,21 @@ class TestPreparedRecord:
         with pytest.raises(ValueError, match="at least 2"):
             prepare(WaterLevelSeries([0.0], [1.0]), catalog)
 
-    def test_least_squares_computed_once_per_record(self, hourly_year, catalog, monkeypatch):
-        calls, lstsq = [], np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: calls.append(1) or lstsq(*args, **kwargs))
+    def test_least_squares_computed_once_per_record(self, hourly_year, catalog, lstsq_calls):
+        # prepare only compresses; the SVD runs on the first read, never again
         record = prepare(hourly_year, catalog)
-        assert len(calls) == 1
+        assert lstsq_calls == []
         x, rank = record.least_squares
+        assert len(lstsq_calls) == 1
         assert rank == 2 * catalog.n
-        assert np.array_equal(x, lstsq(record.a, record.b, rcond=RANK_RCOND)[0])
+        assert record.least_squares[0] is x
+        assert len(lstsq_calls) == 1
+        assert np.array_equal(x, np.linalg.lstsq(record.a, record.b, rcond=RANK_RCOND)[0])
         assert not any(array.flags.writeable for array in (record.a, record.b, x))
-        with pytest.raises(AttributeError):
-            record.least_squares = (x, rank)
-        assert len(calls) == 1
+        for name, value in (("least_squares", (x, rank)), ("a", record.a), ("rest", 0.0)):
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+        assert record.least_squares[0] is x
 
 
 class TestGramPath:

@@ -151,6 +151,23 @@ class TestRunGrid:
         assert len(pairs) == 1
         assert all(cell.rrmse_percent is not None for cell in grid.rows())
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("methods, solves", [(("cha",), 0), (("ha", "relsha"), 1)])
+    def test_least_squares_solved_once_per_record_that_reads_it(
+        self, base_series, truth, catalog, lstsq_calls, reference_nearby, reference_offshore,
+        methods, solves, threads,
+    ):
+        # CHA reads only the compressed misfit; HA and ReLSHA's start share one SVD
+        grid = run_grid(
+            base_series, truth.amplitudes, catalog, intervals=[1.0, 237.6],
+            lengths=[720.0, 2190.0], methods=methods, threads=threads,
+            relsha_reference=reference_nearby.amplitudes,
+            cha_ref_a=GaugeHarmonics("a", reference_nearby),
+            cha_ref_b=GaugeHarmonics("b", reference_offshore),
+        )
+        assert all(cell.rrmse_percent is not None for cell in grid.rows())
+        assert len(lstsq_calls) == 4 * solves
+
     def test_all_methods_vanish_when_truth_is_gauge_a(self, catalog, reference_nearby,
                                                       reference_offshore):
         # the CHA references bracket the truth at w = 0, so every method

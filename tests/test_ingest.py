@@ -585,7 +585,28 @@ class TestWriterGolden:
         start = _hours_after_epoch(datetime(2021, 6, 30, 23, 59, 59, microsecond, tzinfo=IST))
         times = np.unique(start + np.array(hours))
         series = relsha.WaterLevelSeries(times, np.zeros(times.size))
-        assert water_levels_to_text(series) == _reference_water_levels_to_text(series)
+        expected = _reference_water_levels_to_text(series)
+        seen = set()
+        stamps = [row.split(",")[0] for row in expected.splitlines()[1:]]
+        repeated = next((stamp for stamp in stamps if stamp in seen or seen.add(stamp)), None)
+        if repeated is None:
+            assert water_levels_to_text(series) == expected
+        else:
+            with pytest.raises(ValueError, match=f"share the stamp {re.escape(repeated)},"):
+                water_levels_to_text(series)
+
+    @pytest.mark.parametrize("times, stamp", [
+        (np.array([0.0, 1.192092896e-07]), "2021-01-01T00:00:00Z"),
+        # the pair straddles two blocks of the writer
+        (np.append(np.arange(8192.0), 8191.2) / 3600.0, "2021-01-01T02:16:31Z"),
+    ])
+    def test_samples_sharing_a_stamp_raise(self, times, stamp):
+        series = relsha.WaterLevelSeries(times, np.zeros(times.size))
+        with pytest.raises(ValueError) as excinfo:
+            water_levels_to_text(series)
+        assert str(excinfo.value) == (
+            f"two samples would share the stamp {stamp}, since stamps are whole seconds"
+        )
 
 
 ALTIMETRY_TEXT = (
