@@ -8,8 +8,8 @@ status 2).
 Output files are written atomically (unique temp file then rename) so a
 failed run never leaves a partial file. Before reading any input, every
 command that writes a file checks that its output directory exists and
-that its settings are valid: fit its solver controls, and synth,
-resample and experiment their spacings, lengths and noise.
+that its settings are valid: fit and experiment their --lambda, and
+synth, resample and experiment their spacings, lengths and noise.
 All numbers are printed with 9 significant digits so reruns with
 identical inputs and seeds are byte-identical.
 """
@@ -81,6 +81,8 @@ def _float_list(text: str) -> tuple[float, ...]:
     values = tuple(float(part) for part in text.split(",") if part.strip())
     if not values:
         raise argparse.ArgumentTypeError("expected at least one value")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text}")
     return values
 
 
@@ -106,7 +108,7 @@ def _gauge(path: str | Path, catalog) -> GaugeHarmonics:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     _check_output_dir(args.output)
-    fit_config = RelshaConfig(lam=args.lam, max_iterations=args.max_iterations)
+    fit_config = RelshaConfig(lam=args.lam)
     catalog = load_catalog(args.catalog)
     if args.method == "cha":
         if not args.reference_a or not args.reference_b:
@@ -162,6 +164,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     _check_values("--intervals", args.intervals)
+    if min(args.intervals) < evaluation.BASE_INTERVAL:  # cuts snap to base samples
+        raise ValueError(f"--intervals must be at least the base record's spacing "
+                         f"{fmt(evaluation.BASE_INTERVAL)} h, got {','.join(map(fmt, args.intervals))}")
     _check_values("--lengths", args.lengths)
     _check_values("--noise", (args.noise,), allow_zero=True)
     _check_values("--threads", (args.threads,))
@@ -277,7 +282,7 @@ def cmd_resample(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The relsha parser.
 
-    Every option's default lives here, except the solver's, which come
+    Every option's default lives here, except --lambda's, which comes
     from RelshaConfig.
     """
     parser = argparse.ArgumentParser(
@@ -298,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--reference", help="reference amplitudes file (relsha)")
     fit.add_argument("--reference-a", help="first reference gauge harmonics (cha)")
     fit.add_argument("--reference-b", help="second reference gauge harmonics (cha)")
-    fit.add_argument("--max-iterations", type=int, default=RelshaConfig.max_iterations)
     fit.add_argument("--catalog", **catalog)
     fit.add_argument("--strict", action="store_true",
                      help="exit with status 3 when the solver does not converge")

@@ -82,9 +82,6 @@ class ErrorGrid:
     methods: tuple[str, ...]
     cells: dict[tuple[int, int, str], GridCell]
 
-    def cell(self, interval_index: int, length_index: int, method: str) -> GridCell:
-        return self.cells[(interval_index, length_index, method)]
-
     def rows(self):
         """Cells in deterministic (interval, length, method) order."""
         for i in range(len(self.intervals)):
@@ -174,9 +171,9 @@ def run_grid(
     Each cell resamples the base series (a WaterLevelSeries or a
     SynthesizedSeries) once with its derived seed, prepares (detrends and
     factors) that record once, and runs all requested methods on it. A
-    repeated method, a bad prior or a misaligned gauge fails before the
-    first cell; per-cell errors are recorded as missing cells (rrmse None
-    plus the error message), never fabricated.
+    repeated method, interval or length, a bad prior or a misaligned
+    gauge fails before the first cell; per-cell errors are recorded as
+    missing cells (rrmse None plus the error message), never fabricated.
     Output is identical for any thread count. The cells run with each
     bundled OpenBLAS on one thread, its own and any pool worker's alike,
     and the old thread counts are restored on return.
@@ -186,8 +183,12 @@ def run_grid(
     for method in methods:
         if method not in KNOWN_METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
-    if len(set(methods)) != len(methods):
-        raise ValueError(f"repeated method in {methods}")
+    intervals = tuple(float(v) for v in np.asarray(intervals, dtype=float))
+    lengths = tuple(float(v) for v in np.asarray(lengths, dtype=float))
+    # a repeated value would write two rows under one key
+    for name, values in (("method", methods), ("interval", intervals), ("length", lengths)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"repeated {name} in {values}")
     solvers = {METHOD_HA: ha_solve}
     if METHOD_RELSHA in methods:
         if relsha_reference is None:
@@ -199,8 +200,6 @@ def run_grid(
             raise ValueError("cha requires two reference gauges")
         pair = GaugePair(cha_ref_a, cha_ref_b, catalog)
         solvers[METHOD_CHA] = lambda record: cha_solve(record, pair)
-    intervals = tuple(float(v) for v in np.asarray(intervals, dtype=float))
-    lengths = tuple(float(v) for v in np.asarray(lengths, dtype=float))
 
     def evaluate(indices: tuple[int, int]) -> list[GridCell]:
         i, j = indices

@@ -63,58 +63,24 @@ _ACCEPT, _SHRINK, _GROW = 0.15, 0.25, 0.75
 _MAX_FACTORIZATIONS = 20
 # A step ends within this fraction of the radius (More and Sorensen's sigma_1).
 _RADIUS_TOLERANCE = 0.1
-# A fit has converged when the gradient infinity norm is at most this
-# times 1 + |J0|, J0 being the objective at the starting point.
-_GRADIENT_TOLERANCE = 1e-8
+# A fit has converged when the gradient infinity norm is at most
+# _GRADIENT_TOLERANCE times 1 + |J0|, J0 being the objective at the
+# starting point; it stops unconverged after _MAX_ITERATIONS steps.
+_GRADIENT_TOLERANCE, _MAX_ITERATIONS = 1e-8, 2000
 _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class RelshaConfig:
-    """Solver controls.
-
-    lam is the regularization weight in [0, 1] balancing data misfit
-    against the amplitude prior. The optimizer stops when the gradient
-    infinity norm falls below 1e-8 * (1 + |J0|), J0 being the objective
-    at the starting point, or after max_iterations trust-region Newton
-    steps.
-    """
+    """Solver settings: lam in [0, 1], the paper's one tuning parameter,
+    weighs the amplitude prior against the data misfit. The stopping rule
+    is fixed by _GRADIENT_TOLERANCE and _MAX_ITERATIONS."""
 
     lam: float = 0.5
-    max_iterations: int = 2000
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-def relsha_value_and_gradient(
-    x: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    ref_squares: np.ndarray,
-    lam: float,
-    rest: float = 0.0,
-) -> tuple[float, np.ndarray]:
-    """Value and analytic gradient of the regularized objective at state x.
-
-    The data term is ||a x - b||^2 + rest: a raw design H with heights h
-    is the case a = H, b = h, rest = 0, and a prepared record supplies its
-    compressed (a, b, rest).
-    """
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ref_squares = np.asarray(ref_squares, dtype=float)
-    rows, two_n = a.shape
-    if x.shape != (two_n,) or b.shape != (rows,) or ref_squares.shape != (two_n // 2,):
-        raise ValueError(
-            f"inconsistent dimensions: design {a.shape}, x {x.shape}, "
-            f"heights {b.shape}, ref_squares {ref_squares.shape}"
-        )
-    return _value_and_gradient(x, a, b, ref_squares, 1.0 - lam, lam, rest)
 
 
 def _value_and_gradient(
@@ -126,8 +92,13 @@ def _value_and_gradient(
     w_reg: float,
     rest: float,
 ) -> tuple[float, np.ndarray]:
-    """The objective's one formula, on float arrays of consistent
-    dimensions; the solver calls it on every trial step."""
+    """Value and analytic gradient of the objective at state x, with
+    w_data = 1 - lam and w_reg = lam; the solver calls it on every step.
+
+    The data term is ||a x - b||^2 + rest: a raw design H with heights h
+    is the case a = H, b = h, rest = 0, and a prepared record supplies its
+    compressed (a, b, rest).
+    """
     r = a @ x - b
     s = _pair_squares(x) - ref_squares
     value = w_data * (r @ r + rest) + w_reg * (s @ s)
@@ -264,7 +235,7 @@ def relsha_solve(
     j0, g0 = fg(x)
     tolerance = _GRADIENT_TOLERANCE * (1.0 + abs(j0))
     x, final_objective, final_gradient, iterations, factorizations = _newton(
-        fg, hessian, x, j0, g0, tolerance, config.max_iterations, callback
+        fg, hessian, x, j0, g0, tolerance, callback
     )
     gradient_norm = float(np.abs(final_gradient).max())
     diagnostics = RelshaDiagnostics(
@@ -289,7 +260,7 @@ def _bracket(hess):
     return -hess.diagonal().min(), np.abs(hess).sum(axis=0).max()
 
 
-def _step(hess, g, radius, mu=0.0, bracket=None):
+def _step(hess, g, radius, mu, bracket):
     """A trust-region step for the model g^T p + p^T hess p / 2 in
     ||p|| <= radius, by More and Sorensen's algorithm (1983, sections 3-4).
 
@@ -310,13 +281,12 @@ def _step(hess, g, radius, mu=0.0, bracket=None):
     eigenvector of hess, which raises low to mu - ||l^T z||^2; p + tau z,
     on the radius, is returned when its model value is within the same
     tolerance of the optimum. When the factorizations run out, the last
-    p found, cut back to the radius. bracket is _bracket(hess), formed
-    here when not given.
+    p found, cut back to the radius. bracket is _bracket(hess).
     """
     size = g.size
     minus_g = -g
     diagonal = hess.diagonal()
-    lowest, bound = _bracket(hess) if bracket is None else bracket
+    lowest, bound = bracket
     scale = math.sqrt(g @ g) / radius
     low, high = max(0.0, lowest, scale - bound), scale + bound
     mu = min(max(mu, low), high)
@@ -402,9 +372,9 @@ def _to_boundary(p, z, norm, radius):
     return gap / (along + math.copysign(math.sqrt(along * along + gap), along))
 
 
-def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback):
+def _newton(fg, hessian, x, f, g, tolerance, callback):
     """Trust-region Newton from x, with f, g = fg(x), until the gradient
-    infinity norm is at most tolerance or max_iterations steps are taken.
+    infinity norm is at most tolerance or _MAX_ITERATIONS steps are taken.
 
     callback(x) runs once per step taken. A trial point with a non-finite
     J is rejected. A step is taken on the ratio of actual to predicted
@@ -422,7 +392,7 @@ def _newton(fg, hessian, x, f, g, tolerance, max_iterations, callback):
     radius = 0.1 * max(math.sqrt(x @ x), 1.0)
     b = hessian(x)
     bracket = _bracket(b)
-    while np.abs(g).max() > tolerance and iterations < max_iterations:
+    while np.abs(g).max() > tolerance and iterations < _MAX_ITERATIONS:
         p, mu, tries = _step(b, g, radius, mu, bracket)
         factorizations += tries
         if p is None:

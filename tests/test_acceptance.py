@@ -18,7 +18,7 @@ from relsha.cha import GaugeHarmonics, cha_fit, shortest_arc
 from relsha.cli import main
 from relsha.evaluation import rrmse, run_grid
 from relsha.ha import ha_fit
-from relsha.regularized import RelshaConfig, relsha_fit, relsha_value_and_gradient
+from relsha.regularized import RelshaConfig, _value_and_gradient, relsha_fit
 from relsha.series import HarmonicSolution, SamplingPlan, WaterLevelSeries, apply_noise, resample
 
 YEAR = 8766.0
@@ -50,7 +50,9 @@ def test_criterion_1_gradient_matches_finite_differences():
         heights = rng.normal(size=m)
         ref_squares = rng.uniform(0.0, 4.0, n)
         x = rng.normal(size=2 * n)
-        analytic = relsha_value_and_gradient(x, design, heights, ref_squares, lam)[1]
+        # the solver's weights and data term: w_data = 1 - lam, w_reg = lam, rest = 0
+        weights = (1.0 - lam, lam, 0.0)
+        analytic = _value_and_gradient(x, design, heights, ref_squares, *weights)[1]
         numeric = np.empty_like(x)
         for j in range(x.size):
             step = 1e-6 * (1.0 + abs(x[j]))
@@ -58,8 +60,8 @@ def test_criterion_1_gradient_matches_finite_differences():
             forward[j] += step
             backward[j] -= step
             numeric[j] = (
-                relsha_value_and_gradient(forward, design, heights, ref_squares, lam)[0]
-                - relsha_value_and_gradient(backward, design, heights, ref_squares, lam)[0]
+                _value_and_gradient(forward, design, heights, ref_squares, *weights)[0]
+                - _value_and_gradient(backward, design, heights, ref_squares, *weights)[0]
             ) / (2.0 * step)
         worst = max(worst, float((np.abs(analytic - numeric) / (1.0 + np.abs(numeric))).max()))
     elapsed = time.perf_counter() - start
@@ -170,7 +172,7 @@ def test_criterion_6_regime_boundary(base_series, truth, catalog):
     regimes = []
     ok = True
     for i, expected_count in enumerate(counts):
-        cell = grid.cell(i, 0, "ha")
+        cell = grid.cells[(i, 0, "ha")]
         ok = ok and cell.sample_count == expected_count
         ok = ok and cell.regime == ("underdetermined" if cell.sample_count < 74 else "overdetermined")
         regimes.append(cell.regime[0])

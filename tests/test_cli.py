@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import relsha
-from relsha import cli, evaluation, series
+from relsha import cli, evaluation, regularized, series
 from relsha.cli import main
 from relsha.constituents import load_catalog
 from relsha.ingest import (
@@ -74,7 +74,7 @@ class TestFit:
                     "# converged = true", "# regime ="):
             assert key in text
 
-    def test_relsha_header_reports_restarts_and_initial_objective(
+    def test_relsha_header_reports_factorizations_and_initial_objective(
         self, tmp_path, tiny_gauge, tiny_catalog, tiny_truth
     ):
         out = tmp_path / "solution.csv"
@@ -181,10 +181,12 @@ class TestFit:
         assert "missing.csv" not in caplog.text
         assert not out.exists()
 
-    def test_strict_flags_non_convergence(self, tmp_path, tiny_catalog, tiny_truth, base_series, truth):
+    def test_strict_flags_non_convergence(self, tmp_path, monkeypatch, tiny_catalog, tiny_truth,
+                                         base_series, truth):
         # deeply undersampled record, one iteration: cannot converge
         from relsha.series import SamplingPlan, resample
 
+        monkeypatch.setattr(regularized, "_MAX_ITERATIONS", 1)
         gauge = tmp_path / "undersampled.csv"
         undersampled = resample(base_series, SamplingPlan(237.6, 8766.0, seed=3))
         gauge.write_text(water_levels_to_text(undersampled))
@@ -192,7 +194,7 @@ class TestFit:
         reference.write_text(solution_to_text(truth))
         out = tmp_path / "solution.csv"
         code = run("fit", "--method", "relsha", "--input", gauge, "--reference", reference,
-                   "--max-iterations", 1, "--strict", "--output", out)
+                   "--strict", "--output", out)
         assert code == 3
         assert "# converged = false" in out.read_text()
 
@@ -233,15 +235,17 @@ class TestFit:
         assert not out.exists()
 
     def test_fractional_max_iterations_in_config_is_usage_error(self, tmp_path, capsys):
+        # lambda is the solver's one setting: the iteration cap is fixed
         config = tmp_path / "fit.args"
         config.write_text("--max-iterations=2.5\n", encoding="utf-8")
         out = tmp_path / "solution.csv"
         # the input does not exist: the usage error must come first
-        with pytest.raises(SystemExit) as excinfo:
-            run("fit", "--method", "relsha", "--input", tmp_path / "missing.csv",
-                f"@{config}", "--output", out)
-        assert excinfo.value.code == 2
-        assert "argument --max-iterations: invalid int value: '2.5'" in capsys.readouterr().err
+        for argv in ([f"@{config}"], ["--max-iterations", "5"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run("fit", "--method", "relsha", "--input", tmp_path / "missing.csv",
+                    *argv, "--output", out)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --max-iterations" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -426,17 +430,20 @@ class TestResampleCommand:
 
 @pytest.mark.parametrize("argv, message", [
     (("fit", "--method", "relsha", "--lambda", "2"), "lam must lie in [0, 1], got 2.0"),
-    (("fit", "--method", "relsha", "--max-iterations", "0"), "max_iterations must be at least 1"),
     (("resample", "--interval", "10", "--length", "5"), "record_length must be at least one interval"),
     (("synth", "--interval", "10", "--length", "5"), "synth requires --length of at least one --interval"),
     (("synth", "--interval", "0.0001", "--length", "5"), "synth requires --interval of at least one second"),
-], ids=["fit-lambda", "fit-max-iterations", "resample-length", "synth-length", "synth-interval"])
+    # every cut snaps to the 0.1-h base record: 0.05 h would be the 0.1-h record
+    (("experiment", "--intervals", "0.05,0.1", "--lengths", "720", "--methods", "ha"),
+     "--intervals must be at least the base record's spacing 0.1 h, got 0.05,0.1"),
+], ids=["fit-lambda", "resample-length", "synth-length", "synth-interval", "experiment-intervals"])
 def test_bad_setting_fails_before_any_file_is_read(tmp_path, caplog, argv, message):
     missing = tmp_path / "missing.csv"
     files = {
         "fit": ("--catalog", missing, "--reference", missing, "--input", missing),
         "resample": ("--input", missing),
         "synth": ("--catalog", missing, "--solution", missing),
+        "experiment": ("--catalog", missing, "--truth", missing),
     }[argv[0]]
     assert run(*argv, *files, "--output", tmp_path / "out.csv") == 1
     assert message in caplog.text
@@ -511,6 +518,8 @@ class TestExperiment:
         ("--intervals=", "argument --intervals: expected at least one value"),
         ("--methods=", "argument --methods: expected at least one method"),
         ("--lengths=,", "argument --lengths: expected at least one value"),
+        ("--intervals=237.6,237.6", "argument --intervals: repeated value in 237.6,237.6"),
+        ("--lengths=720,720.0", "argument --lengths: repeated value in 720,720.0"),
     ])
     def test_config_value_of_the_wrong_kind_is_usage_error(
         self, tmp_path, monkeypatch, capsys, line, message

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relsha import evaluation
+from relsha import evaluation, regularized
 from relsha.cha import GaugeHarmonics
 from relsha.constituents import Constituent, ConstituentCatalog
 from relsha.evaluation import (
@@ -16,7 +16,6 @@ from relsha.evaluation import (
     run_grid,
     slice_to_text,
 )
-from relsha.regularized import RelshaConfig
 from relsha.series import HarmonicSolution
 
 YEAR = 8766.0
@@ -51,7 +50,7 @@ class TestRunGrid:
             base_series, truth.amplitudes, catalog,
             intervals=[0.1], lengths=[YEAR], methods=("ha",), base_seed=3,
         )
-        cell = grid.cell(0, 0, "ha")
+        cell = grid.cells[(0, 0, "ha")]
         assert cell.regime == "overdetermined"
         assert cell.rrmse_percent is not None and cell.rrmse_percent < 0.1
 
@@ -60,7 +59,7 @@ class TestRunGrid:
             base_series, truth.amplitudes, catalog,
             intervals=[237.6], lengths=[YEAR], methods=("ha",),
         )
-        cell = grid.cell(0, 0, "ha")
+        cell = grid.cells[(0, 0, "ha")]
         assert cell.sample_count < 2 * catalog.n
         assert cell.regime == "underdetermined"
 
@@ -124,6 +123,21 @@ class TestRunGrid:
                      methods=("ha", method), **kwargs)
         assert resampled == []
 
+    @pytest.mark.parametrize("intervals, lengths, message", [
+        ([237.6, 237.6], [720.0], r"repeated interval in \(237.6, 237.6\)"),
+        ([237.6], [720.0, 720.0], r"repeated length in \(720.0, 720.0\)"),
+    ], ids=["interval", "length"])
+    def test_repeated_interval_or_length_fails_before_any_cell(
+        self, base_series, truth, catalog, monkeypatch, intervals, lengths, message
+    ):
+        # each would write two rows under one (interval, length, method) key
+        resampled = []
+        monkeypatch.setattr(evaluation, "resample", lambda *args: resampled.append(args))
+        with pytest.raises(ValueError, match=message):
+            run_grid(base_series, truth.amplitudes, catalog, intervals=intervals,
+                     lengths=lengths, methods=("ha",))
+        assert resampled == []
+
     def test_unknown_method_rejected(self, base_series, truth, catalog):
         for methods, message in [(("fourier",), "unknown method 'fourier'"),
                                  (("ha", "ha"), "repeated method")]:
@@ -183,7 +197,7 @@ class TestRunGrid:
             cha_ref_b=GaugeHarmonics("b", reference_offshore),
         )
         for method in ("ha", "cha", "relsha"):
-            cell = grid.cell(0, 0, method)
+            cell = grid.cells[(0, 0, method)]
             assert cell.rrmse_percent is not None and cell.rrmse_percent < 0.5, method
 
     def test_regime_boundary_flips_at_twice_n(self, base_series, truth, catalog):
@@ -194,7 +208,7 @@ class TestRunGrid:
                         intervals=intervals, lengths=[YEAR], methods=("ha",))
         seen = set()
         for i in range(len(intervals)):
-            cell = grid.cell(i, 0, "ha")
+            cell = grid.cells[(i, 0, "ha")]
             expected = "underdetermined" if cell.sample_count < 74 else "overdetermined"
             assert cell.regime == expected
             seen.add(cell.regime)
@@ -317,20 +331,22 @@ class TestExport:
         float(fields[5])  # parses
         assert fields[6:] == ["", ""]  # solver state is ReLSHA's only
 
-    def test_relsha_solver_state_in_grid_and_slice(self, base_series, truth, catalog):
-        def grid_rows(config):
+    def test_relsha_solver_state_in_grid_and_slice(self, base_series, truth, catalog, monkeypatch):
+        def grid_rows():
             grid = run_grid(base_series, truth.amplitudes, catalog, intervals=[264.0],
                             lengths=[8784.0], methods=("ha", "relsha"),
-                            relsha_reference=truth.amplitudes, relsha_config=config)
+                            relsha_reference=truth.amplitudes)
             rows = [line.split(",") for line in grid_to_text(grid).strip().split("\n")[1:]]
             assert slice_to_text(interval_slice(grid, 264.0)) == grid_to_text(grid)
             return {row[2]: row for row in rows}
 
-        stopped = grid_rows(RelshaConfig(max_iterations=1))
+        with monkeypatch.context() as patch:
+            patch.setattr(regularized, "_MAX_ITERATIONS", 1)
+            stopped = grid_rows()
         assert stopped["relsha"][6:] == ["false", "1"]
         assert stopped["ha"][6:] == ["", ""]
         assert stopped["relsha"][5]  # a stalled fit is flagged, not dropped
-        converged = grid_rows(RelshaConfig())
+        converged = grid_rows()
         assert converged["relsha"][6] == "true"
         assert int(converged["relsha"][7]) > 1
 
