@@ -32,6 +32,8 @@ class GaugeHarmonics:
 
 @dataclass(frozen=True, eq=False)
 class ChaResult:
+    """A CHA fit; its fields but solution, in order, head its solution file."""
+
     weight: float
     solution: HarmonicSolution
     objective: float
@@ -130,7 +132,7 @@ def cha_solve(record: PreparedRecord, pair: GaugePair) -> ChaResult:
     identifiable = bool(values.max() - values.min() > 1e-9 * (1.0 + abs(values.min())))
 
     amp = (1.0 - w_star) * pair.amp_a + w_star * pair.amp_b
-    phase = (pair.phase_a + w_star * pair.arc) % TWO_PI
+    phase = pair.phase_a + w_star * pair.arc
     return ChaResult(
         weight=w_star,
         solution=record.solution(amp, phase),

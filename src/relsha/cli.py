@@ -17,6 +17,7 @@ identical inputs and seeds are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -25,6 +26,7 @@ import tempfile
 import time
 from collections import Counter
 from datetime import timedelta
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -110,55 +112,34 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _check_output_dir(args.output)
     fit_config = RelshaConfig(lam=args.lam)
     catalog = load_catalog(args.catalog)
-    if args.method == "cha":
+    header: dict[str, object] = {"method": args.method}
+    if args.method == "ha":
+        solve = ha_solve
+    elif args.method == "cha":
         if not args.reference_a or not args.reference_b:
             raise ValueError("fit --method cha requires --reference-a and --reference-b")
         pair = GaugePair(_gauge(args.reference_a, catalog), _gauge(args.reference_b, catalog), catalog)
-    elif args.method == "relsha":
+        solve = partial(cha_solve, pair=pair)
+    else:
         if not args.reference:
             raise ValueError("fit --method relsha requires --reference")
         reference, _ = ingest.load_harmonics(args.reference, catalog)
+        header["lambda"] = fit_config.lam
+        solve = partial(relsha_solve, reference=reference.amplitudes, config=fit_config)
     series = ingest.load_water_levels(args.input)
     record = prepare(series, catalog)
+    result = solve(record)
 
-    diagnostics: dict[str, object] = {"method": args.method}
-    exit_code = EXIT_OK
-    if args.method == "ha":
-        result = ha_solve(record)
-        diagnostics.update(
-            regime=result.regime, sample_count=result.sample_count, rank=result.rank
-        )
-    elif args.method == "cha":
-        result = cha_solve(record, pair)
-        diagnostics.update(
-            weight=result.weight,
-            objective=result.objective,
-            identifiable=result.identifiable,
-            sample_count=result.sample_count,
-        )
-    else:
-        result = relsha_solve(record, reference.amplitudes, fit_config)
-        d = result.diagnostics
-        diagnostics.update(
-            **{"lambda": fit_config.lam},
-            iterations=d.iterations,
-            factorizations=d.factorizations,
-            initial_objective=d.initial_objective,
-            final_objective=d.objective,
-            gradient_norm=d.gradient_norm,
-            gradient_tolerance=d.gradient_tolerance,
-            converged=d.converged,
-            regime=d.regime,
-            sample_count=d.sample_count,
-        )
-        if not d.converged:
-            log.warning("relsha did not converge: gradient norm %.3e above %.3e",
-                        d.gradient_norm, d.gradient_tolerance)
-            if args.strict:
-                exit_code = EXIT_NOT_CONVERGED
-
-    _atomic_write(args.output, ingest.solution_to_text(result.solution, diagnostics))
-    return exit_code
+    # the header goes on with the result's fields in order, ReLSHA's from its diagnostics
+    fields = getattr(result, "diagnostics", result)
+    header.update((f.name, getattr(fields, f.name)) for f in dataclasses.fields(fields)
+                  if f.name != "solution")
+    _atomic_write(args.output, ingest.solution_to_text(result.solution, header))
+    if header.get("converged") is False:
+        log.warning("relsha did not converge: gradient norm %.3e above %.3e",
+                    header["gradient_norm"], header["gradient_tolerance"])
+        return EXIT_NOT_CONVERGED if args.strict else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:

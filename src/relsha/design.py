@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from ._lapack import dgeqrf, dgeqrf_lwork, dpotrf, dsyrk, dtrcon, dtrtrs
-from .constituents import TWO_PI, ConstituentCatalog
+from .constituents import ConstituentCatalog
 from .series import HarmonicSolution, WaterLevelSeries, detrend
 
 OVERDETERMINED = "overdetermined"
@@ -353,7 +353,9 @@ def unpack_state(x: np.ndarray, catalog: ConstituentCatalog) -> tuple[np.ndarray
     """Amplitudes and phases from a state vector.
 
     A_k = sqrt(x_k^2 + x_{n+k}^2) / f_k; theta_k recovers the packed
-    angle, with zero-amplitude pairs mapped to phase 0 for determinism.
+    angle in [-pi, pi] as arctan2 gives it, for HarmonicSolution to wrap
+    into [0, 2 pi), with zero-amplitude pairs mapped to phase 0 for
+    determinism.
     """
     x = np.asarray(x, dtype=float)
     n = catalog.n
@@ -362,5 +364,5 @@ def unpack_state(x: np.ndarray, catalog: ConstituentCatalog) -> tuple[np.ndarray
     c, s = x[:n], x[n:]
     magnitude = np.hypot(c, s)
     amplitudes = magnitude / catalog.nodal_factors
-    phases = np.where(magnitude > 0, np.arctan2(-s, c) % TWO_PI, 0.0)
+    phases = np.where(magnitude > 0, np.arctan2(-s, c), 0.0)
     return amplitudes, phases

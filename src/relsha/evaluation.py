@@ -27,7 +27,7 @@ from .cha import GaugeHarmonics, GaugePair, cha_solve
 from .constituents import ConstituentCatalog
 from .design import classify_regime, prepare
 from .ha import ha_solve
-from .ingest import format_number
+from .ingest import format_value
 from .regularized import RelshaConfig, _check_reference, relsha_solve
 from .series import SamplingPlan, WaterLevelSeries, resample
 
@@ -264,24 +264,18 @@ def interval_slice(grid: ErrorGrid, interval: float) -> dict[str, list[GridCell]
 
 
 def _cell_row(cell: GridCell) -> str:
-    fields = (
-        format_number(cell.interval), format_number(cell.length), cell.method,
-        cell.sample_count, cell.regime,
-        None if cell.rrmse_percent is None else format_number(cell.rrmse_percent),
-        None if cell.converged is None else str(cell.converged).lower(),
-        cell.iterations,
-    )
-    return ",".join("" if field is None else str(field) for field in fields)
+    fields = (cell.interval, cell.length, cell.method, cell.sample_count, cell.regime,
+              cell.rrmse_percent, cell.converged, cell.iterations)
+    return ",".join(map(format_value, fields))
+
+
+def _cells_to_text(cells) -> str:
+    return "".join(f"{line}\n" for line in [GRID_COLUMNS, *map(_cell_row, cells)])
 
 
 def grid_to_text(grid: ErrorGrid) -> str:
-    lines = [GRID_COLUMNS]
-    lines.extend(_cell_row(cell) for cell in grid.rows())
-    return "\n".join(lines) + "\n"
+    return _cells_to_text(grid.rows())
 
 
 def slice_to_text(curves: dict[str, list[GridCell]]) -> str:
-    lines = [GRID_COLUMNS]
-    for method in curves:
-        lines.extend(_cell_row(cell) for cell in curves[method])
-    return "\n".join(lines) + "\n"
+    return _cells_to_text(cell for cells in curves.values() for cell in cells)

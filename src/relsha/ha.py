@@ -12,6 +12,8 @@ from .series import HarmonicSolution, WaterLevelSeries
 
 @dataclass(frozen=True, eq=False)
 class HaResult:
+    """An HA fit; its fields after solution, in order, head its solution file."""
+
     solution: HarmonicSolution
     regime: str
     sample_count: int

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constituents import TWO_PI, ConstituentCatalog
+from .constituents import ConstituentCatalog
 from .series import EPOCH, HarmonicSolution, WaterLevelSeries
 
 log = logging.getLogger(__name__)
@@ -92,6 +92,16 @@ def stamped_hours(hours: np.ndarray) -> np.ndarray:
 
 def format_number(value: float) -> str:
     return format(float(value), ".9g")
+
+
+def format_value(value) -> str:
+    """A field as every file writes it: None as empty, a bool as true or
+    false, a float by format_number, anything else as str() gives it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_number(value)
+    return "" if value is None else str(value)
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
@@ -309,14 +319,14 @@ def load_harmonics(
     Rows are aligned to the catalog order. Unknown constituent names are
     rejected; constituents missing from the file default to amplitude 0,
     phase 0 with a warning. ``# key = value`` comment headers (mean_m,
-    trend_m_per_hour, diagnostics from the CLI) are returned as metadata.
+    trend_m_per_hour, diagnostics from the CLI) are returned as metadata;
+    mean_m, trend_m_per_hour and time_reference_hours must be finite numbers.
     """
     path = Path(path)
     metadata: dict[str, str] = {}
     amplitudes = np.zeros(catalog.n)
     phases = np.zeros(catalog.n)
     seen = np.zeros(catalog.n, dtype=bool)
-    data_seen = False
     with path.open("r", encoding="utf-8") as fh:
         for number, raw in enumerate(fh, start=1):
             stripped = raw.strip()
@@ -352,10 +362,9 @@ def load_harmonics(
             if seen[k]:
                 raise ValueError(f"{path}:{number}: duplicate constituent {name!r}")
             amplitudes[k] = amplitude
-            phases[k] = math.radians(phase_deg) % TWO_PI
+            phases[k] = math.radians(phase_deg)
             seen[k] = True
-            data_seen = True
-    if not data_seen:
+    if not seen.any():
         raise ValueError(f"{path}: no harmonic rows")
     for k, present in enumerate(seen):
         if not present:
@@ -363,31 +372,33 @@ def load_harmonics(
                 "%s: constituent %s missing, defaulting to amplitude 0", path, catalog.names[k]
             )
     solution = HarmonicSolution(
-        mean=float(metadata.get("mean_m", 0.0)),
-        trend=float(metadata.get("trend_m_per_hour", 0.0)),
+        mean=_header_number(path, metadata, "mean_m"),
+        trend=_header_number(path, metadata, "trend_m_per_hour"),
         amplitudes=amplitudes,
         phases=phases,
         catalog=catalog,
-        time_reference=float(metadata.get("time_reference_hours", 0.0)),
+        time_reference=_header_number(path, metadata, "time_reference_hours"),
     )
     return solution, metadata
 
 
+def _header_number(path: Path, metadata: dict[str, str], key: str) -> float:
+    """The finite number a ``# key = value`` header holds, 0 when absent."""
+    text = metadata.get(key, "0")
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: header {key} must be a finite number, got {text!r}")
+
+
 def solution_to_text(solution: HarmonicSolution, diagnostics: dict[str, object] | None = None) -> str:
-    """Render a solution in the harmonics file format, with mean/trend and
-    any diagnostics as ``# key = value`` headers: a bool as true or false,
-    a float through format_number, anything else as str() gives it."""
-    lines = [
-        f"# mean_m = {format_number(solution.mean)}",
-        f"# trend_m_per_hour = {format_number(solution.trend)}",
-        f"# time_reference_hours = {format_number(solution.time_reference)}",
-    ]
-    for key, value in (diagnostics or {}).items():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = format_number(value)
-        lines.append(f"# {key} = {value}")
+    """Render a solution in the harmonics file format, with mean, trend, time
+    reference and any diagnostics as ``# key = value`` headers by format_value."""
+    headers = [("mean_m", solution.mean), ("trend_m_per_hour", solution.trend),
+               ("time_reference_hours", solution.time_reference), *(diagnostics or {}).items()]
+    lines = [f"# {key} = {format_value(value)}" for key, value in headers]
     lines.append("constituent_name,amplitude_m,phase_deg")
     for name, amplitude, phase in zip(solution.catalog.names, solution.amplitudes, solution.phases):
         lines.append(f"{name},{format_number(amplitude)},{format_number(math.degrees(phase))}")

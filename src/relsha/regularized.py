@@ -158,18 +158,24 @@ def _initial_state(x0: np.ndarray, target_magnitude: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelshaDiagnostics:
-    objective: float
-    initial_objective: float
-    gradient_norm: float
-    gradient_tolerance: float
+    """A ReLSHA fit's solver state; its fields, in order, head its solution file."""
+
     iterations: int
-    restarts: int  # always 0: the trust-region loop never restarts; kept for its readers
     # Cholesky factorizations tried, failed ones and the leading blocks
     # refactored after a failure included
     factorizations: int
+    initial_objective: float
+    final_objective: float
+    gradient_norm: float
+    gradient_tolerance: float
     converged: bool
     regime: str
     sample_count: int
+
+    @property
+    def restarts(self) -> int:
+        """Always 0: the trust-region loop never restarts. perfbench still reads it."""
+        return 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,13 +245,12 @@ def relsha_solve(
     )
     gradient_norm = float(np.abs(final_gradient).max())
     diagnostics = RelshaDiagnostics(
-        objective=final_objective,
+        iterations=iterations,
+        factorizations=factorizations,
         initial_objective=j0,
+        final_objective=final_objective,
         gradient_norm=gradient_norm,
         gradient_tolerance=tolerance,
-        iterations=iterations,
-        restarts=0,
-        factorizations=factorizations,
         converged=gradient_norm <= tolerance,
         regime=classify_regime(record.sample_count, catalog.n),
         sample_count=record.sample_count,

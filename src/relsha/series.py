@@ -118,6 +118,7 @@ class HarmonicSolution:
         if not np.all(np.isfinite(p)):
             raise ValueError("phases must be finite")
         p = p % TWO_PI
+        p[p == TWO_PI] = 0.0  # where a tiny negative phase rounds up to 2 pi itself
         p.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "phases", p)

@@ -88,6 +88,23 @@ class TestFit:
         assert metadata["factorizations"] == str(d.factorizations)
         assert metadata["initial_objective"] == format_number(d.initial_objective)
 
+    @pytest.mark.parametrize("method, keys", [
+        ("ha", "method, regime, sample_count, rank"),
+        ("cha", "method, weight, objective, identifiable, sample_count"),
+        ("relsha", "method, lambda, iterations, factorizations, initial_objective, final_objective, "
+                   "gradient_norm, gradient_tolerance, converged, regime, sample_count"),
+    ])
+    def test_header_keys_in_order(self, tmp_path, tiny_gauge, tiny_catalog, tiny_truth, method, keys):
+        ref_b = tmp_path / "ref_b.csv"
+        ref_b.write_text("constituent_name,amplitude_m,phase_deg\nM2,0.4,70\nS2,0.2,150\nK1,0.05,10\n",
+                         encoding="utf-8")
+        out = tmp_path / "solution.csv"
+        assert run("fit", "--method", method, "--input", tiny_gauge, "--catalog", tiny_catalog,
+                   "--reference", tiny_truth, "--reference-a", tiny_truth, "--reference-b", ref_b,
+                   "--output", out) == 0
+        written = re.findall(r"^# (\S+) = ", out.read_text(), flags=re.MULTILINE)
+        assert written == ["mean_m", "trend_m_per_hour", "time_reference_hours", *keys.split(", ")]
+
     def test_cha_requires_both_references(self, tmp_path, tiny_gauge, tiny_truth):
         out = tmp_path / "solution.csv"
         code = run("fit", "--method", "cha", "--input", tiny_gauge,
@@ -547,6 +564,17 @@ class TestExperiment:
                 run("experiment", "--methods", methods, "--output", tmp_path / "grid.csv")
             assert excinfo.value.code == 2
             assert message in capsys.readouterr().err
+
+    def test_non_finite_truth_header_fails_before_the_grid(self, tmp_path, caplog):
+        truth = tmp_path / "t.csv"
+        source = relsha.default_catalog_path().with_name("synthetic_truth.csv")
+        truth.write_text("# mean_m = nan\n" + source.read_text(encoding="utf-8"), encoding="utf-8")
+        out = tmp_path / "grid.csv"
+        code = run("experiment", "--truth", truth, "--intervals", "264,48", "--lengths", 8784,
+                   "--output", out)
+        assert code == 1
+        assert not out.exists()
+        assert f"{truth}: header mean_m must be a finite number, got 'nan'" in caplog.text
 
     def test_missing_output_dir_fails_before_the_grid(self, tmp_path, monkeypatch, caplog):
         def no_grid(*args, **kwargs):

@@ -12,6 +12,7 @@ import relsha
 from relsha.ingest import (
     FLAG_GOOD,
     format_number,
+    format_value,
     load_harmonics,
     load_water_levels,
     parse_timestamp,
@@ -718,6 +719,20 @@ class TestHarmonics:
         assert metadata["method"] == "ha"
         assert solution.phases[0] == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("key", ["mean_m", "trend_m_per_hour", "time_reference_hours"])
+    @pytest.mark.parametrize("value", ["abc", "nan", "-inf", ""])
+    def test_non_numeric_or_non_finite_header_rejected_with_its_key(self, tmp_path, catalog, key, value):
+        path = write(tmp_path, f"# {key} = {value}\nconstituent_name,amplitude_m,phase_deg\nM2,0.64,180\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header {key} must be a finite number")):
+            load_harmonics(path, catalog)
+
+    def test_tiny_negative_phase_is_written_as_zero(self, catalog):
+        # -1e-17 % 2 pi rounds to 2 pi itself, which would be written as 360
+        phases = np.zeros(catalog.n)
+        phases[0] = -1e-17
+        solution = HarmonicSolution(0.0, 0.0, np.full(catalog.n, 0.1), phases, catalog)
+        assert f"\n{catalog.names[0]},0.1,0\n" in solution_to_text(solution)
+
     def test_solution_round_trip(self, tmp_path, truth, catalog):
         out = tmp_path / "solution.csv"
         out.write_text(solution_to_text(truth, diagnostics={"method": "synthetic"}))
@@ -739,3 +754,11 @@ class TestHarmonics:
         text = solution_to_text(solution)
         assert "constituent_name,amplitude_m,phase_deg" in text
         assert text.startswith("# mean_m = 0.5")
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, ""), (True, "true"), (False, "false"), (0.1 + 0.2, "0.3"),
+    (np.float64(2.0) / 3.0, "0.666666667"), (74, "74"), ("overdetermined", "overdetermined"),
+])
+def test_format_value(value, text):
+    assert format_value(value) == text

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from relsha.ha import ha_fit
 from relsha.regularized import (
     _GRADIENT_TOLERANCE,
     RelshaConfig,
+    RelshaDiagnostics,
     _bracket,
     _hessian,
     _initial_state,
@@ -452,7 +453,18 @@ class TestCompressedObjective:
         raw, _ = value_and_gradient(
             pack_state(result.solution), design, residual.heights, reference**2, 0.5
         )
-        assert result.diagnostics.objective == pytest.approx(raw, rel=1e-8)
+        assert result.diagnostics.final_objective == pytest.approx(raw, rel=1e-8)
+
+
+class TestDiagnostics:
+    def test_restarts_is_a_property_reading_zero(self):
+        diagnostics = RelshaDiagnostics(
+            iterations=3, factorizations=4, initial_objective=2.0, final_objective=1.0,
+            gradient_norm=1e-9, gradient_tolerance=3e-8, converged=True,
+            regime="overdetermined", sample_count=100,
+        )
+        assert diagnostics.restarts == 0
+        assert "restarts" not in [field.name for field in fields(RelshaDiagnostics)]
 
 
 class TestConfig:

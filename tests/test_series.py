@@ -62,6 +62,10 @@ class TestHarmonicSolution:
         with pytest.raises(ValueError, match="phases must be finite"):
             HarmonicSolution(0.0, 0.0, [0.5, 0.1], [0.0, phase], CAT2)
 
+    @pytest.mark.parametrize("phase", [-1e-17, -5e-324])
+    def test_phase_that_wraps_to_two_pi_is_zero(self, phase):
+        assert HarmonicSolution(0.0, 0.0, [0.1], [phase], CAT1).phases[0] == 0.0
+
 
 class TestDetrend:
     def test_constant_series(self):
